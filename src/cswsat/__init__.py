@@ -18,7 +18,7 @@ from .automaton import (
     parse_pfa,
     serialize_pfa,
 )
-from .encoder import CnfInstance, VarLayout, decode_word, encode, scale
+from .encoder import CnfInstance, VarLayout, decode_word, encode
 from .generators import GenConfig, pn, random_pfa, trial_seed
 from .oracle import power_bfs
 from .search import SearchOutcome, min_csw
@@ -43,7 +43,6 @@ __all__ = [
     "VarLayout",
     "decode_word",
     "encode",
-    "scale",
     "GenConfig",
     "pn",
     "random_pfa",

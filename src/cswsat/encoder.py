@@ -34,7 +34,6 @@ __all__ = [
     "DimacsError",
     "encode",
     "decode_word",
-    "scale",
     "to_dimacs",
     "parse_dimacs",
     "clause_count",
@@ -56,8 +55,7 @@ class VarLayout:
     variable numbers 1..(m+n)*ell + n.
 
     Step 0 state variables come first; afterwards each position t occupies a
-    contiguous block of width m+n, letters before states. Keeping blocks
-    contiguous makes stretching a length-1 instance pure index arithmetic.
+    contiguous block of width m+n, letters before states.
     """
 
     n: int
@@ -96,7 +94,7 @@ class CnfInstance:
 
     Clauses are tuples of nonzero ints, positive for a variable and negative
     for its negation. `layout` and `group_sizes` are present on instances
-    built by encode/scale and absent on ones read back from DIMACS text
+    built by encode and absent on ones read back from DIMACS text
     without a layout comment.
     """
 
@@ -168,64 +166,13 @@ def encode(pfa: Pfa, ell: int) -> CnfInstance:
         layout=layout,
         group_sizes=groups,
     )
-    assert instance.clause_count == clause_count(n, m, ell)
+    if instance.clause_count != clause_count(n, m, ell):
+        from .solver import ModelVerificationError
+
+        raise ModelVerificationError(
+            f"encoded {instance.clause_count} clauses, closed form gives {clause_count(n, m, ell)}"
+        )
     return instance
-
-
-def scale(template: CnfInstance, ell: int) -> CnfInstance:
-    """Stretch a length-1 instance to length ell without re-reading the
-    automaton.
-
-    The step-1 letter and transition block is replicated once per position:
-    variables above the step-0 region shift by (t-1)*(m+n) in copy t, and
-    references to step-0 state variables in copies t >= 2 are rewritten to
-    the previous step's state variables. The final at-most-one-state block
-    is emitted fresh. The result equals encode(pfa, ell) clause for clause.
-    """
-    layout = template.layout
-    if layout is None or layout.ell != 1:
-        raise ValueError("template must be an encoded instance of length 1")
-    if ell < 1:
-        raise ValueError(f"target length must be >= 1, got {ell}")
-    n, m = layout.n, layout.m
-    width = m + n
-    per_step = m * (m - 1) // 2 + 1 + m * n
-    new_layout = VarLayout(n=n, m=m, ell=ell)
-
-    clauses = list(template.clauses[:n])
-    step_block = template.clauses[n : n + per_step]
-    for t in range(1, ell + 1):
-        shift = (t - 1) * width
-        if t == 1:
-            clauses.extend(step_block)
-            continue
-        for clause in step_block:
-            rewritten = []
-            for lit in clause:
-                v = abs(lit)
-                if v > n:
-                    rewritten.append(lit + shift if lit > 0 else lit - shift)
-                else:
-                    # step-0 state reference becomes the previous step's
-                    replacement = new_layout.state_var(v, t - 1)
-                    rewritten.append(replacement if lit > 0 else -replacement)
-            clauses.append(tuple(rewritten))
-    for r in range(1, n + 1):
-        for s in range(r + 1, n + 1):
-            clauses.append((-new_layout.state_var(r, ell), -new_layout.state_var(s, ell)))
-
-    groups = GroupSizes(
-        initial=n,
-        letter=ell * (m * (m - 1) // 2 + 1),
-        transition=ell * m * n,
-        sync=n * (n - 1) // 2,
-    )
-    return CnfInstance(
-        var_count=new_layout.var_count,
-        clauses=tuple(clauses),
-        layout=new_layout,
-        group_sizes=groups,
-    )
 
 
 def decode_word(assignment, layout: VarLayout) -> tuple:

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .automaton import STATE_SET_CAP, Pfa, is_carefully_synchronizing
 from .search import FOUND, NOT_SYNCHRONIZING, SearchOutcome
-from .solver import BudgetExceeded
+from .solver import BudgetExceeded, ModelVerificationError
 
 __all__ = ["DEFAULT_MAX_VISITED", "power_bfs"]
 
@@ -100,7 +100,10 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
             word.append(letter)
             mask = prev
         word.reverse()
-        assert len(word) == length
+        if len(word) != length:
+            raise ModelVerificationError(
+                f"reconstructed word has length {len(word)}, search depth is {length}"
+            )
         return tuple(word)
 
     while frontier:
@@ -114,7 +117,7 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
                 if img & (img - 1) == 0:
                     witness = reconstruct(subset, a, depth)
                     if not is_carefully_synchronizing(pfa, witness):
-                        raise AssertionError(
+                        raise ModelVerificationError(
                             f"breadth-first witness {witness!r} fails verification"
                         )
                     return SearchOutcome(

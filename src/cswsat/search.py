@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .automaton import STATE_SET_CAP, Pfa, is_carefully_synchronizing
-from .encoder import decode_word, encode, scale
-from .solver import SAT, UNSAT, Backend, BudgetExceeded, ModelVerificationError
+from .encoder import decode_word, encode
+from .solver import SAT, UNSAT, Backend, BudgetExceeded, ModelVerificationError, SolveStats
 
 __all__ = [
     "FOUND",
@@ -42,6 +42,7 @@ class Probe:
     length: int
     status: str
     seconds: float
+    stats: Optional[SolveStats] = None
 
 
 @dataclass(frozen=True)
@@ -93,12 +94,11 @@ def min_csw(
                 return SearchOutcome(status=NOT_SYNCHRONIZING, visited=exact.visited)
 
     backend = backend or Backend()
-    template = encode(pfa, 1)
     probes = []
     words = {}
 
     def probe(length: int) -> str:
-        instance = scale(template, length)
+        instance = encode(pfa, length)
         start = time.perf_counter()
         try:
             result = backend.run(instance)
@@ -106,7 +106,9 @@ def min_csw(
             exc.probes = tuple(probes)
             raise
         elapsed = time.perf_counter() - start
-        probes.append(Probe(length=length, status=result.status, seconds=elapsed))
+        probes.append(
+            Probe(length=length, status=result.status, seconds=elapsed, stats=result.stats)
+        )
         if result.status == SAT:
             words[length] = decode_word(result.model, instance.layout)
         return result.status

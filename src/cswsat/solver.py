@@ -9,6 +9,15 @@ the mostly-false models of the synchronization encoding), reluctant-doubling
 restarts, and periodic forgetting of high-glue learned clauses. Runs are
 deterministic for a fixed seed.
 
+Decisions come from a lazy binary heap of (-activity, variable) entries.
+Bumping a variable makes its old entry stale instead of removing it, and a
+stale entry is dropped when popped. The `in_heap` flags keep at most one
+live entry per variable: an unassigned variable always has one, bumping an
+assigned variable only clears its flag, and backtracking pushes the
+variables whose flag is clear. Once stale entries make the heap longer than
+2 * nvars after a backtrack, it is rebuilt from the unassigned variables.
+None of this changes which variable is picked.
+
 Every model, from either backend, is re-checked against the original clauses
 by the separate `satisfies` evaluator before being returned; the solver's
 own bookkeeping is never trusted.
@@ -57,7 +66,9 @@ class BudgetExceeded(RuntimeError):
 
 
 class ModelVerificationError(RuntimeError):
-    """A claimed model failed the independent clause check."""
+    """A result failed its independent check: a model against the clauses,
+    a word against the automaton, or an encoding against its closed-form
+    size."""
 
 
 class ExternalSolverError(RuntimeError):
@@ -145,8 +156,7 @@ class _Engine:
             rng = random.Random(seed)
             self.activity = [0.0] + [rng.random() * 1e-6 for _ in range(nv)]
 
-        self.heap = [(-self.activity[v], v) for v in range(1, nv + 1)]
-        heapq.heapify(self.heap)
+        self._rebuild_heap()
 
         for clause in instance.clauses:
             if not self._add_input_clause(clause):
@@ -248,10 +258,22 @@ class _Engine:
             for u in range(1, self.nvars + 1):
                 self.activity[u] *= scale
             self.var_inc *= scale
-            self.heap = [(-self.activity[u], u) for u in range(1, self.nvars + 1) if self.val[u] == -1]
-            heapq.heapify(self.heap)
-        else:
+            self._rebuild_heap()
+        elif self.val[v] == -1:
             heapq.heappush(self.heap, (-act, v))
+            self.in_heap[v] = 1
+        else:
+            # the old entry is stale now; _backtrack pushes a current one
+            self.in_heap[v] = 0
+
+    def _rebuild_heap(self):
+        """One current entry per unassigned variable and nothing else;
+        in_heap[v] is set exactly when the heap holds (-activity[v], v)."""
+        val = self.val
+        activity = self.activity
+        self.heap = [(-activity[v], v) for v in range(1, self.nvars + 1) if val[v] == -1]
+        heapq.heapify(self.heap)
+        self.in_heap = bytearray(val[v] == -1 for v in range(self.nvars + 1))
 
     def _analyze(self, confl: int):
         """Derive the first-unique-implication-point clause for the current
@@ -319,6 +341,8 @@ class _Engine:
     def _backtrack(self, target: int):
         trail = self.trail
         val = self.val
+        heap = self.heap
+        in_heap = self.in_heap
         limit = self.trail_lim[target]
         for idx in range(len(trail) - 1, limit - 1, -1):
             code = trail[idx]
@@ -326,10 +350,14 @@ class _Engine:
             self.polarity[v] = val[v] == 1
             val[v] = -1
             self.reason[v] = -1
-            heapq.heappush(self.heap, (-self.activity[v], v))
+            if not in_heap[v]:
+                heapq.heappush(heap, (-self.activity[v], v))
+                in_heap[v] = 1
         del trail[limit:]
         del self.trail_lim[target:]
         self.qhead = limit
+        if len(heap) > 2 * self.nvars:
+            self._rebuild_heap()
 
     def _pick_branch(self) -> int:
         heap = self.heap
@@ -337,8 +365,10 @@ class _Engine:
         activity = self.activity
         while heap:
             negact, v = heapq.heappop(heap)
-            if val[v] == -1 and -negact == activity[v]:
-                return (v << 1) | (0 if self.polarity[v] else 1)
+            if -negact == activity[v]:
+                self.in_heap[v] = 0
+                if val[v] == -1:
+                    return (v << 1) | (0 if self.polarity[v] else 1)
         return -1
 
     def _reduce_db(self):
@@ -465,7 +495,7 @@ def solve(
     return SolveResult(status=status, model=model, stats=stats)
 
 
-def _parse_result_lines(lines, var_count):
+def _parse_result_lines(lines):
     """Extract (status, literals) from solver output lines; accepts both the
     's'/'v' line convention and the bare SAT/UNSAT file convention."""
     status = None
@@ -545,11 +575,9 @@ def solve_external(
         except subprocess.TimeoutExpired as exc:
             raise BudgetExceeded(f"external solver exceeded {timeout}s") from exc
 
-        status, literals = _parse_result_lines(proc.stdout.splitlines(), instance.var_count)
+        status, literals = _parse_result_lines(proc.stdout.splitlines())
         if status is None and uses_out and out_path.exists():
-            status, literals = _parse_result_lines(
-                out_path.read_text().splitlines(), instance.var_count
-            )
+            status, literals = _parse_result_lines(out_path.read_text().splitlines())
         if status is None:
             if proc.returncode not in (0, 10, 20):
                 raise ExternalSolverError(

@@ -28,7 +28,7 @@ from cswsat.cli import (
     fit_cubic,
     run_experiment,
 )
-from cswsat.encoder import CnfInstance, decode_word, encode, scale
+from cswsat.encoder import CnfInstance, decode_word, encode
 from cswsat.generators import GenConfig, pn, random_pfa, trial_seed
 from cswsat.oracle import power_bfs
 from cswsat.search import FOUND, min_csw
@@ -97,9 +97,8 @@ def test_criterion_2_encoding_equals_word_search():
         for delta in itertools.product(letter_rows, repeat=2):
             automata += 1
             pfa = Pfa(n=n, m=2, delta=delta)
-            template = encode(pfa, 1)
             for ell in range(1, 5):
-                instance = template if ell == 1 else scale(template, ell)
+                instance = encode(pfa, ell)
                 result = solve(instance)
                 exists = any(
                     word_synchronizes(n, delta, w)

@@ -13,10 +13,10 @@ from cswsat.encoder import (
     encode,
     layout_comment,
     parse_dimacs,
-    scale,
     to_dimacs,
     variable_count,
 )
+from cswsat.solver import ModelVerificationError
 
 from helpers import (
     brute_force_models,
@@ -26,7 +26,6 @@ from helpers import (
 )
 
 A1 = Pfa(n=2, m=2, delta=((1, 1), (2, None)))
-P4 = Pfa(n=4, m=2, delta=((2, 3, 3, 4), (None, 3, 4, 1)))
 
 
 class TestLayout:
@@ -82,6 +81,12 @@ class TestEncode:
     def test_rejects_zero_length(self):
         with pytest.raises(ValueError):
             encode(A1, 0)
+
+    def test_miscount_is_a_fault(self, monkeypatch):
+        # the closed-form check must survive `python -O`, so it is no assert
+        monkeypatch.setattr("cswsat.encoder.clause_count", lambda n, m, ell: -1)
+        with pytest.raises(ModelVerificationError, match="closed form"):
+            encode(A1, 2)
 
     @given(pfas(max_n=8, max_m=8), st.integers(1, 6))
     @settings(max_examples=60)
@@ -196,30 +201,6 @@ class TestDecode:
         model = {1: True, 2: True, 3: True, 4: True, 5: True, 6: False}
         with pytest.raises(DecodeError, match="step 1"):
             decode_word(model, lay)
-
-
-class TestScale:
-    def test_identity(self):
-        assert scale(encode(A1, 1), 1) == encode(A1, 1)
-
-    def test_two_steps(self):
-        assert scale(encode(A1, 1), 2) == encode(A1, 2)
-
-    def test_longer_chain(self):
-        assert scale(encode(P4, 1), 5) == encode(P4, 5)
-
-    def test_rejects_non_template(self):
-        with pytest.raises(ValueError):
-            scale(encode(A1, 2), 3)
-
-    def test_rejects_zero_target(self):
-        with pytest.raises(ValueError):
-            scale(encode(A1, 1), 0)
-
-    @given(pfas(max_n=5, max_m=4), st.integers(1, 6))
-    @settings(max_examples=60)
-    def test_matches_direct_encode(self, pfa, ell):
-        assert scale(encode(pfa, 1), ell) == encode(pfa, ell)
 
 
 class TestDimacs:

@@ -1,11 +1,12 @@
 import pytest
 from hypothesis import example, given, settings
 
-from cswsat.automaton import Pfa, is_carefully_synchronizing
+from cswsat.automaton import Pfa, is_carefully_synchronizing, serialize_pfa
+from cswsat.cli import EXIT_FAULT, main
 from cswsat.generators import pn
 from cswsat.oracle import power_bfs
 from cswsat.search import FOUND, NOT_SYNCHRONIZING
-from cswsat.solver import BudgetExceeded
+from cswsat.solver import BudgetExceeded, ModelVerificationError
 
 from helpers import explicit_power_length, pfas, shortest_sync_word
 
@@ -51,6 +52,17 @@ class TestBudgetAndCap:
         big = Pfa(n=65, m=1, delta=(tuple(1 for _ in range(65)),))
         with pytest.raises(ValueError, match="cap"):
             power_bfs(big)
+
+
+class TestFaults:
+    def test_unverified_witness_exits_as_fault(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr("cswsat.oracle.is_carefully_synchronizing", lambda pfa, word: False)
+        with pytest.raises(ModelVerificationError, match="fails verification"):
+            power_bfs(C3)
+        path = tmp_path / "c3.txt"
+        path.write_text(serialize_pfa(C3))
+        assert main(["oracle", str(path)]) == EXIT_FAULT
+        assert "fails verification" in capsys.readouterr().err
 
 
 class TestAgainstIndependentSearch:

@@ -85,12 +85,18 @@ class TestProbeRecord:
         assert lengths[: first_sat + 1] == [2**i for i in range(first_sat + 1)]
 
     def test_deterministic_replay(self):
-        a = min_csw(pn(5))
-        b = min_csw(pn(5))
+        a = min_csw(pn(6))
+        b = min_csw(pn(6))
         assert a.witness == b.witness
-        assert [(p.length, p.status) for p in a.probes] == [
-            (p.length, p.status) for p in b.probes
-        ]
+
+        def record(out):
+            return [
+                (p.length, p.status, p.stats.conflicts, p.stats.decisions, p.stats.propagations)
+                for p in out.probes
+            ]
+
+        assert record(a) == record(b)
+        assert sum(p.stats.conflicts for p in a.probes) > 0
 
     def test_bound_is_largest_probe(self):
         out = min_csw(C3)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cswsat.automaton import Pfa
+from cswsat.automaton import Pfa, is_carefully_synchronizing
 from cswsat.encoder import CnfInstance, decode_word, encode
+from cswsat.generators import pn
 from cswsat.solver import (
     SAT,
     UNSAT,
@@ -16,6 +17,7 @@ from cswsat.solver import (
     ModelVerificationError,
     SolverLimits,
     SolverOutputError,
+    _Engine,
     backend_from_spec,
     satisfies,
     solve,
@@ -126,6 +128,45 @@ class TestBuiltinSolve:
         )
         if res.status == SAT:
             assert satisfies(instance, res.model)
+
+
+class TestDecisionHeap:
+    """At every decision the heap holds a current entry for each unassigned
+    variable and at most 2 * nvars entries in all."""
+
+    def run_checked(self, instance, var_inc=1.0):
+        engine = _Engine(instance, SolverLimits(), 0)
+        engine.var_inc = var_inc
+        pick = engine._pick_branch
+
+        def checked_pick():
+            heap, activity = engine.heap, engine.activity
+            assert len(heap) <= 2 * engine.nvars
+            current = {v for negact, v in heap if -negact == activity[v]}
+            unassigned = {v for v in range(1, engine.nvars + 1) if engine.val[v] == -1}
+            assert unassigned <= current
+            return pick()
+
+        engine._pick_branch = checked_pick
+        status, model = engine.run()
+        return engine, status, model
+
+    def test_bounded_on_unsat_chain_probe(self):
+        engine, status, _ = self.run_checked(encode(pn(6), 25))
+        assert status == UNSAT
+        assert engine.stats.conflicts > 0
+
+    def test_activity_rescale_keeps_invariant(self):
+        instance = encode(pn(6), 26)
+        engine, status, model = self.run_checked(instance, var_inc=1e99)
+        assert engine.var_inc < 1e99  # it only grows unless the 1e-100 rescale ran
+        assert status == SAT
+        assert satisfies(instance, model)
+        assert is_carefully_synchronizing(pn(6), decode_word(model, instance.layout))
+
+        engine, status, _ = self.run_checked(encode(pn(6), 25), var_inc=1e99)
+        assert engine.var_inc < 1e99
+        assert status == UNSAT
 
 
 class TestBudgets:
