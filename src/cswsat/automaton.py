@@ -22,6 +22,10 @@ __all__ = [
     "is_carefully_synchronizing",
     "word_from_letters",
     "word_to_letters",
+    "FOUND",
+    "NOT_SYNCHRONIZING",
+    "UNKNOWN_UP_TO_BOUND",
+    "SearchOutcome",
 ]
 
 # Largest state count the subset/bit-mask machinery (power-set search) accepts.
@@ -30,6 +34,11 @@ STATE_SET_CAP = 64
 
 Word = tuple  # sequence of letter indices, 1-based
 StateSet = frozenset  # subset of {1, .., n}
+
+# SearchOutcome.status values, shared by the solver search and subset search
+FOUND = "FOUND"
+NOT_SYNCHRONIZING = "NOT_SYNCHRONIZING"
+UNKNOWN_UP_TO_BOUND = "UNKNOWN_UP_TO_BOUND"
 
 
 class PfaFormatError(ValueError):
@@ -81,6 +90,18 @@ class Pfa:
 
     def undefined_count(self) -> int:
         return sum(row.count(None) for row in self.delta)
+
+
+@dataclass(frozen=True)
+class SearchOutcome:
+    """The answer of `min_csw` or `power_bfs` for one automaton."""
+
+    status: str
+    min_length: Optional[int] = None
+    witness: Optional[tuple] = None
+    probes: tuple = ()
+    bound: int = 0
+    visited: Optional[int] = None  # subsets expanded; breadth-first path only
 
 
 def full_state_set(pfa: Pfa) -> StateSet:

@@ -18,10 +18,11 @@ import argparse
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import astuple, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .automaton import (
     STATE_SET_CAP,
@@ -42,7 +43,7 @@ from .encoder import (
 )
 from .generators import GenConfig, pn, random_pfa, trial_seed
 from .oracle import DEFAULT_MAX_VISITED, power_bfs
-from .search import DEFAULT_MAX_LENGTH, FOUND, UNKNOWN_UP_TO_BOUND, min_csw
+from .search import DEFAULT_MAX_LENGTH, FOUND, UNKNOWN_UP_TO_BOUND, SearchOutcome, min_csw
 from .solver import (
     SAT,
     Backend,
@@ -93,10 +94,11 @@ class ExperimentRow:
     n: int
     samples: int
     discards: int
+    # kw_only lets a defaulted field sit before the timing column
+    budget_hits: int = field(default=0, kw_only=True)
     mean_length: float
     rsd: float
     mean_time_s: float
-    budget_hits: int = 0
 
 
 @dataclass(frozen=True)
@@ -106,10 +108,10 @@ class ComparisonRow:
     n: int
     samples: int
     discards: int
+    oracle_budget_hits: int = field(default=0, kw_only=True)
     sat_mean_s: float
     oracle_mean_s: float
     mismatches: int
-    oracle_budget_hits: int = 0
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,52 @@ class FitResult:
     def predict(self, x: float) -> float:
         c0, c1, c2, c3 = self.coefficients
         return c0 + c1 * x + c2 * x * x + c3 * x**3
+
+
+def _random_family(undefined_count: int) -> Callable[[int, int], Pfa]:
+    """The random scheme with `undefined_count` holes, as (n, seed) -> Pfa."""
+
+    def family(n: int, draw_seed: int) -> Pfa:
+        return random_pfa(GenConfig(n=n, undefined_count=undefined_count, seed=draw_seed))
+
+    return family
+
+
+def _found_draws(
+    n: int,
+    samples: int,
+    seed: int,
+    family: Callable[[int, int], Pfa],
+    answer: Callable[[Pfa], SearchOutcome],
+    max_attempts: int,
+    tally: Counter,
+) -> Iterator[tuple]:
+    """Per trial, the first draw whose answer is FOUND, as (pfa, outcome,
+    seconds spent in `answer`).
+
+    Draws answered otherwise add to tally["discards"] and budget overruns
+    to tally["budget_hits"]; both are redrawn with the next attempt seed.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    for trial in range(samples):
+        for attempt in range(max_attempts):
+            pfa = family(n, trial_seed(seed, trial, attempt))
+            start = time.perf_counter()
+            try:
+                outcome = answer(pfa)
+            except BudgetExceeded:
+                tally["budget_hits"] += 1
+                continue
+            elapsed = time.perf_counter() - start
+            if outcome.status == FOUND:
+                yield pfa, outcome, elapsed
+                break
+            tally["discards"] += 1
+        else:
+            raise RuntimeError(
+                f"no synchronizing instance for n={n} in {max_attempts} draws"
+            )
 
 
 def run_experiment(
@@ -154,54 +202,28 @@ def run_experiment(
     """
     if engine not in ("sat", "oracle"):
         raise ValueError(f"unknown engine {engine!r}, expected 'sat' or 'oracle'")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if family is None:
-
-        def family(n: int, draw_seed: int) -> Pfa:
-            return random_pfa(
-                GenConfig(n=n, undefined_count=undefined_count, seed=draw_seed)
-            )
+    family = family or _random_family(undefined_count)
+    if engine == "sat":
+        answer = lambda pfa: min_csw(pfa, max_length=max_length, backend=backend)
+    else:
+        answer = lambda pfa: power_bfs(pfa, max_visited=max_visited)
 
     rows = []
     for n in ns:
-        lengths = []
-        times = []
-        discards = 0
-        budget_hits = 0
-        for trial in range(samples):
-            for attempt in range(max_attempts):
-                pfa = family(n, trial_seed(seed, trial, attempt))
-                start = time.perf_counter()
-                try:
-                    if engine == "sat":
-                        outcome = min_csw(pfa, max_length=max_length, backend=backend)
-                    else:
-                        outcome = power_bfs(pfa, max_visited=max_visited)
-                except BudgetExceeded:
-                    budget_hits += 1
-                    continue
-                elapsed = time.perf_counter() - start
-                if outcome.status == FOUND:
-                    lengths.append(outcome.min_length)
-                    times.append(elapsed)
-                    break
-                discards += 1
-            else:
-                raise RuntimeError(
-                    f"no synchronizing instance for n={n} in {max_attempts} draws"
-                )
+        tally = Counter()
+        draws = list(_found_draws(n, samples, seed, family, answer, max_attempts, tally))
+        lengths = [outcome.min_length for _, outcome, _ in draws]
         mean = statistics.fmean(lengths)
         sd = statistics.stdev(lengths) if len(lengths) > 1 else 0.0
         rows.append(
             ExperimentRow(
                 n=n,
                 samples=samples,
-                discards=discards,
+                discards=tally["discards"],
+                budget_hits=tally["budget_hits"],
                 mean_length=mean,
                 rsd=sd / mean if mean else 0.0,
-                mean_time_s=statistics.fmean(times),
-                budget_hits=budget_hits,
+                mean_time_s=statistics.fmean(seconds for _, _, seconds in draws),
             )
         )
     return rows
@@ -221,64 +243,39 @@ def compare_backends(
     """Time both exact paths on identical instances and check they agree.
 
     Subset search runs first; instances it refutes are discarded, since only
-    synchronizing inputs yield a length to compare. The solver pipeline then
-    runs with its reachability pre-check off so its timing is a pure solver
-    measurement. Any length disagreement is counted in the row's mismatch
-    column; callers treat a nonzero count as a correctness failure.
+    synchronizing inputs yield a length to compare, and state counts beyond
+    its cap raise ValueError. The solver pipeline then runs with its
+    reachability pre-check off so its timing is a pure solver measurement.
+    Any length disagreement is counted in the row's mismatch column; callers
+    treat a nonzero count as a correctness failure.
     """
+    family = _random_family(undefined_count)
+    answer = lambda pfa: power_bfs(pfa, max_visited=max_visited)
+
     rows = []
     for n in ns:
-        if n > STATE_SET_CAP:
-            raise ValueError(
-                f"n={n} exceeds the subset-search cap of {STATE_SET_CAP} states"
-            )
+        tally = Counter()
         sat_times = []
         oracle_times = []
-        discards = 0
-        budget_hits = 0
         mismatches = 0
-        for trial in range(samples):
-            for attempt in range(max_attempts):
-                pfa = random_pfa(
-                    GenConfig(
-                        n=n,
-                        undefined_count=undefined_count,
-                        seed=trial_seed(seed, trial, attempt),
-                    )
-                )
-                start = time.perf_counter()
-                try:
-                    exact = power_bfs(pfa, max_visited=max_visited)
-                except BudgetExceeded:
-                    budget_hits += 1
-                    continue
-                oracle_elapsed = time.perf_counter() - start
-                if exact.status != FOUND:
-                    discards += 1
-                    continue
-                start = time.perf_counter()
-                outcome = min_csw(
-                    pfa, max_length=max_length, backend=backend, precheck=False
-                )
-                sat_elapsed = time.perf_counter() - start
-                if outcome.status != FOUND or outcome.min_length != exact.min_length:
-                    mismatches += 1
-                oracle_times.append(oracle_elapsed)
-                sat_times.append(sat_elapsed)
-                break
-            else:
-                raise RuntimeError(
-                    f"no synchronizing instance for n={n} in {max_attempts} draws"
-                )
+        for pfa, exact, oracle_elapsed in _found_draws(
+            n, samples, seed, family, answer, max_attempts, tally
+        ):
+            start = time.perf_counter()
+            outcome = min_csw(pfa, max_length=max_length, backend=backend, precheck=False)
+            sat_times.append(time.perf_counter() - start)
+            oracle_times.append(oracle_elapsed)
+            if outcome.status != FOUND or outcome.min_length != exact.min_length:
+                mismatches += 1
         rows.append(
             ComparisonRow(
                 n=n,
                 samples=samples,
-                discards=discards,
+                discards=tally["discards"],
+                oracle_budget_hits=tally["budget_hits"],
                 sat_mean_s=statistics.fmean(sat_times),
                 oracle_mean_s=statistics.fmean(oracle_times),
                 mismatches=mismatches,
-                oracle_budget_hits=budget_hits,
             )
         )
     return rows
@@ -333,46 +330,23 @@ def _sep(fmt: str) -> str:
         raise ValueError(f"unknown format {fmt!r}, expected 'csv' or 'tsv'") from None
 
 
-def experiment_csv(rows: Sequence, fmt: str = "csv") -> str:
+def _table(row_type: type, rows: Sequence, fmt: str) -> str:
+    """One header line of field names, then one line per row: ints as
+    they are, floats to six decimals."""
     sep = _sep(fmt)
-    lines = [sep.join(("n", "samples", "discards", "mean_length", "rsd", "mean_time_s"))]
+    lines = [sep.join(f.name for f in fields(row_type))]
     for r in rows:
-        lines.append(
-            sep.join(
-                (
-                    str(r.n),
-                    str(r.samples),
-                    str(r.discards),
-                    f"{r.mean_length:.6f}",
-                    f"{r.rsd:.6f}",
-                    f"{r.mean_time_s:.6f}",
-                )
-            )
-        )
+        cells = (f"{v:.6f}" if isinstance(v, float) else str(v) for v in astuple(r))
+        lines.append(sep.join(cells))
     return "\n".join(lines) + "\n"
+
+
+def experiment_csv(rows: Sequence, fmt: str = "csv") -> str:
+    return _table(ExperimentRow, rows, fmt)
 
 
 def comparison_csv(rows: Sequence, fmt: str = "csv") -> str:
-    sep = _sep(fmt)
-    lines = [
-        sep.join(
-            ("n", "samples", "discards", "sat_mean_s", "oracle_mean_s", "mismatches")
-        )
-    ]
-    for r in rows:
-        lines.append(
-            sep.join(
-                (
-                    str(r.n),
-                    str(r.samples),
-                    str(r.discards),
-                    f"{r.sat_mean_s:.6f}",
-                    f"{r.oracle_mean_s:.6f}",
-                    str(r.mismatches),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _table(ComparisonRow, rows, fmt)
 
 
 def write_gnuplot(prefix, rows: Sequence) -> tuple:
@@ -537,9 +511,11 @@ def _cmd_min(args) -> int:
         precheck=not args.no_precheck,
     )
     if args.emit_probes is not None:
-        lines = ["length,status,seconds"]
+        lines = ["length,status,seconds,conflicts,decisions,propagations"]
         lines.extend(
-            f"{p.length},{p.status},{p.seconds:.6f}" for p in outcome.probes
+            f"{p.length},{p.status},{p.seconds:.6f},"
+            f"{p.stats.conflicts},{p.stats.decisions},{p.stats.propagations}"
+            for p in outcome.probes
         )
         _write_text(args.emit_probes, "\n".join(lines) + "\n")
     print(f"status: {outcome.status}")
@@ -605,23 +581,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.mode == "curve":
-        rows = run_experiment(
-            args.ns,
-            samples=args.samples,
-            seed=args.seed,
-            undefined_count=args.k,
-            engine=args.engine,
-            backend=_backend(args),
-            max_length=args.max_length,
-            max_visited=args.max_visited,
-        )
-        _write_text(args.output, experiment_csv(rows, args.format))
-        if args.gnuplot:
-            write_gnuplot(args.gnuplot, rows)
-        return EXIT_OK
-    rows = compare_backends(
-        args.ns,
+    kwargs = dict(
         samples=args.samples,
         seed=args.seed,
         undefined_count=args.k,
@@ -629,17 +589,22 @@ def _cmd_bench(args) -> int:
         max_length=args.max_length,
         max_visited=args.max_visited,
     )
+    if args.mode == "curve":
+        rows = run_experiment(args.ns, engine=args.engine, **kwargs)
+        _write_text(args.output, experiment_csv(rows, args.format))
+        if args.gnuplot:
+            write_gnuplot(args.gnuplot, rows)
+        return EXIT_OK
+    rows = compare_backends(args.ns, **kwargs)
     _write_text(args.output, comparison_csv(rows, args.format))
     bad = [r for r in rows if r.mismatches]
-    if bad:
-        for r in bad:
-            print(
-                f"error: n={r.n}: {r.mismatches} instances where the two "
-                "exact paths disagree",
-                file=sys.stderr,
-            )
-        return EXIT_FAULT
-    return EXIT_OK
+    for r in bad:
+        print(
+            f"error: n={r.n}: {r.mismatches} instances where the two "
+            "exact paths disagree",
+            file=sys.stderr,
+        )
+    return EXIT_FAULT if bad else EXIT_OK
 
 
 def _cmd_fit(args) -> int:
@@ -725,26 +690,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="length curves and backend comparisons")
     bench_sub = p.add_subparsers(dest="mode", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--n-list", dest="ns", type=_parse_ns, required=True)
+    shared.add_argument("--samples", type=int)
+    shared.add_argument("--k", type=int, default=1)
+    shared.add_argument("--max-length", type=int, default=DEFAULT_MAX_LENGTH)
+    shared.add_argument("--max-visited", type=int, default=DEFAULT_MAX_VISITED)
+    shared.add_argument("--output", "-o", default=None)
 
-    c = bench_sub.add_parser("curve", help="mean minimal length per state count")
-    c.add_argument("--n-list", dest="ns", type=_parse_ns, required=True)
-    c.add_argument("--samples", type=int, default=1000)
-    c.add_argument("--k", type=int, default=1)
+    c = bench_sub.add_parser(
+        "curve", parents=[shared], help="mean minimal length per state count"
+    )
     c.add_argument("--engine", choices=("sat", "oracle"), default="sat")
-    c.add_argument("--max-length", type=int, default=DEFAULT_MAX_LENGTH)
-    c.add_argument("--max-visited", type=int, default=DEFAULT_MAX_VISITED)
     c.add_argument("--gnuplot", default=None, help="also write PREFIX.dat and PREFIX.gp")
-    c.add_argument("--output", "-o", default=None)
-    c.set_defaults(func=_cmd_bench, mode="curve")
+    c.set_defaults(func=_cmd_bench, samples=1000)
 
-    c = bench_sub.add_parser("compare", help="solver pipeline vs subset search")
-    c.add_argument("--n-list", dest="ns", type=_parse_ns, required=True)
-    c.add_argument("--samples", type=int, default=50)
-    c.add_argument("--k", type=int, default=1)
-    c.add_argument("--max-length", type=int, default=DEFAULT_MAX_LENGTH)
-    c.add_argument("--max-visited", type=int, default=DEFAULT_MAX_VISITED)
-    c.add_argument("--output", "-o", default=None)
-    c.set_defaults(func=_cmd_bench, mode="compare")
+    c = bench_sub.add_parser(
+        "compare", parents=[shared], help="solver pipeline vs subset search"
+    )
+    c.set_defaults(func=_cmd_bench, samples=50)
 
     p = sub.add_parser("fit", help="least-squares cubic over (n, length) rows")
     p.add_argument("input", nargs="?", default=None, help="CSV/TSV file, - for stdin")

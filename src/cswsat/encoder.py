@@ -21,14 +21,13 @@ The emission order is fixed so instances are byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .automaton import Pfa
 
 __all__ = [
     "VarLayout",
-    "GroupSizes",
     "CnfInstance",
     "DecodeError",
     "DimacsError",
@@ -78,30 +77,18 @@ class VarLayout:
 
 
 @dataclass(frozen=True)
-class GroupSizes:
-    initial: int
-    letter: int
-    transition: int
-    sync: int
-
-    def total(self) -> int:
-        return self.initial + self.letter + self.transition + self.sync
-
-
-@dataclass(frozen=True)
 class CnfInstance:
     """An immutable CNF formula.
 
     Clauses are tuples of nonzero ints, positive for a variable and negative
-    for its negation. `layout` and `group_sizes` are present on instances
-    built by encode and absent on ones read back from DIMACS text
-    without a layout comment.
+    for its negation. `layout` is present on instances built by encode
+    and absent on ones read back from DIMACS text without a layout
+    comment.
     """
 
     var_count: int
     clauses: tuple
     layout: Optional[VarLayout] = None
-    group_sizes: Optional[GroupSizes] = None
 
     def __post_init__(self):
         for clause in self.clauses:
@@ -154,17 +141,8 @@ def encode(pfa: Pfa, ell: int) -> CnfInstance:
         for s in range(r + 1, n + 1):
             clauses.append((-layout.state_var(r, ell), -layout.state_var(s, ell)))
 
-    groups = GroupSizes(
-        initial=n,
-        letter=ell * (m * (m - 1) // 2 + 1),
-        transition=ell * m * n,
-        sync=n * (n - 1) // 2,
-    )
     instance = CnfInstance(
-        var_count=layout.var_count,
-        clauses=tuple(clauses),
-        layout=layout,
-        group_sizes=groups,
+        var_count=layout.var_count, clauses=tuple(clauses), layout=layout
     )
     if instance.clause_count != clause_count(n, m, ell):
         from .solver import ModelVerificationError
@@ -191,9 +169,6 @@ def decode_word(assignment, layout: VarLayout) -> tuple:
             )
         word.append(chosen[0])
     return tuple(word)
-
-
-LAYOUT_COMMENT = "c layout n={n} m={m} l={ell}"
 
 
 def to_dimacs(instance: CnfInstance, comment: Optional[str] = None) -> str:

@@ -11,8 +11,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .automaton import STATE_SET_CAP, Pfa, is_carefully_synchronizing
-from .search import FOUND, NOT_SYNCHRONIZING, SearchOutcome
+from .automaton import (
+    FOUND,
+    NOT_SYNCHRONIZING,
+    STATE_SET_CAP,
+    Pfa,
+    SearchOutcome,
+    is_carefully_synchronizing,
+)
 from .solver import BudgetExceeded, ModelVerificationError
 
 __all__ = ["DEFAULT_MAX_VISITED", "power_bfs"]

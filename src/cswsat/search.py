@@ -14,8 +14,17 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .automaton import STATE_SET_CAP, Pfa, is_carefully_synchronizing
+from .automaton import (
+    FOUND,
+    NOT_SYNCHRONIZING,
+    STATE_SET_CAP,
+    UNKNOWN_UP_TO_BOUND,
+    Pfa,
+    SearchOutcome,
+    is_carefully_synchronizing,
+)
 from .encoder import decode_word, encode
+from .oracle import power_bfs
 from .solver import SAT, UNSAT, Backend, BudgetExceeded, ModelVerificationError, SolveStats
 
 __all__ = [
@@ -28,11 +37,10 @@ __all__ = [
     "min_csw",
 ]
 
-FOUND = "FOUND"
-NOT_SYNCHRONIZING = "NOT_SYNCHRONIZING"
-UNKNOWN_UP_TO_BOUND = "UNKNOWN_UP_TO_BOUND"
-
 DEFAULT_MAX_LENGTH = 1 << 20
+
+# subset budget of the reachability pre-check; past it the probes decide
+PRECHECK_MAX_VISITED = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -45,22 +53,11 @@ class Probe:
     stats: Optional[SolveStats] = None
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    status: str
-    min_length: Optional[int] = None
-    witness: Optional[tuple] = None
-    probes: tuple = ()
-    bound: int = 0
-    visited: Optional[int] = None  # subsets expanded; breadth-first path only
-
-
 def min_csw(
     pfa: Pfa,
     max_length: int = DEFAULT_MAX_LENGTH,
     backend: Optional[Backend] = None,
     precheck: bool = True,
-    precheck_budget: int = 1 << 20,
 ) -> SearchOutcome:
     """Minimal carefully-synchronizing word length via repeated bounded
     solver questions.
@@ -83,10 +80,8 @@ def min_csw(
     if not pfa.has_total_letter():
         return SearchOutcome(status=NOT_SYNCHRONIZING)
     if precheck and pfa.n <= STATE_SET_CAP:
-        from .oracle import power_bfs
-
         try:
-            exact = power_bfs(pfa, max_visited=precheck_budget)
+            exact = power_bfs(pfa, max_visited=PRECHECK_MAX_VISITED)
         except BudgetExceeded:
             pass
         else:

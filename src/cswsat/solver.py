@@ -606,12 +606,11 @@ class Backend:
     command: Optional[str] = None
     seed: int = 0
     limits: SolverLimits = field(default_factory=SolverLimits)
-    timeout: Optional[float] = None
 
     def run(self, instance: CnfInstance) -> SolveResult:
         if self.kind == "builtin":
             return solve(instance, limits=self.limits, seed=self.seed)
-        return solve_external(instance, self.command, timeout=self.timeout)
+        return solve_external(instance, self.command, timeout=self.limits.max_seconds)
 
 
 def backend_from_spec(spec: str, seed: int = 0, limits: Optional[SolverLimits] = None) -> Backend:
@@ -623,5 +622,5 @@ def backend_from_spec(spec: str, seed: int = 0, limits: Optional[SolverLimits] =
         command = spec[len("external:") :].strip()
         if not command:
             raise ValueError("external backend needs a command after the colon")
-        return Backend(kind="external", command=command, timeout=limits.max_seconds)
+        return Backend(kind="external", command=command, limits=limits)
     raise ValueError(f"unknown backend {spec!r}, expected 'builtin' or 'external:<command>'")

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import sys
@@ -20,6 +21,7 @@ from cswsat.cli import (
 )
 from cswsat.encoder import parse_dimacs
 from cswsat.generators import pn
+from cswsat.search import min_csw
 
 from test_solver import SHIM_LIAR, shim_command
 
@@ -145,6 +147,10 @@ class TestCompareBackends:
         assert row.sat_mean_s > 0
         assert row.oracle_mean_s > 0
 
+    def test_rejects_zero_samples(self):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            compare_backends([6], samples=0)
+
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             compare_backends([65], samples=1)
@@ -160,8 +166,10 @@ class TestCompareBackends:
         )
         text = comparison_csv([row])
         header, data = text.splitlines()
-        assert header == "n,samples,discards,sat_mean_s,oracle_mean_s,mismatches"
-        assert data == "6,5,1,0.250000,0.012500,0"
+        assert header == (
+            "n,samples,discards,oracle_budget_hits,sat_mean_s,oracle_mean_s,mismatches"
+        )
+        assert data == "6,5,1,0,0.250000,0.012500,0"
 
 
 class TestTableOutput:
@@ -171,8 +179,8 @@ class TestTableOutput:
 
     def test_csv(self):
         header, data = experiment_csv([self.ROW]).splitlines()
-        assert header == "n,samples,discards,mean_length,rsd,mean_time_s"
-        assert data == "10,4,2,7.500000,0.375000,0.001000"
+        assert header == "n,samples,discards,budget_hits,mean_length,rsd,mean_time_s"
+        assert data == "10,4,2,0,7.500000,0.375000,0.001000"
 
     def test_tsv(self):
         text = experiment_csv([self.ROW], fmt="tsv")
@@ -258,6 +266,19 @@ class TestCommandSurface:
         assert "min_length: 4" in out
         assert probes.read_text().startswith("length,status,seconds")
 
+    def test_min_probe_stats_columns(self, tmp_path, capsys):
+        probes = tmp_path / "probes.csv"
+        path = self._pfa_file(tmp_path, C3_TEXT)
+        assert main(["min", path, "--emit-probes", str(probes)]) == 0
+        rows = csv.DictReader(io.StringIO(probes.read_text()))
+        columns = ("length", "status", "conflicts", "decisions", "propagations")
+        got = [tuple(r[c] for c in columns) for r in rows]
+        expected = [
+            (p.length, p.status, p.stats.conflicts, p.stats.decisions, p.stats.propagations)
+            for p in min_csw(parse_pfa(C3_TEXT)).probes
+        ]
+        assert got == [tuple(map(str, e)) for e in expected]
+
     def test_min_bound_exhausted(self, tmp_path, capsys):
         assert main(["min", self._pfa_file(tmp_path, C3_TEXT), "--max-length", "3"]) == 2
         out = capsys.readouterr().out
@@ -333,7 +354,7 @@ class TestCommandSurface:
         )
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "n,samples,discards,mean_length,rsd,mean_time_s"
+        assert lines[0] == "n,samples,discards,budget_hits,mean_length,rsd,mean_time_s"
         assert len(lines) == 3
         assert (tmp_path / "plot.dat").exists()
         assert (tmp_path / "plot.gp").exists()
@@ -356,6 +377,18 @@ class TestCommandSurface:
         )
         assert code == 0
         assert out.read_text().startswith("n\tsamples\tdiscards")
+
+    def test_bench_tables_show_budget_overruns(self, tmp_path, capsys):
+        # both commands draw the same automata and answer them by subset
+        # search under the same budget; two draws at n=10 overrun it
+        shared = ["--n-list", "6,10", "--samples", "20", "--max-visited", "40"]
+        curve = tmp_path / "curve.csv"
+        compare = tmp_path / "compare.csv"
+        assert main(["bench", "curve", "--engine", "oracle", *shared, "-o", str(curve)]) == 0
+        assert main(["bench", "compare", *shared, "-o", str(compare)]) == 0
+        read = lambda path: list(csv.DictReader(io.StringIO(path.read_text())))
+        assert [r["budget_hits"] for r in read(curve)] == ["0", "2"]
+        assert [r["oracle_budget_hits"] for r in read(compare)] == ["0", "2"]
 
     def test_bench_compare_flags_disagreement(self, monkeypatch, capsys):
         bogus = ComparisonRow(

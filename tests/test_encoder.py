@@ -51,15 +51,11 @@ class TestEncode:
         inst = encode(A1, 1)
         assert inst.var_count == 6
         assert inst.clause_count == 9
-        g = inst.group_sizes
-        assert (g.initial, g.letter, g.transition, g.sync) == (2, 2, 4, 1)
 
     def test_two_step_counts(self):
         inst = encode(A1, 2)
         assert inst.var_count == 10
         assert inst.clause_count == 15
-        g = inst.group_sizes
-        assert (g.initial, g.letter, g.transition, g.sync) == (2, 4, 8, 1)
 
     def test_exact_clause_list(self):
         # Hand-checked against the construction: unit clauses for step 0,
@@ -95,12 +91,6 @@ class TestEncode:
         n, m = pfa.n, pfa.m
         assert inst.var_count == (m + n) * ell + n
         assert inst.clause_count == ell * (m * (m - 1) // 2 + m * n + 1) + n * (n + 1) // 2
-        g = inst.group_sizes
-        assert g.initial == n
-        assert g.letter == ell * (m * (m - 1) // 2 + 1)
-        assert g.transition == ell * m * n
-        assert g.sync == n * (n - 1) // 2
-        assert g.total() == inst.clause_count
 
     @given(pfas(max_n=5, max_m=4), st.integers(1, 4))
     def test_transition_block_shape(self, pfa, ell):

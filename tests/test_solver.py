@@ -318,3 +318,11 @@ class TestBackendSpec:
         backend = Backend(limits=SolverLimits(max_conflicts=2))
         with pytest.raises(BudgetExceeded):
             backend.run(pigeonhole(5))
+
+    def test_external_time_budget_from_limits(self, tmp_path):
+        cmd = shim_command(tmp_path, SHIM_SLEEPER, "sleeper")
+        backend = backend_from_spec(
+            f"external:{cmd}", limits=SolverLimits(max_seconds=0.3)
+        )
+        with pytest.raises(BudgetExceeded, match="0.3s"):
+            backend.run(inst(1, [1]))
