@@ -692,7 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = p.add_subparsers(dest="mode", required=True)
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--n-list", dest="ns", type=_parse_ns, required=True)
-    shared.add_argument("--samples", type=int)
     shared.add_argument("--k", type=int, default=1)
     shared.add_argument("--max-length", type=int, default=DEFAULT_MAX_LENGTH)
     shared.add_argument("--max-visited", type=int, default=DEFAULT_MAX_VISITED)
@@ -701,14 +700,16 @@ def build_parser() -> argparse.ArgumentParser:
     c = bench_sub.add_parser(
         "curve", parents=[shared], help="mean minimal length per state count"
     )
+    c.add_argument("--samples", type=int, default=1000)
     c.add_argument("--engine", choices=("sat", "oracle"), default="sat")
     c.add_argument("--gnuplot", default=None, help="also write PREFIX.dat and PREFIX.gp")
-    c.set_defaults(func=_cmd_bench, samples=1000)
+    c.set_defaults(func=_cmd_bench)
 
     c = bench_sub.add_parser(
         "compare", parents=[shared], help="solver pipeline vs subset search"
     )
-    c.set_defaults(func=_cmd_bench, samples=50)
+    c.add_argument("--samples", type=int, default=50)
+    c.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("fit", help="least-squares cubic over (n, length) rows")
     p.add_argument("input", nargs="?", default=None, help="CSV/TSV file, - for stdin")

@@ -11,6 +11,7 @@ from cswsat.cli import (
     ComparisonRow,
     ExperimentRow,
     FitResult,
+    build_parser,
     comparison_csv,
     compare_backends,
     experiment_csv,
@@ -377,6 +378,13 @@ class TestCommandSurface:
         )
         assert code == 0
         assert out.read_text().startswith("n\tsamples\tdiscards")
+
+    def test_bench_samples_default_per_mode(self):
+        # curve and compare share their other flags but not this default
+        parse = build_parser().parse_args
+        assert parse(["bench", "curve", "--n-list", "6"]).samples == 1000
+        assert parse(["bench", "compare", "--n-list", "6"]).samples == 50
+        assert parse(["bench", "curve", "--n-list", "6", "--samples", "7"]).samples == 7
 
     def test_bench_tables_show_budget_overruns(self, tmp_path, capsys):
         # both commands draw the same automata and answer them by subset
