@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 __all__ = [
-    "STATE_SET_CAP",
+    "BudgetExceeded",
+    "ModelVerificationError",
     "Pfa",
     "PfaFormatError",
     "parse_pfa",
@@ -28,10 +29,6 @@ __all__ = [
     "SearchOutcome",
 ]
 
-# Largest state count the subset/bit-mask machinery (power-set search) accepts.
-# The SAT route needs no subsets and has no such cap.
-STATE_SET_CAP = 64
-
 Word = tuple  # sequence of letter indices, 1-based
 StateSet = frozenset  # subset of {1, .., n}
 
@@ -39,6 +36,20 @@ StateSet = frozenset  # subset of {1, .., n}
 FOUND = "FOUND"
 NOT_SYNCHRONIZING = "NOT_SYNCHRONIZING"
 UNKNOWN_UP_TO_BOUND = "UNKNOWN_UP_TO_BOUND"
+
+
+class BudgetExceeded(RuntimeError):
+    """A configured resource limit was hit before reaching a decision."""
+
+    def __init__(self, message: str, stats=None):
+        super().__init__(message)
+        self.stats = stats
+
+
+class ModelVerificationError(RuntimeError):
+    """A result failed its independent check: a model against the clauses,
+    a word against the automaton, or an encoding against its closed-form
+    size."""
 
 
 class PfaFormatError(ValueError):

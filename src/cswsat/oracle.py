@@ -14,16 +14,22 @@ from typing import Optional
 from .automaton import (
     FOUND,
     NOT_SYNCHRONIZING,
-    STATE_SET_CAP,
+    BudgetExceeded,
+    ModelVerificationError,
     Pfa,
     SearchOutcome,
     is_carefully_synchronizing,
 )
-from .solver import BudgetExceeded, ModelVerificationError
 
-__all__ = ["DEFAULT_MAX_VISITED", "power_bfs"]
+__all__ = ["DEFAULT_MAX_VISITED", "MAX_TABLE_WORDS", "power_bfs"]
 
-DEFAULT_MAX_VISITED = 1 << 24
+# Stored subsets allowed, counted in 64-bit words of mask
+DEFAULT_MAX_VISITED = 1 << 20
+
+# Largest byte-slice tables `power_bfs` builds, in 64-bit words of mask
+# (m * ceil(n/8) * 256 * ceil(n/64)). At this ceiling they peak at 134 MB
+# RSS for 2 letters at n=4096, and at 720 MB for 8192 letters at n=64.
+MAX_TABLE_WORDS = 1 << 24
 
 _CHUNK = 8
 _CHUNK_MASK = (1 << _CHUNK) - 1
@@ -38,25 +44,22 @@ class _LetterAction:
         n = pfa.n
         row = pfa.delta[letter - 1]
         self.defined_mask = 0
-        targets = [0] * n
+        chunks = -(-n // _CHUNK)
+        # padded to whole chunks; bits past n are never set in a subset
+        targets = [0] * (chunks * _CHUNK)
         for q in range(n):
             t = row[q]
             if t is not None:
                 self.defined_mask |= 1 << q
                 targets[q] = 1 << (t - 1)
-        chunks = (n + _CHUNK - 1) // _CHUNK
         self.tables = []
         for c in range(chunks):
             base = c * _CHUNK
             table = [0] * (1 << _CHUNK)
-            for value in range(1 << _CHUNK):
-                img = 0
-                bits = value
-                while bits:
-                    low = bits & -bits
-                    img |= targets[base + low.bit_length() - 1] if base + low.bit_length() - 1 < n else 0
-                    bits ^= low
-                table[value] = img
+            # each value's image is its lowest bit's target joined to the rest's
+            for value in range(1, 1 << _CHUNK):
+                low = value & -value
+                table[value] = table[value ^ low] | targets[base + low.bit_length() - 1]
             self.tables.append(table)
 
     def image(self, subset: int) -> Optional[int]:
@@ -78,19 +81,22 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
     least among the shortest.
 
     Exhausting all reachable subsets without a singleton proves there is no
-    such word. Raises BudgetExceeded (with a `visited` attribute) when more
-    than max_visited subsets would be stored, and ValueError for automata
-    beyond the subset-representation cap.
+    such word. Raises BudgetExceeded (with a `visited` attribute) when the
+    stored subsets, at ceil(n/64) words each, would exceed max_visited
+    words, and before building anything when the letter tables would
+    exceed MAX_TABLE_WORDS.
     """
     n = pfa.n
-    if n > STATE_SET_CAP:
-        raise ValueError(
-            f"{n} states exceeds the subset-search cap of {STATE_SET_CAP}; "
-            "use the solver pipeline instead"
-        )
     full = (1 << n) - 1
     if n == 1:
         return SearchOutcome(status=FOUND, min_length=0, witness=(), visited=1)
+    words = -(-n // 64)
+    table_words = pfa.m * -(-n // _CHUNK) * (1 << _CHUNK) * words
+    if table_words > MAX_TABLE_WORDS:
+        raise BudgetExceeded(
+            f"{n} states need {table_words} table words, over the {MAX_TABLE_WORDS} budget"
+        )
+    max_stored = max_visited // words
 
     actions = [_LetterAction(pfa, a) for a in range(1, pfa.m + 1)]
     letters = tuple(range(1, pfa.m + 1))
@@ -134,9 +140,9 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
                         visited=len(parent),
                     )
                 parent[img] = (subset, a)
-                if len(parent) > max_visited:
+                if len(parent) > max_stored:
                     exc = BudgetExceeded(
-                        f"subset budget {max_visited} exceeded at depth {depth}"
+                        f"subset budget {max_visited} words exceeded at depth {depth}"
                     )
                     exc.visited = len(parent)
                     raise exc

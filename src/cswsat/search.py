@@ -17,7 +17,6 @@ from typing import Optional
 from .automaton import (
     FOUND,
     NOT_SYNCHRONIZING,
-    STATE_SET_CAP,
     UNKNOWN_UP_TO_BOUND,
     Pfa,
     SearchOutcome,
@@ -38,9 +37,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_LENGTH = 1 << 20
-
-# subset budget of the reachability pre-check; past it the probes decide
-PRECHECK_MAX_VISITED = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -64,14 +60,15 @@ def min_csw(
 
     Fast refutations come first: a one-state automaton synchronizes with the
     empty word; an automaton with no everywhere-defined letter cannot start
-    any synchronizing word at any length; and, when the state count permits
-    subset search and `precheck` is on, an exact reachability pass refutes
-    synchronizability outright, since unbounded non-existence can never be
-    concluded from length probes alone. The pre-check's positive answers are
-    deliberately ignored so the probe sequence stays a pure solver product.
+    any synchronizing word at any length; and, when `precheck` is on,
+    `power_bfs` under its default budget refutes synchronizability outright
+    at any state count, since unbounded non-existence can never be
+    concluded from length probes alone. Past that budget, or on a positive
+    answer, the probes decide, so the probe record stays a solver product.
 
     Raises BudgetExceeded (with a `probes` attribute holding the partial
-    record) when the backend gives out.
+    record) when the backend gives out or a probe would exceed the
+    encoder's MAX_CLAUSES.
     """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1, got {max_length}")
@@ -79,9 +76,9 @@ def min_csw(
         return SearchOutcome(status=FOUND, min_length=0, witness=())
     if not pfa.has_total_letter():
         return SearchOutcome(status=NOT_SYNCHRONIZING)
-    if precheck and pfa.n <= STATE_SET_CAP:
+    if precheck:
         try:
-            exact = power_bfs(pfa, max_visited=PRECHECK_MAX_VISITED)
+            exact = power_bfs(pfa)
         except BudgetExceeded:
             pass
         else:
@@ -93,9 +90,9 @@ def min_csw(
     words = {}
 
     def probe(length: int) -> str:
-        instance = encode(pfa, length)
-        start = time.perf_counter()
         try:
+            instance = encode(pfa, length)
+            start = time.perf_counter()
             result = backend.run(instance)
         except BudgetExceeded as exc:
             exc.probes = tuple(probes)

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from .automaton import BudgetExceeded, ModelVerificationError
 from .encoder import CnfInstance, to_dimacs
 
 __all__ = [
@@ -55,20 +56,6 @@ __all__ = [
 
 SAT = "SAT"
 UNSAT = "UNSAT"
-
-
-class BudgetExceeded(RuntimeError):
-    """A configured resource limit was hit before reaching a decision."""
-
-    def __init__(self, message: str, stats=None):
-        super().__init__(message)
-        self.stats = stats
-
-
-class ModelVerificationError(RuntimeError):
-    """A result failed its independent check: a model against the clauses,
-    a word against the automaton, or an encoding against its closed-form
-    size."""
 
 
 class ExternalSolverError(RuntimeError):

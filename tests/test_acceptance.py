@@ -214,8 +214,9 @@ def test_criterion_5_random_family_statistics():
 
 @needs_extended
 def test_criterion_5_extended_hundred_states():
-    """n=100 exceeds the subset cap, so 1000 samples ride the solver
-    pipeline; expect on the order of a day single-threaded."""
+    """1000 samples at n=100 through the solver pipeline, the default path;
+    expect on the order of a day single-threaded. Subset search reaches
+    n=100 too, but some draws (seed 0 among them) overrun its budget."""
     (row,) = run_experiment([100], samples=1000, seed=0, engine="sat")
     drift = abs(row.mean_length - 26.550) / 26.550
     report(

@@ -1,7 +1,11 @@
 import csv
 import io
 import math
+import os
+import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +25,7 @@ from cswsat.cli import (
     write_gnuplot,
 )
 from cswsat.encoder import parse_dimacs
-from cswsat.generators import pn
+from cswsat.generators import GenConfig, pn, random_pfa
 from cswsat.search import min_csw
 
 from test_solver import SHIM_LIAR, shim_command
@@ -151,10 +155,6 @@ class TestCompareBackends:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError, match="samples must be >= 1"):
             compare_backends([6], samples=0)
-
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError, match="cap"):
-            compare_backends([65], samples=1)
 
     def test_csv_shape(self):
         row = ComparisonRow(
@@ -303,10 +303,16 @@ class TestCommandSurface:
         assert "min_length: 1" in out
         assert "visited: 1" in out
 
-    def test_oracle_state_gate(self, tmp_path, capsys):
-        path = self._pfa_file(tmp_path, "4 1\n1\n1\n1\n1\n")
-        assert main(["oracle", path, "--max-states", "3"]) == 1
-        assert "--max-states" in capsys.readouterr().err
+    def test_oracle_budget_is_its_only_option(self):
+        # the budget bounds every state count, so no state gate remains
+        parse = build_parser().parse_args
+        common = set(vars(parse(["fit"])))
+        assert set(vars(parse(["oracle", "x"]))) - common == {"max_visited"}
+
+    def test_encode_size_budget_exit(self, tmp_path, capsys):
+        path = self._pfa_file(tmp_path, serialize_pfa(pn(4)))
+        assert main(["encode", path, "--length", str(1 << 17)]) == 2
+        assert "clauses" in capsys.readouterr().err
 
     def test_oracle_budget(self, tmp_path, capsys):
         path = self._pfa_file(tmp_path, serialize_pfa(pn(8)))
@@ -438,3 +444,35 @@ class TestCommandSurface:
         assert main([]) == 1
         assert main(["--help"]) == 0
         assert main(["min"]) == 1
+
+
+class TestMemoryBounds:
+    """Inputs that once exhausted memory must end in exit 2, not in the
+    kernel's kill (137) or a traceback, inside a 2 GiB address space."""
+
+    def _run(self, tmp_path, pfa, *argv):
+        path = tmp_path / "input.txt"
+        path.write_text(serialize_pfa(pfa))
+        limit = 2 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "cswsat", *argv, str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert "Traceback" not in proc.stderr
+        return proc
+
+    def test_galloping_past_the_probe_budget(self, tmp_path):
+        # not synchronizing; without the pre-check only the size budget stops it
+        proc = self._run(tmp_path, random_pfa(GenConfig(n=30, seed=3)), "min", "--no-precheck")
+        assert proc.returncode == 2
+        assert "length 32768" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["min", "oracle"])
+    def test_twenty_thousand_states(self, tmp_path, command):
+        proc = self._run(tmp_path, random_pfa(GenConfig(n=20000, seed=0)), command)
+        assert proc.returncode == 2
+        assert "budget" in proc.stderr

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from cswsat.automaton import Pfa, full_state_set, image, is_carefully_synchronizing
 from cswsat.encoder import (
+    MAX_CLAUSES,
     CnfInstance,
     DecodeError,
     DimacsError,
@@ -16,7 +17,7 @@ from cswsat.encoder import (
     to_dimacs,
     variable_count,
 )
-from cswsat.solver import ModelVerificationError
+from cswsat.solver import BudgetExceeded, ModelVerificationError
 
 from helpers import (
     brute_force_models,
@@ -77,6 +78,13 @@ class TestEncode:
     def test_rejects_zero_length(self):
         with pytest.raises(ValueError):
             encode(A1, 0)
+
+    def test_size_budget(self):
+        # 1447 states at length 1 need 1,049,076 clauses, just over the budget
+        assert clause_count(1447, 1, 1) > MAX_CLAUSES >= clause_count(1446, 1, 1)
+        identity = Pfa(n=1447, m=1, delta=(tuple(range(1, 1448)),))
+        with pytest.raises(BudgetExceeded, match="1049076 clauses"):
+            encode(identity, 1)
 
     def test_miscount_is_a_fault(self, monkeypatch):
         # the closed-form check must survive `python -O`, so it is no assert

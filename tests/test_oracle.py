@@ -3,8 +3,8 @@ from hypothesis import example, given, settings
 
 from cswsat.automaton import Pfa, is_carefully_synchronizing, serialize_pfa
 from cswsat.cli import EXIT_FAULT, main
-from cswsat.generators import pn
-from cswsat.oracle import power_bfs
+from cswsat.generators import GenConfig, pn, random_pfa
+from cswsat.oracle import MAX_TABLE_WORDS, power_bfs
 from cswsat.search import FOUND, NOT_SYNCHRONIZING
 from cswsat.solver import BudgetExceeded, ModelVerificationError
 
@@ -48,10 +48,36 @@ class TestBudgetAndCap:
             power_bfs(pn(8), max_visited=5)
         assert exc.value.visited > 5
 
-    def test_state_cap(self):
-        big = Pfa(n=65, m=1, delta=(tuple(1 for _ in range(65)),))
-        with pytest.raises(ValueError, match="cap"):
-            power_bfs(big)
+    def test_wide_masks_count_double(self):
+        # above 64 states each stored subset costs two words of the budget
+        for n, stored in ((64, 100), (100, 50)):
+            with pytest.raises(BudgetExceeded) as exc:
+                power_bfs(pn(n), max_visited=100)
+            assert exc.value.visited == stored + 1
+
+    def test_table_ceiling(self):
+        # two letters at n=4096 fill MAX_TABLE_WORDS exactly; one more state
+        # is refused before any table is built
+        assert 2 * 512 * 256 * 64 == MAX_TABLE_WORDS
+        assert power_bfs(_identity(4096, m=2)).status == NOT_SYNCHRONIZING
+        with pytest.raises(BudgetExceeded, match="table words"):
+            power_bfs(_identity(4097, m=2))
+
+
+class TestBeyondSixtyFourStates:
+    @pytest.mark.parametrize(
+        "n, seed, length", [(65, 1, 19), (72, 2, 19), (80, 3, 33), (100, 3, 18)]
+    )
+    def test_matches_plain_set_bfs(self, n, seed, length):
+        pfa = random_pfa(GenConfig(n=n, seed=seed))
+        out = power_bfs(pfa)
+        reference = shortest_sync_word(pfa.n, pfa.delta, pfa.m, max_len=length)
+        assert (out.status, out.min_length) == (FOUND, length)
+        assert out.witness == reference
+
+    def test_identity_is_refuted_at_once(self):
+        out = power_bfs(_identity(70))
+        assert (out.status, out.visited) == (NOT_SYNCHRONIZING, 1)
 
 
 class TestFaults:
@@ -119,6 +145,10 @@ class TestExplicitConstruction:
             assert out.status == NOT_SYNCHRONIZING
         else:
             assert length == len(reference) == out.min_length
+
+
+def _identity(n, m=1):
+    return Pfa(n=n, m=m, delta=(tuple(range(1, n + 1)),) * m)
 
 
 def _all_words(m, length):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from cswsat.automaton import Pfa, is_carefully_synchronizing
-from cswsat.generators import pn
+from cswsat.generators import GenConfig, pn, random_pfa
 from cswsat.oracle import power_bfs
 from cswsat.search import (
     FOUND,
@@ -109,6 +109,24 @@ class TestBudgets:
         with pytest.raises(BudgetExceeded) as exc:
             min_csw(C3, backend=backend)
         assert exc.value.probes == ()
+
+    def test_oversized_probe_is_refused(self):
+        # the final at-most-one block alone is 1500*1499/2 clauses
+        identity = Pfa(n=1500, m=1, delta=(tuple(range(1, 1501)),))
+        with pytest.raises(BudgetExceeded, match="clauses") as exc:
+            min_csw(identity, precheck=False)
+        assert exc.value.probes == ()
+
+
+class TestBeyondSixtyFourStates:
+    def test_identity_is_refuted_without_probing(self):
+        out = min_csw(Pfa(n=70, m=1, delta=(tuple(range(1, 71)),)))
+        assert (out.status, out.probes, out.visited) == (NOT_SYNCHRONIZING, (), 1)
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_random_draws_are_refuted_without_probing(self, seed):
+        out = min_csw(random_pfa(GenConfig(n=100, seed=seed)))
+        assert (out.status, out.probes) == (NOT_SYNCHRONIZING, ())
 
 
 class TestAgainstSubsetSearch:
