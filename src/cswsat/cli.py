@@ -510,10 +510,10 @@ def _cmd_min(args) -> int:
         precheck=not args.no_precheck,
     )
     if args.emit_probes is not None:
-        lines = ["length,status,seconds,conflicts,decisions,propagations"]
+        lines = ["length,status,seconds,conflicts,decisions,propagations,clauses"]
         lines.extend(
             f"{p.length},{p.status},{p.seconds:.6f},"
-            f"{p.stats.conflicts},{p.stats.decisions},{p.stats.propagations}"
+            f"{p.stats.conflicts},{p.stats.decisions},{p.stats.propagations},{p.clauses}"
             for p in outcome.probes
         )
         _write_text(args.emit_probes, "\n".join(lines) + "\n")

@@ -17,10 +17,17 @@ Clause groups, in emission order:
   sync           pairwise at-most-one over the final-step state variables.
 
 The emission order is fixed so instances are byte-reproducible.
+
+One more group, pair distance, is left out of the plain encoding: `encode`
+appends it only when given a `pair_distances` table, which `search.min_csw`
+does for every probe. For each step t < ell and each state pair p < q whose
+shortest merging word is longer than ell - t, it forbids both states being
+active after t steps. The sync block is the t = ell case of the same rule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,6 +40,9 @@ __all__ = [
     "DecodeError",
     "DimacsError",
     "encode",
+    "pair_distances",
+    "pair_clause_count",
+    "pair_clauses",
     "decode_word",
     "to_dimacs",
     "parse_dimacs",
@@ -114,14 +124,18 @@ class DimacsError(ValueError):
     """Malformed DIMACS text."""
 
 
-def encode(pfa: Pfa, ell: int) -> CnfInstance:
+def encode(pfa: Pfa, ell: int, dist: Optional[list] = None) -> CnfInstance:
     """Build the instance asking for a carefully synchronizing word of
-    length exactly ell (ell >= 1). Raises BudgetExceeded, before building
-    anything, when the instance would have more than MAX_CLAUSES clauses."""
+    length exactly ell (ell >= 1), with the pair-distance group appended
+    when `dist` (from pair_distances) is given. Raises BudgetExceeded,
+    before building anything, when the instance would have more than
+    MAX_CLAUSES clauses."""
     if ell < 1:
         raise ValueError(f"target length must be >= 1, got {ell}")
     n, m = pfa.n, pfa.m
     size = clause_count(n, m, ell)
+    if dist is not None:
+        size += pair_clause_count(dist, ell)
     if size > MAX_CLAUSES:
         raise BudgetExceeded(f"length {ell} needs {size} clauses, over the {MAX_CLAUSES} budget")
     layout = VarLayout(n=n, m=m, ell=ell)
@@ -149,6 +163,8 @@ def encode(pfa: Pfa, ell: int) -> CnfInstance:
     for r in range(1, n + 1):
         for s in range(r + 1, n + 1):
             clauses.append((-layout.state_var(r, ell), -layout.state_var(s, ell)))
+    if dist is not None:
+        clauses.extend(pair_clauses(dist, layout))
 
     instance = CnfInstance(
         var_count=layout.var_count, clauses=tuple(clauses), layout=layout
@@ -158,6 +174,73 @@ def encode(pfa: Pfa, ell: int) -> CnfInstance:
             f"encoded {instance.clause_count} clauses, closed form gives {size}"
         )
     return instance
+
+
+def pair_distances(pfa: Pfa) -> list:
+    """dist[p-1][q-1]: length of the shortest word that merges states p and
+    q and is defined on both at every step; 0 on the diagonal, math.inf
+    when no word merges them.
+
+    Backward breadth-first search over the pair graph from the merged
+    pairs (r, r), so level 1 holds the pairs one letter merges, through
+    per-letter preimage lists: O(n^2 m) time and O(n^2 + nm) memory.
+    """
+    n = pfa.n
+    dist = [[math.inf] * n for _ in range(n)]
+    for p in range(n):
+        dist[p][p] = 0
+    preimages = []
+    for row in pfa.delta:
+        pre = [[] for _ in range(n)]
+        for p, t in enumerate(row):
+            if t is not None:
+                pre[t - 1].append(p)
+        preimages.append(pre)
+    frontier = [(r, r) for r in range(n)]
+    d = 0
+    while frontier:
+        d += 1
+        next_frontier = []
+        for r, s in frontier:
+            for pre in preimages:
+                for p in pre[r]:
+                    row = dist[p]
+                    for q in pre[s]:
+                        if row[q] == math.inf:
+                            row[q] = dist[q][p] = d
+                            next_frontier.append((p, q))
+        frontier = next_frontier
+    return dist
+
+
+def pair_clause_count(dist: list, ell: int) -> int:
+    """Size of the pair-distance group at length ell:
+    sum over p < q of min(ell, dist(p,q) - 1)."""
+    return sum(min(ell, d - 1) for i, row in enumerate(dist) for d in row[i + 1 :] if d > 1)
+
+
+def pair_clauses(dist: list, layout: VarLayout) -> list:
+    """The pair-distance group: (-x[p,t], -x[q,t]) for every step t < ell
+    and every pair p < q with dist(p,q) > ell - t, step by step and, within
+    a step, from the farthest pairs down."""
+    ell = layout.ell
+    # farthest first, so the pairs forbidden at each step are a prefix
+    far = sorted(
+        (
+            (d, p, q)
+            for p, row in enumerate(dist, start=1)
+            for q, d in enumerate(row[p:], start=p + 1)
+            if d > 1
+        ),
+        key=lambda pair: -pair[0],
+    )
+    clauses = []
+    for t in range(ell):
+        for d, p, q in far:
+            if d <= ell - t:
+                break
+            clauses.append((-layout.state_var(p, t), -layout.state_var(q, t)))
+    return clauses
 
 
 def decode_word(assignment, layout: VarLayout) -> tuple:

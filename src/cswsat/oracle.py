@@ -26,10 +26,14 @@ __all__ = ["DEFAULT_MAX_VISITED", "MAX_TABLE_WORDS", "power_bfs"]
 # Stored subsets allowed, counted in 64-bit words of mask
 DEFAULT_MAX_VISITED = 1 << 20
 
-# Largest byte-slice tables `power_bfs` builds, in 64-bit words of mask
-# (m * ceil(n/8) * 256 * ceil(n/64)). At this ceiling they peak at 134 MB
-# RSS for 2 letters at n=4096, and at 720 MB for 8192 letters at n=64.
+# Largest byte-slice tables `power_bfs` builds, in 64-bit words: each of
+# the m * ceil(n/8) * 256 entries costs its ceil(n/64) mask words plus
+# _ENTRY_OVERHEAD_WORDS of Python object overhead (list slot, int header,
+# allocator rounding; 3-4 words measured with tracemalloc at n = 16..512).
+# At this ceiling the tables peak at 91-128 MB RSS for 2 letters at
+# n=3968, and at 139-156 MB for 1638 letters at n=64.
 MAX_TABLE_WORDS = 1 << 24
+_ENTRY_OVERHEAD_WORDS = 4
 
 _CHUNK = 8
 _CHUNK_MASK = (1 << _CHUNK) - 1
@@ -91,7 +95,7 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
     if n == 1:
         return SearchOutcome(status=FOUND, min_length=0, witness=(), visited=1)
     words = -(-n // 64)
-    table_words = pfa.m * -(-n // _CHUNK) * (1 << _CHUNK) * words
+    table_words = pfa.m * -(-n // _CHUNK) * (1 << _CHUNK) * (words + _ENTRY_OVERHEAD_WORDS)
     if table_words > MAX_TABLE_WORDS:
         raise BudgetExceeded(
             f"{n} states need {table_words} table words, over the {MAX_TABLE_WORDS} budget"

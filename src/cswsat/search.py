@@ -6,6 +6,12 @@ ell once true. min_csw therefore gallops (1, 2, 4, ...) until the first
 satisfiable length, then binary-searches the bracketed interval; the probe
 record doubles as a minimality certificate, ending with an unsatisfiable
 probe one below the answer.
+
+Every probe also carries the encoder's pair-distance clauses: states p and
+q may not both be active after t steps when no word of length ell - t
+merges them. A real word makes x[q,t] true exactly on its image after t
+letters, and the rest of that word merges every pair in the image, so the
+clauses remove no real word and no length's answer changes.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .automaton import (
     SearchOutcome,
     is_carefully_synchronizing,
 )
-from .encoder import decode_word, encode
+from .encoder import MAX_CLAUSES, clause_count, decode_word, encode, pair_distances
 from .oracle import power_bfs
 from .solver import SAT, UNSAT, Backend, BudgetExceeded, ModelVerificationError, SolveStats
 
@@ -47,6 +53,7 @@ class Probe:
     status: str
     seconds: float
     stats: Optional[SolveStats] = None
+    clauses: Optional[int] = None
 
 
 def min_csw(
@@ -65,6 +72,12 @@ def min_csw(
     at any state count, since unbounded non-existence can never be
     concluded from length probes alone. Past that budget, or on a positive
     answer, the probes decide, so the probe record stays a solver product.
+
+    Each probe appends the pair-distance group, from a table built once on
+    the first probe that fits the size budget. The image after t letters of
+    a real word holds only pairs that its remaining ell - t letters merge.
+    So the word's own assignment satisfies the group, and every length
+    keeps its answer.
 
     Raises BudgetExceeded (with a `probes` attribute holding the partial
     record) when the backend gives out or a probe would exceed the
@@ -88,10 +101,15 @@ def min_csw(
     backend = backend or Backend()
     probes = []
     words = {}
+    dist = None
 
     def probe(length: int) -> str:
+        nonlocal dist
         try:
-            instance = encode(pfa, length)
+            # the table is built once, and only for a probe under the size budget
+            if dist is None and clause_count(pfa.n, pfa.m, length) <= MAX_CLAUSES:
+                dist = pair_distances(pfa)
+            instance = encode(pfa, length, dist)
             start = time.perf_counter()
             result = backend.run(instance)
         except BudgetExceeded as exc:
@@ -99,7 +117,13 @@ def min_csw(
             raise
         elapsed = time.perf_counter() - start
         probes.append(
-            Probe(length=length, status=result.status, seconds=elapsed, stats=result.stats)
+            Probe(
+                length=length,
+                status=result.status,
+                seconds=elapsed,
+                stats=result.stats,
+                clauses=instance.clause_count,
+            )
         )
         if result.status == SAT:
             words[length] = decode_word(result.model, instance.layout)

@@ -6,6 +6,7 @@ avoid the library code paths they are checking.
 """
 
 import itertools
+import math
 from functools import lru_cache
 
 from hypothesis import strategies as st
@@ -113,6 +114,52 @@ def shortest_sync_word(n: int, delta, m: int, max_len: int):
                 nxt.append((img, grown))
         frontier = nxt
     return None
+
+
+def pair_distance(delta, p: int, q: int):
+    """Length of the shortest word that merges states p and q and is defined
+    on both at every step, or math.inf if there is none: forward
+    breadth-first search over plain-set pairs."""
+    if p == q:
+        return 0
+    start = frozenset((p, q))
+    seen = {start}
+    frontier = [start]
+    length = 0
+    while frontier:
+        length += 1
+        nxt = []
+        for pair in frontier:
+            for a in range(1, len(delta) + 1):
+                img = set_image(delta, pair, a)
+                if img is None:
+                    continue
+                if len(img) == 1:
+                    return length
+                img = frozenset(img)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return math.inf
+
+
+def sync_lengths(n: int, delta, m: int, max_len: int) -> set:
+    """Every length 1..max_len at which some word of exactly that length
+    carefully synchronizes. Layer l holds the images of all words of
+    length l (words with equal images merged), so no word is skipped."""
+    layer = {frozenset(range(1, n + 1))}
+    found = set()
+    for length in range(1, max_len + 1):
+        layer = {
+            frozenset(img)
+            for states in layer
+            for a in range(1, m + 1)
+            if (img := set_image(delta, states, a)) is not None
+        }
+        if any(len(states) == 1 for states in layer):
+            found.add(length)
+    return found
 
 
 def explicit_power_length(n: int, delta, m: int):

@@ -24,7 +24,7 @@ from cswsat.cli import (
     run_experiment,
     write_gnuplot,
 )
-from cswsat.encoder import parse_dimacs
+from cswsat.encoder import clause_count, pair_clause_count, pair_distances, parse_dimacs
 from cswsat.generators import GenConfig, pn, random_pfa
 from cswsat.search import min_csw
 
@@ -272,13 +272,28 @@ class TestCommandSurface:
         path = self._pfa_file(tmp_path, C3_TEXT)
         assert main(["min", path, "--emit-probes", str(probes)]) == 0
         rows = csv.DictReader(io.StringIO(probes.read_text()))
-        columns = ("length", "status", "conflicts", "decisions", "propagations")
+        columns = ("length", "status", "conflicts", "decisions", "propagations", "clauses")
         got = [tuple(r[c] for c in columns) for r in rows]
+        pfa = parse_pfa(C3_TEXT)
+        probes_made = min_csw(pfa).probes
         expected = [
-            (p.length, p.status, p.stats.conflicts, p.stats.decisions, p.stats.propagations)
-            for p in min_csw(parse_pfa(C3_TEXT)).probes
+            (
+                p.length,
+                p.status,
+                p.stats.conflicts,
+                p.stats.decisions,
+                p.stats.propagations,
+                p.clauses,
+            )
+            for p in probes_made
         ]
         assert got == [tuple(map(str, e)) for e in expected]
+        # the probe instance's size: the encoding plus the pair-distance group
+        dist = pair_distances(pfa)
+        assert [p.clauses for p in probes_made] == [
+            clause_count(pfa.n, pfa.m, p.length) + pair_clause_count(dist, p.length)
+            for p in probes_made
+        ]
 
     def test_min_bound_exhausted(self, tmp_path, capsys):
         assert main(["min", self._pfa_file(tmp_path, C3_TEXT), "--max-length", "3"]) == 2
@@ -469,7 +484,7 @@ class TestMemoryBounds:
         # not synchronizing; without the pre-check only the size budget stops it
         proc = self._run(tmp_path, random_pfa(GenConfig(n=30, seed=3)), "min", "--no-precheck")
         assert proc.returncode == 2
-        assert "length 32768" in proc.stderr
+        assert "length 16384" in proc.stderr
 
     @pytest.mark.parametrize("command", ["min", "oracle"])
     def test_twenty_thousand_states(self, tmp_path, command):

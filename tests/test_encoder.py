@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cswsat.automaton import Pfa, full_state_set, image, is_carefully_synchronizing
@@ -13,15 +15,20 @@ from cswsat.encoder import (
     decode_word,
     encode,
     layout_comment,
+    pair_clause_count,
+    pair_clauses,
+    pair_distances,
     parse_dimacs,
     to_dimacs,
     variable_count,
 )
+from cswsat.generators import GenConfig, random_pfa
 from cswsat.solver import BudgetExceeded, ModelVerificationError
 
 from helpers import (
     brute_force_models,
     eval_clauses,
+    pair_distance,
     pfas,
     shortest_sync_word,
 )
@@ -186,6 +193,72 @@ def _words_of_length(m, ell):
     for prefix in _words_of_length(m, ell - 1):
         for a in range(1, m + 1):
             yield prefix + (a,)
+
+
+class TestPairDistances:
+    @given(pfas(max_n=7, max_m=3))
+    @settings(max_examples=150)
+    # a hole stops the only letter that would merge 1 and 2
+    @example(Pfa(n=3, m=2, delta=((2, 2, None), (2, 3, 1))))
+    # identity letters: no pair ever merges
+    @example(Pfa(n=3, m=2, delta=((1, 2, 3), (1, 2, 3))))
+    # letter a is everywhere undefined
+    @example(Pfa(n=2, m=2, delta=((None, None), (2, 1))))
+    def test_matches_plain_set_pair_search(self, pfa):
+        dist = pair_distances(pfa)
+        for p in range(1, pfa.n + 1):
+            for q in range(1, pfa.n + 1):
+                assert dist[p - 1][q - 1] == pair_distance(pfa.delta, p, q)
+
+    def test_chain_of_merges(self):
+        # a sends 1 and 2 to 1 and each later state one place down; b
+        # merges 1 and 2 as well but fixes 3 and 4
+        pfa = Pfa(n=4, m=2, delta=((1, 1, 2, 3), (1, 1, 3, 4)))
+        dist = pair_distances(pfa)
+        assert [dist[0][q] for q in range(4)] == [0, 1, 2, 3]
+        assert dist[2][3] == 3
+
+    def test_never_merging_pairs_are_infinite(self):
+        dist = pair_distances(random_pfa(GenConfig(n=30, seed=3)))
+        assert sum(1 for p in range(30) for q in range(p + 1, 30) if dist[p][q] == math.inf) == 20
+
+    @given(pfas(max_n=6, max_m=3), st.integers(1, 8))
+    @settings(max_examples=80)
+    def test_group_count_matches_closed_form(self, pfa, ell):
+        dist = pair_distances(pfa)
+        group = pair_clauses(dist, VarLayout(n=pfa.n, m=pfa.m, ell=ell))
+        closed = sum(
+            min(ell, pair_distance(pfa.delta, p, q) - 1)
+            for p in range(1, pfa.n + 1)
+            for q in range(p + 1, pfa.n + 1)
+        )
+        assert len(group) == pair_clause_count(dist, ell) == closed
+        assert len(set(group)) == len(group)
+        inst = encode(pfa, ell, dist)
+        assert inst.clause_count == clause_count(pfa.n, pfa.m, ell) + len(group)
+        # the plain encoding comes first, unchanged
+        assert inst.clauses == encode(pfa, ell).clauses + tuple(group)
+
+    @given(pfas(max_n=6, max_m=3), st.integers(1, 8))
+    @settings(max_examples=60)
+    def test_group_forbids_exactly_the_far_pairs(self, pfa, ell):
+        dist = pair_distances(pfa)
+        lay = VarLayout(n=pfa.n, m=pfa.m, ell=ell)
+        expected = {
+            (-lay.state_var(p, t), -lay.state_var(q, t))
+            for t in range(ell)
+            for p in range(1, pfa.n + 1)
+            for q in range(p + 1, pfa.n + 1)
+            if pair_distance(pfa.delta, p, q) > ell - t
+        }
+        assert set(pair_clauses(dist, lay)) == expected
+
+    def test_group_counts_toward_the_budget(self):
+        # 20 pairs never merge: 16384 * 20 more clauses push length 16384 over
+        pfa = random_pfa(GenConfig(n=30, seed=3))
+        assert clause_count(30, pfa.m, 16384) <= MAX_CLAUSES
+        with pytest.raises(BudgetExceeded, match="length 16384 needs 1345026 clauses"):
+            encode(pfa, 16384, pair_distances(pfa))
 
 
 class TestDecode:

@@ -56,12 +56,20 @@ class TestBudgetAndCap:
             assert exc.value.visited == stored + 1
 
     def test_table_ceiling(self):
-        # two letters at n=4096 fill MAX_TABLE_WORDS exactly; one more state
-        # is refused before any table is built
-        assert 2 * 512 * 256 * 64 == MAX_TABLE_WORDS
-        assert power_bfs(_identity(4096, m=2)).status == NOT_SYNCHRONIZING
+        # each entry costs its mask words plus four words of overhead: two
+        # letters at n=3968 fit MAX_TABLE_WORDS, and one more state is
+        # refused before any table is built
+        assert 2 * 496 * 256 * (62 + 4) <= MAX_TABLE_WORDS < 2 * 497 * 256 * (63 + 4)
+        assert power_bfs(_identity(3968, m=2)).status == NOT_SYNCHRONIZING
         with pytest.raises(BudgetExceeded, match="table words"):
-            power_bfs(_identity(4097, m=2))
+            power_bfs(_identity(3969, m=2))
+
+    def test_table_ceiling_counts_entry_overhead(self):
+        # at n=64 an entry costs one mask word and four of overhead, so the
+        # ceiling admits 1638 letters, not the 8192 that masks alone would
+        assert 1638 * 8 * 256 * 5 <= MAX_TABLE_WORDS < 1639 * 8 * 256 * 5
+        with pytest.raises(BudgetExceeded, match="table words"):
+            power_bfs(_identity(64, m=1639))
 
 
 class TestBeyondSixtyFourStates:

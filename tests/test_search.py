@@ -1,7 +1,10 @@
-import pytest
-from hypothesis import given, settings
+import random
 
-from cswsat.automaton import Pfa, is_carefully_synchronizing
+import pytest
+from hypothesis import example, given, settings
+
+from cswsat.automaton import Pfa, full_state_set, image, is_carefully_synchronizing
+from cswsat.encoder import decode_word, encode, pair_distances
 from cswsat.generators import GenConfig, pn, random_pfa
 from cswsat.oracle import power_bfs
 from cswsat.search import (
@@ -10,9 +13,9 @@ from cswsat.search import (
     UNKNOWN_UP_TO_BOUND,
     min_csw,
 )
-from cswsat.solver import SAT, UNSAT, Backend, BudgetExceeded, SolverLimits
+from cswsat.solver import SAT, UNSAT, Backend, BudgetExceeded, SolverLimits, satisfies, solve
 
-from helpers import pfas
+from helpers import pfas, sync_lengths
 from test_solver import SHIM_STDIN, shim_command
 
 A1 = Pfa(n=2, m=2, delta=((1, 1), (2, None)))
@@ -108,7 +111,8 @@ class TestBudgets:
         backend = Backend(limits=SolverLimits(max_decisions=0))
         with pytest.raises(BudgetExceeded) as exc:
             min_csw(C3, backend=backend)
-        assert exc.value.probes == ()
+        # pair distances refute lengths 1 and 2 without a decision; 4 needs one
+        assert [(p.length, p.status) for p in exc.value.probes] == [(1, UNSAT), (2, UNSAT)]
 
     def test_oversized_probe_is_refused(self):
         # the final at-most-one block alone is 1500*1499/2 clauses
@@ -116,6 +120,87 @@ class TestBudgets:
         with pytest.raises(BudgetExceeded, match="clauses") as exc:
             min_csw(identity, precheck=False)
         assert exc.value.probes == ()
+
+
+    def test_table_waits_for_the_size_check(self, monkeypatch):
+        def refuse(pfa):
+            raise AssertionError("pair table built for an oversized probe")
+
+        monkeypatch.setattr("cswsat.search.pair_distances", refuse)
+        identity = Pfa(n=1500, m=1, delta=(tuple(range(1, 1501)),))
+        with pytest.raises(BudgetExceeded, match="clauses"):
+            min_csw(identity, precheck=False)
+
+    def test_pair_group_is_checked_before_building(self):
+        # the plain encoding at length 1 fits; one clause per never-merging
+        # pair does not
+        identity = Pfa(n=1446, m=1, delta=(tuple(range(1, 1447)),))
+        with pytest.raises(BudgetExceeded, match="length 1 needs") as exc:
+            min_csw(identity, precheck=False)
+        assert exc.value.probes == ()
+
+
+def _word_model(pfa, word, layout):
+    """The assignment a real word induces: its letters, and state j true
+    after t steps exactly when j lies in the image of the first t letters."""
+    model = {v: False for v in range(1, layout.var_count + 1)}
+    current = full_state_set(pfa)
+    for t in range(len(word) + 1):
+        if t:
+            model[layout.letter_var(word[t - 1], t)] = True
+            current = image(pfa, current, (word[t - 1],))
+        for j in current:
+            model[layout.state_var(j, t)] = True
+    return model
+
+
+class TestPairDistanceGroup:
+    """Pair-distance clauses must not change SAT/UNSAT at any length."""
+
+    @given(pfas(max_n=7, max_m=3))
+    @settings(max_examples=60, deadline=None)
+    @example(pn(6))
+    @example(random_pfa(GenConfig(n=30, seed=1)))
+    def test_subset_search_witness_satisfies_strengthened_instance(self, pfa):
+        exact = power_bfs(pfa)
+        if exact.status != FOUND or exact.min_length == 0:
+            return
+        instance = encode(pfa, exact.min_length, pair_distances(pfa))
+        assert satisfies(instance, _word_model(pfa, exact.witness, instance.layout))
+
+    # from two states on, a word of length min_length + k exists for all k
+    @given(pfas(max_n=7, max_m=3, min_n=2))
+    @settings(max_examples=60, deadline=None)
+    @example(pn(7))
+    @example(FROZEN)
+    def test_agrees_with_word_search_at_every_length(self, pfa):
+        self._check_every_length(pfa)
+
+    def test_seeded_sweep_with_holes(self):
+        # 600 tables, n <= 7, m <= 3, each entry missing with probability 0.2
+        for seed in range(600):
+            rng = random.Random(seed)
+            n, m = rng.randint(2, 7), rng.randint(1, 3)
+            delta = tuple(
+                tuple(None if rng.random() < 0.2 else rng.randint(1, n) for _ in range(n))
+                for _ in range(m)
+            )
+            self._check_every_length(Pfa(n=n, m=m, delta=delta))
+
+    @staticmethod
+    def _check_every_length(pfa):
+        exact = power_bfs(pfa)
+        top = exact.min_length + 2 if exact.status == FOUND else 8
+        dist = pair_distances(pfa)
+        found = sync_lengths(pfa.n, pfa.delta, pfa.m, top)
+        for ell in range(1, top + 1):
+            instance = encode(pfa, ell, dist)
+            result = solve(instance)
+            assert (result.status == SAT) == (ell in found)
+            assert (result.status == SAT) == (exact.status == FOUND and ell >= exact.min_length)
+            if result.status == SAT:
+                word = decode_word(result.model, instance.layout)
+                assert is_carefully_synchronizing(pfa, word)
 
 
 class TestBeyondSixtyFourStates:
