@@ -4,9 +4,10 @@ A word w carefully synchronizes a partial deterministic automaton when every
 letter of w is defined along the way from the full state set and the final
 image is a single state. The package encodes the bounded question "is there
 such a word of length exactly ell" as CNF, decides it with a built-in CDCL
-solver or an external one, finds the minimum length by doubling plus binary
-search, and cross-checks against breadth-first search over the subset
-construction.
+solver or an external one, and finds the minimum length by probing down
+from a known word length (or, without one, by doubling plus binary search).
+Breadth-first search over the subset construction supplies that length and
+cross-checks the answer.
 """
 
 from .automaton import (

@@ -518,6 +518,8 @@ def _cmd_min(args) -> int:
         )
         _write_text(args.emit_probes, "\n".join(lines) + "\n")
     print(f"status: {outcome.status}")
+    if outcome.probes:
+        print(f"upper_bound_source: {outcome.upper_bound_source or 'none'}")
     if outcome.status == FOUND:
         print(f"min_length: {outcome.min_length}")
         print(f"word: {word_to_letters(outcome.witness)}")
@@ -659,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-precheck",
         action="store_true",
-        help="skip the exact reachability refutation pass",
+        help="skip the reachability pre-check and its upper bound; probes gallop from length 1",
     )
     p.set_defaults(func=_cmd_min)
 

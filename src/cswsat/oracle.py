@@ -1,5 +1,7 @@
 """Exact minimal-length computation by breadth-first search over state
-subsets, the ground truth the solver pipeline is checked against.
+subsets, the ground truth the solver pipeline is checked against, and a
+beam search that bounds the length from above where the exact search runs
+out of budget.
 
 Subsets live as bit masks (state j is bit j-1), and each letter's action on
 a whole subset is assembled from precomputed byte-slice tables: eight
@@ -21,7 +23,7 @@ from .automaton import (
     is_carefully_synchronizing,
 )
 
-__all__ = ["DEFAULT_MAX_VISITED", "MAX_TABLE_WORDS", "power_bfs"]
+__all__ = ["BEAM_WIDTH", "DEFAULT_MAX_VISITED", "MAX_TABLE_WORDS", "beam_word", "power_bfs"]
 
 # Stored subsets allowed, counted in 64-bit words of mask
 DEFAULT_MAX_VISITED = 1 << 20
@@ -34,6 +36,9 @@ DEFAULT_MAX_VISITED = 1 << 20
 # n=3968, and at 139-156 MB for 1638 letters at n=64.
 MAX_TABLE_WORDS = 1 << 24
 _ENTRY_OVERHEAD_WORDS = 4
+
+# Subsets `beam_word` keeps per layer
+BEAM_WIDTH = 1024
 
 _CHUNK = 8
 _CHUNK_MASK = (1 << _CHUNK) - 1
@@ -77,6 +82,29 @@ class _LetterAction:
         return img
 
 
+def _letter_actions(pfa: Pfa) -> list:
+    """Every letter's action, in letter order; BudgetExceeded before
+    building anything when the tables would exceed MAX_TABLE_WORDS."""
+    words = -(-pfa.n // 64)
+    table_words = pfa.m * -(-pfa.n // _CHUNK) * (1 << _CHUNK) * (words + _ENTRY_OVERHEAD_WORDS)
+    if table_words > MAX_TABLE_WORDS:
+        raise BudgetExceeded(
+            f"{pfa.n} states need {table_words} table words, over the {MAX_TABLE_WORDS} budget"
+        )
+    return [_LetterAction(pfa, a) for a in range(1, pfa.m + 1)]
+
+
+def _trace_back(parent: dict, full: int, mask: int, last_letter: int) -> tuple:
+    """The word leading from `full` to `mask`, followed by `last_letter`;
+    parent[subset] = (previous subset, letter applied)."""
+    word = [last_letter]
+    while mask != full:
+        mask, letter = parent[mask]
+        word.append(letter)
+    word.reverse()
+    return tuple(word)
+
+
 def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome:
     """Shortest carefully synchronizing word by breadth-first search from
     the full state set, expanding every letter defined on the current
@@ -94,33 +122,13 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
     full = (1 << n) - 1
     if n == 1:
         return SearchOutcome(status=FOUND, min_length=0, witness=(), visited=1)
-    words = -(-n // 64)
-    table_words = pfa.m * -(-n // _CHUNK) * (1 << _CHUNK) * (words + _ENTRY_OVERHEAD_WORDS)
-    if table_words > MAX_TABLE_WORDS:
-        raise BudgetExceeded(
-            f"{n} states need {table_words} table words, over the {MAX_TABLE_WORDS} budget"
-        )
-    max_stored = max_visited // words
-
-    actions = [_LetterAction(pfa, a) for a in range(1, pfa.m + 1)]
+    actions = _letter_actions(pfa)
+    max_stored = max_visited // -(-n // 64)
     letters = tuple(range(1, pfa.m + 1))
     # parent[subset] = (previous subset, letter applied); the start maps to itself
     parent = {full: (full, 0)}
     frontier = [full]
     depth = 0
-
-    def reconstruct(mask: int, last_letter: int, length: int) -> tuple:
-        word = [last_letter]
-        while mask != full:
-            prev, letter = parent[mask]
-            word.append(letter)
-            mask = prev
-        word.reverse()
-        if len(word) != length:
-            raise ModelVerificationError(
-                f"reconstructed word has length {len(word)}, search depth is {length}"
-            )
-        return tuple(word)
 
     while frontier:
         depth += 1
@@ -131,7 +139,12 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
                 if img is None or img in parent:
                     continue
                 if img & (img - 1) == 0:
-                    witness = reconstruct(subset, a, depth)
+                    witness = _trace_back(parent, full, subset, a)
+                    if len(witness) != depth:
+                        raise ModelVerificationError(
+                            f"reconstructed word has length {len(witness)}, "
+                            f"search depth is {depth}"
+                        )
                     if not is_carefully_synchronizing(pfa, witness):
                         raise ModelVerificationError(
                             f"breadth-first witness {witness!r} fails verification"
@@ -156,3 +169,47 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
     return SearchOutcome(
         status=NOT_SYNCHRONIZING, bound=depth - 1, visited=len(parent)
     )
+
+
+def beam_word(pfa: Pfa) -> Optional[tuple]:
+    """A carefully synchronizing word found by beam search, or None.
+
+    Like `power_bfs`, but each layer keeps only the BEAM_WIDTH smallest
+    images not seen before, ties broken by mask: the "Beam" heuristic of
+    Roman and Szykula (2015). The first singleton reached ends the search,
+    so the word is the shortest the beam finds, an upper bound on the
+    minimal length and often equal to it.
+
+    Returns None when a layer empties or when the stored subsets, at
+    ceil(n/64) words each, reach DEFAULT_MAX_VISITED words. Raises
+    BudgetExceeded before building anything when the letter tables would
+    exceed MAX_TABLE_WORDS, and ModelVerificationError when the word fails
+    `is_carefully_synchronizing`.
+    """
+    n = pfa.n
+    full = (1 << n) - 1
+    if n == 1:
+        return ()
+    actions = _letter_actions(pfa)
+    max_stored = DEFAULT_MAX_VISITED // -(-n // 64)
+    parent = {full: (full, 0)}
+    layer = [full]
+    while layer and len(parent) < max_stored:
+        images = {}
+        for subset in layer:
+            for a, action in enumerate(actions, 1):
+                img = action.image(subset)
+                if img is None or img in parent or img in images:
+                    continue
+                if img & (img - 1) == 0:
+                    word = _trace_back(parent, full, subset, a)
+                    if not is_carefully_synchronizing(pfa, word):
+                        raise ModelVerificationError(
+                            f"beam witness {word!r} fails verification"
+                        )
+                    return word
+                images[img] = (subset, a)
+        layer = sorted(images, key=lambda mask: (mask.bit_count(), mask))[:BEAM_WIDTH]
+        for img in layer:
+            parent[img] = images[img]
+    return None

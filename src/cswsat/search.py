@@ -2,10 +2,18 @@
 
 The key fact: prepending the first letter of a carefully synchronizing word
 yields another one, so "a word of length exactly ell exists" is monotone in
-ell once true. min_csw therefore gallops (1, 2, 4, ...) until the first
-satisfiable length, then binary-searches the bracketed interval; the probe
-record doubles as a minimality certificate, ending with an unsatisfiable
-probe one below the answer.
+ell once true. Only two answers certify the minimum: unsatisfiable one below
+it and satisfiable at it.
+
+When a word of some length U is already known, min_csw descends from it:
+it probes U - 1, and each satisfiable probe's word, cut at its first
+singleton image, lowers U, until the first unsatisfiable probe proves U
+minimal. The known word comes from the pre-check: `power_bfs` gives the
+exact length, so the run makes two probes; past its budget, the beam search
+`beam_word` gives an upper bound. Without either, min_csw gallops
+(1, 2, 4, ...) to the first satisfiable length and binary-searches the
+bracketed interval. Either way the probe record doubles as a minimality
+certificate, holding an unsatisfiable probe one below the answer.
 
 Every probe also carries the encoder's pair-distance clauses: states p and
 q may not both be active after t steps when no word of length ell - t
@@ -26,13 +34,17 @@ from .automaton import (
     UNKNOWN_UP_TO_BOUND,
     Pfa,
     SearchOutcome,
+    apply_letter,
+    full_state_set,
     is_carefully_synchronizing,
 )
 from .encoder import MAX_CLAUSES, clause_count, decode_word, encode, pair_distances
-from .oracle import power_bfs
+from .oracle import beam_word, power_bfs
 from .solver import SAT, UNSAT, Backend, BudgetExceeded, ModelVerificationError, SolveStats
 
 __all__ = [
+    "BEAM",
+    "POWER_BFS",
     "FOUND",
     "NOT_SYNCHRONIZING",
     "UNKNOWN_UP_TO_BOUND",
@@ -43,6 +55,10 @@ __all__ = [
 ]
 
 DEFAULT_MAX_LENGTH = 1 << 20
+
+# SearchOutcome.upper_bound_source values: where the first probe length came from
+POWER_BFS = "power_bfs"
+BEAM = "beam"
 
 
 @dataclass(frozen=True)
@@ -70,8 +86,18 @@ def min_csw(
     any synchronizing word at any length; and, when `precheck` is on,
     `power_bfs` under its default budget refutes synchronizability outright
     at any state count, since unbounded non-existence can never be
-    concluded from length probes alone. Past that budget, or on a positive
-    answer, the probes decide, so the probe record stays a solver product.
+    concluded from length probes alone.
+
+    With `precheck` on, a positive answer sets the first probe length: one
+    below `power_bfs`'s exact length, or one below the length of
+    `beam_word`'s word when the exact search runs out of budget. The probes
+    then descend from there, and a minimum that differs from `power_bfs`'s
+    raises ModelVerificationError. When the known length exceeds
+    `max_length`, the first probe is at `max_length`. With `precheck` off,
+    or when the beam finds no word, the probes gallop from length 1 and
+    binary-search. Either way the answer rests on the probes, and
+    `SearchOutcome.upper_bound_source` names where the first length came
+    from.
 
     Each probe appends the pair-distance group, from a table built once on
     the first probe that fits the size budget. The image after t letters of
@@ -89,14 +115,22 @@ def min_csw(
         return SearchOutcome(status=FOUND, min_length=0, witness=())
     if not pfa.has_total_letter():
         return SearchOutcome(status=NOT_SYNCHRONIZING)
+    exact = None
+    upper = source = None
     if precheck:
         try:
             exact = power_bfs(pfa)
         except BudgetExceeded:
-            pass
+            try:
+                word = beam_word(pfa)
+            except BudgetExceeded:
+                word = None
+            if word is not None:
+                upper, source = len(word), BEAM
         else:
             if exact.status == NOT_SYNCHRONIZING:
                 return SearchOutcome(status=NOT_SYNCHRONIZING, visited=exact.visited)
+            upper, source = exact.min_length, POWER_BFS
 
     backend = backend or Backend()
     probes = []
@@ -129,27 +163,21 @@ def min_csw(
             words[length] = decode_word(result.model, instance.layout)
         return result.status
 
-    # gallop until the first satisfiable length
-    length = 1
-    last_unsat = 0
-    while True:
-        if probe(length) == SAT:
-            break
-        last_unsat = length
-        if length >= max_length:
-            return SearchOutcome(
-                status=UNKNOWN_UP_TO_BOUND, probes=tuple(probes), bound=max_length
-            )
-        length = min(length * 2, max_length)
-
-    # binary search inside (last_unsat, length]
-    lo, hi = last_unsat + 1, length
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if probe(mid) == SAT:
-            hi = mid
-        else:
-            lo = mid + 1
+    if upper is None:
+        hi = _gallop_and_bisect(probe, max_length)
+    else:
+        hi = _descend(pfa, probe, words, upper, max_length)
+    if hi is None:
+        return SearchOutcome(
+            status=UNKNOWN_UP_TO_BOUND,
+            probes=tuple(probes),
+            bound=max_length,
+            upper_bound_source=source,
+        )
+    if exact is not None and hi != exact.min_length:
+        raise ModelVerificationError(
+            f"probes give minimal length {hi}, power_bfs gives {exact.min_length}"
+        )
 
     witness = words[hi]
     if not is_carefully_synchronizing(pfa, witness):
@@ -162,4 +190,61 @@ def min_csw(
         witness=witness,
         probes=tuple(probes),
         bound=max(p.length for p in probes),
+        upper_bound_source=source,
     )
+
+
+def _gallop_and_bisect(probe, max_length: int) -> Optional[int]:
+    """The least satisfiable length by probing 1, 2, 4, ... up to
+    `max_length` and binary-searching the bracket; None when `max_length`
+    is unsatisfiable."""
+    length = 1
+    last_unsat = 0
+    while probe(length) != SAT:
+        last_unsat = length
+        if length >= max_length:
+            return None
+        length = min(length * 2, max_length)
+
+    lo, hi = last_unsat + 1, length
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if probe(mid) == SAT:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def _descend(pfa: Pfa, probe, words: dict, upper: int, max_length: int) -> Optional[int]:
+    """The least satisfiable length, probing down from `upper`, the length
+    of a known word; None when `max_length` is below it and unsatisfiable.
+
+    Each satisfiable probe's word, cut at its first singleton image, lowers
+    the bound; the first unsatisfiable probe proves it minimal. `words`
+    maps each satisfiable probe's length to its decoded word.
+    """
+    if upper > max_length:
+        if probe(max_length) == UNSAT:
+            return None
+        upper = _singleton_prefix_length(pfa, words[max_length])
+    while upper > 1 and probe(upper - 1) == SAT:
+        upper = _singleton_prefix_length(pfa, words[upper - 1])
+    if upper not in words and probe(upper) == UNSAT:
+        raise ModelVerificationError(
+            f"probes find no word of length {upper}, the length of a known word"
+        )
+    return upper
+
+
+def _singleton_prefix_length(pfa: Pfa, word: tuple) -> int:
+    """Length of the shortest prefix of a decoded word whose image is one
+    state; ModelVerificationError when no prefix gets there carefully."""
+    current = full_state_set(pfa)
+    for t, letter in enumerate(word, 1):
+        current = apply_letter(pfa, current, letter)
+        if current is None:
+            break
+        if len(current) == 1:
+            return t
+    raise ModelVerificationError(f"decoded word {word!r} fails the synchronization check")

@@ -301,6 +301,16 @@ class TestCommandSurface:
         assert "status: UNKNOWN_UP_TO_BOUND" in out
         assert "bound: 3" in out
 
+    @pytest.mark.parametrize(
+        "flags, source", [([], "power_bfs"), (["--no-precheck"], "none")]
+    )
+    def test_min_reports_bound_source(self, tmp_path, capsys, flags, source):
+        assert main(["min", self._pfa_file(tmp_path, C3_TEXT), *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("upper_bound_source:")] == [
+            f"upper_bound_source: {source}"
+        ]
+
     def test_min_not_synchronizing(self, tmp_path, capsys):
         assert main(["min", self._pfa_file(tmp_path, FROZEN_TEXT)]) == 0
         assert "status: NOT_SYNCHRONIZING" in capsys.readouterr().out

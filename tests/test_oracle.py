@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from cswsat.automaton import Pfa, is_carefully_synchronizing, serialize_pfa
 from cswsat.cli import EXIT_FAULT, main
 from cswsat.generators import GenConfig, pn, random_pfa
-from cswsat.oracle import MAX_TABLE_WORDS, power_bfs
+from cswsat.oracle import MAX_TABLE_WORDS, beam_word, power_bfs
 from cswsat.search import FOUND, NOT_SYNCHRONIZING
 from cswsat.solver import BudgetExceeded, ModelVerificationError
 
@@ -131,6 +131,36 @@ class TestAgainstIndependentSearch:
     def test_visited_bound(self, pfa):
         out = power_bfs(pfa)
         assert out.visited <= 2**pfa.n - 1
+
+
+class TestBeam:
+    @given(pfas(max_n=7, max_m=3))
+    @settings(max_examples=100)
+    @example(C3)
+    def test_bounds_the_minimum_from_above(self, pfa):
+        word = beam_word(pfa)
+        exact = power_bfs(pfa)
+        if word is None:
+            return
+        assert exact.status == FOUND
+        assert len(word) >= exact.min_length
+        assert is_carefully_synchronizing(pfa, word)
+
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_matches_the_chain_family(self, n):
+        assert len(beam_word(pn(n))) == power_bfs(pn(n)).min_length
+
+    def test_no_word_when_a_layer_empties(self):
+        frozen = Pfa(n=2, m=2, delta=((1, 2), (1, 2)))
+        assert beam_word(frozen) is None
+        assert beam_word(_identity(70)) is None
+
+    def test_stops_at_the_subset_budget(self, monkeypatch):
+        # pn(8) needs 55 layers; at 8 subsets per word budget it runs out
+        monkeypatch.setattr("cswsat.oracle.DEFAULT_MAX_VISITED", 8)
+        assert beam_word(pn(8)) is None
+        monkeypatch.setattr("cswsat.oracle.DEFAULT_MAX_VISITED", 200)
+        assert len(beam_word(pn(8))) == 55
 
 
 class TestExplicitConstruction:

@@ -1,19 +1,39 @@
+import dataclasses
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 
-from cswsat.automaton import Pfa, full_state_set, image, is_carefully_synchronizing
+from cswsat.automaton import (
+    Pfa,
+    full_state_set,
+    image,
+    is_carefully_synchronizing,
+    serialize_pfa,
+)
+from cswsat.cli import EXIT_FAULT, main
 from cswsat.encoder import decode_word, encode, pair_distances
 from cswsat.generators import GenConfig, pn, random_pfa
 from cswsat.oracle import power_bfs
 from cswsat.search import (
+    BEAM,
     FOUND,
     NOT_SYNCHRONIZING,
+    POWER_BFS,
     UNKNOWN_UP_TO_BOUND,
     min_csw,
 )
-from cswsat.solver import SAT, UNSAT, Backend, BudgetExceeded, SolverLimits, satisfies, solve
+from cswsat.solver import (
+    SAT,
+    UNSAT,
+    Backend,
+    BudgetExceeded,
+    ModelVerificationError,
+    SolverLimits,
+    satisfies,
+    solve,
+)
 
 from helpers import pfas, sync_lengths
 from test_solver import SHIM_STDIN, shim_command
@@ -66,7 +86,7 @@ class TestExamples:
         # budget must still come back unknown: only probes decide upward
         out = min_csw(C3, max_length=3)
         assert out.status == UNKNOWN_UP_TO_BOUND
-        assert [p.length for p in out.probes] == [1, 2, 3]
+        assert [p.length for p in out.probes] == [3]
 
     def test_max_length_validation(self):
         with pytest.raises(ValueError):
@@ -82,10 +102,15 @@ class TestProbeRecord:
         assert by_length[out.min_length - 1] == UNSAT
 
     def test_gallop_prefix_doubles(self):
-        out = min_csw(pn(6))
+        out = min_csw(pn(6), precheck=False)
         lengths = [p.length for p in out.probes]
         first_sat = next(i for i, p in enumerate(out.probes) if p.status == SAT)
         assert lengths[: first_sat + 1] == [2**i for i in range(first_sat + 1)]
+
+    def test_exact_bound_needs_two_probes(self):
+        out = min_csw(pn(6))
+        assert out.upper_bound_source == POWER_BFS
+        assert [(p.length, p.status) for p in out.probes] == [(25, UNSAT), (26, SAT)]
 
     def test_deterministic_replay(self):
         a = min_csw(pn(6))
@@ -110,7 +135,7 @@ class TestBudgets:
     def test_budget_carries_partial_record(self):
         backend = Backend(limits=SolverLimits(max_decisions=0))
         with pytest.raises(BudgetExceeded) as exc:
-            min_csw(C3, backend=backend)
+            min_csw(C3, backend=backend, precheck=False)
         # pair distances refute lengths 1 and 2 without a decision; 4 needs one
         assert [(p.length, p.status) for p in exc.value.probes] == [(1, UNSAT), (2, UNSAT)]
 
@@ -229,6 +254,68 @@ class TestAgainstSubsetSearch:
         for n in range(4, 7):
             pfa = pn(n)
             assert min_csw(pfa).min_length == power_bfs(pfa).min_length
+
+
+def _exhausted(pfa, *args, **kwargs):
+    raise BudgetExceeded("subset budget exceeded")
+
+
+class TestProbeSchedule:
+    """Three ways to the first probe length must reach the same answer."""
+
+    @given(pfas(max_n=6, max_m=3, min_n=2))
+    @settings(max_examples=60, deadline=None)
+    @example(pn(6))
+    @example(C3)
+    def test_bound_paths_agree_with_gallop(self, pfa):
+        exact = power_bfs(pfa)
+        if exact.status != FOUND:
+            return
+        exact_path = min_csw(pfa)
+        with mock.patch("cswsat.search.power_bfs", _exhausted):
+            beam_path = min_csw(pfa)
+        gallop_path = min_csw(pfa, precheck=False)
+        assert exact_path.upper_bound_source == POWER_BFS
+        assert beam_path.upper_bound_source == BEAM
+        assert gallop_path.upper_bound_source is None
+        outcomes = (exact_path, beam_path, gallop_path)
+        answers = {(out.status, out.min_length, out.witness) for out in outcomes}
+        assert answers == {(FOUND, exact.min_length, exact_path.witness)}
+        for out in outcomes:
+            record = {(p.length, p.status) for p in out.probes}
+            assert (out.min_length, SAT) in record
+            if out.min_length >= 2:
+                assert (out.min_length - 1, UNSAT) in record
+
+    def test_beam_bound_when_subset_search_runs_out(self, monkeypatch):
+        monkeypatch.setattr("cswsat.search.power_bfs", _exhausted)
+        out = min_csw(pn(6))
+        assert out.upper_bound_source == BEAM
+        assert (out.status, out.min_length) == (FOUND, 26)
+        assert [(p.length, p.status) for p in out.probes] == [(25, UNSAT), (26, SAT)]
+
+    def test_no_precheck_skips_both_bounds(self, monkeypatch):
+        def refuse(pfa, *args, **kwargs):
+            raise AssertionError("pre-check ran with precheck=False")
+
+        monkeypatch.setattr("cswsat.search.power_bfs", refuse)
+        monkeypatch.setattr("cswsat.search.beam_word", refuse)
+        out = min_csw(pn(5), precheck=False)
+        assert (out.min_length, out.upper_bound_source) == (15, None)
+
+    @pytest.mark.parametrize("offset", [1, -1])
+    def test_wrong_exact_length_is_a_fault(self, monkeypatch, tmp_path, capsys, offset):
+        def misreport(pfa, *args, **kwargs):
+            out = power_bfs(pfa, *args, **kwargs)
+            return dataclasses.replace(out, min_length=out.min_length + offset)
+
+        monkeypatch.setattr("cswsat.search.power_bfs", misreport)
+        with pytest.raises(ModelVerificationError):
+            min_csw(C3)
+        path = tmp_path / "c3.txt"
+        path.write_text(serialize_pfa(C3))
+        assert main(["min", str(path)]) == EXIT_FAULT
+        assert "error" in capsys.readouterr().err
 
 
 class TestExternalBackend:
