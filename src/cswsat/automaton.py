@@ -112,7 +112,7 @@ class SearchOutcome:
     witness: Optional[tuple] = None
     probes: tuple = ()
     bound: int = 0
-    visited: Optional[int] = None  # subsets expanded; breadth-first path only
+    visited: Optional[int] = None  # subsets stored; breadth-first path only
     # where min_csw's first probe length came from: "power_bfs", "beam", or
     # None when the probes gallop from length 1
     upper_bound_source: Optional[str] = None

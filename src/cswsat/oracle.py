@@ -1,16 +1,24 @@
 """Exact minimal-length computation by breadth-first search over state
 subsets, the ground truth the solver pipeline is checked against, and a
-beam search that bounds the length from above where the exact search runs
-out of budget.
+beam search that bounds the length from above.
 
 Subsets live as bit masks (state j is bit j-1), and each letter's action on
 a whole subset is assembled from precomputed byte-slice tables: eight
 lookups and ORs per step instead of per-state work. A letter applies to a
 subset only when defined on all of it, which is one mask test.
+
+Once its layers grow wide, the breadth-first search bounds itself: a
+narrow beam, and later a wide one, give a word of some length U, and an
+image at depth d holding two states that no U - d letters merge (by the
+encoder's pair-distance table) is dropped. No subset on a shortest word is
+ever dropped, so the answer and the witness are those of the full search.
+The test is one more byte-slice table image: the union, over the subset's
+states, of the states too far from each.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from .automaton import (
@@ -22,8 +30,16 @@ from .automaton import (
     SearchOutcome,
     is_carefully_synchronizing,
 )
+from .encoder import pair_distances
 
-__all__ = ["BEAM_WIDTH", "DEFAULT_MAX_VISITED", "MAX_TABLE_WORDS", "beam_word", "power_bfs"]
+__all__ = [
+    "BEAM_WIDTH",
+    "BOUND_STAGES",
+    "DEFAULT_MAX_VISITED",
+    "MAX_TABLE_WORDS",
+    "beam_word",
+    "power_bfs",
+]
 
 # Stored subsets allowed, counted in 64-bit words of mask
 DEFAULT_MAX_VISITED = 1 << 20
@@ -40,27 +56,27 @@ _ENTRY_OVERHEAD_WORDS = 4
 # Subsets `beam_word` keeps per layer
 BEAM_WIDTH = 1024
 
+# The bounding beams `power_bfs` runs, each at most once, as (layer size
+# past which the beam runs, beam width). A beam layer costs about as much as
+# a breadth-first layer of its width, so each waits for layers 8x wider.
+BOUND_STAGES = ((512, 64), (8192, BEAM_WIDTH))
+
 _CHUNK = 8
 _CHUNK_MASK = (1 << _CHUNK) - 1
 
 
-class _LetterAction:
-    """One letter's behavior on bit-mask subsets."""
+class _MaskMap:
+    """A map on bit-mask subsets that sends state q to the mask targets[q]
+    and a subset to the union of its states' masks, defined only on
+    subsets inside `defined_mask`."""
 
     __slots__ = ("defined_mask", "tables")
 
-    def __init__(self, pfa: Pfa, letter: int):
-        n = pfa.n
-        row = pfa.delta[letter - 1]
-        self.defined_mask = 0
-        chunks = -(-n // _CHUNK)
+    def __init__(self, targets: list, defined_mask: int):
+        self.defined_mask = defined_mask
+        chunks = -(-len(targets) // _CHUNK)
         # padded to whole chunks; bits past n are never set in a subset
-        targets = [0] * (chunks * _CHUNK)
-        for q in range(n):
-            t = row[q]
-            if t is not None:
-                self.defined_mask |= 1 << q
-                targets[q] = 1 << (t - 1)
+        targets = targets + [0] * (chunks * _CHUNK - len(targets))
         self.tables = []
         for c in range(chunks):
             base = c * _CHUNK
@@ -72,7 +88,7 @@ class _LetterAction:
             self.tables.append(table)
 
     def image(self, subset: int) -> Optional[int]:
-        """Image mask, or None when the letter is undefined somewhere on it."""
+        """Image mask, or None when the map is undefined somewhere on it."""
         if subset & ~self.defined_mask:
             return None
         img = 0
@@ -83,15 +99,82 @@ class _LetterAction:
 
 
 def _letter_actions(pfa: Pfa) -> list:
-    """Every letter's action, in letter order; BudgetExceeded before
-    building anything when the tables would exceed MAX_TABLE_WORDS."""
+    """Every letter's action on subsets, in letter order; BudgetExceeded
+    before building anything when the tables would exceed MAX_TABLE_WORDS."""
     words = -(-pfa.n // 64)
     table_words = pfa.m * -(-pfa.n // _CHUNK) * (1 << _CHUNK) * (words + _ENTRY_OVERHEAD_WORDS)
     if table_words > MAX_TABLE_WORDS:
         raise BudgetExceeded(
             f"{pfa.n} states need {table_words} table words, over the {MAX_TABLE_WORDS} budget"
         )
-    return [_LetterAction(pfa, a) for a in range(1, pfa.m + 1)]
+    actions = []
+    for row in pfa.delta:
+        targets = [0] * pfa.n
+        defined = 0
+        for q, t in enumerate(row):
+            if t is not None:
+                defined |= 1 << q
+                targets[q] = 1 << (t - 1)
+        actions.append(_MaskMap(targets, defined))
+    return actions
+
+
+class _PairBound:
+    """The prune test of `power_bfs`: the length U of the shortest word the
+    bounding beams have found, and which subsets hold a state pair too far
+    apart to merge in the letters left before U.
+
+    far[q] is the mask of states p with dist(p, q) > radius, so a subset
+    S holds such a pair exactly when S & (union of far[q] over q in S) is
+    nonzero: one _MaskMap image. As the radius falls, each ring of pairs at
+    the distance left behind is ORed into far once.
+    """
+
+    def __init__(self, pfa: Pfa, actions: list):
+        self.pfa = pfa
+        self.actions = actions
+        self.length = None
+        self.far_map = None
+        dist = pair_distances(pfa)
+        n = pfa.n
+        # a word merges every pair, so where some pair never merges no beam
+        # can find one
+        mergeable = all(math.inf not in row for row in dist)
+        self.stages = sorted(BOUND_STAGES) if mergeable else []
+        self.radius = max(map(max, dist)) if mergeable else 0
+        # rings[d - 1][q]: the states at distance exactly d from q
+        self.rings = [[0] * n for _ in range(self.radius)]
+        for q, row in enumerate(dist):
+            for p, d in enumerate(row):
+                if 0 < d <= self.radius:
+                    self.rings[d - 1][q] |= 1 << p
+        self.far = [0] * n
+
+    def next_trigger(self) -> float:
+        """Layer size past which the next bounding beam runs."""
+        return self.stages[0][0] if self.stages else math.inf
+
+    def tighten(self, layer_size: int) -> None:
+        """Run, once each, the bounding beams whose trigger `layer_size`
+        passes, and keep the shortest word's length."""
+        while self.next_trigger() < layer_size:
+            _, width = self.stages.pop(0)
+            word = _beam(self.pfa, self.actions, width)
+            if word is not None and (self.length is None or len(word) < self.length):
+                self.length = len(word)
+
+    def far_map_at(self, depth: int) -> Optional[_MaskMap]:
+        """The map whose image of a subset S meets S exactly when S holds
+        a pair no word of length at most U can hold after `depth` letters,
+        one farther apart than U - depth; None while no pair is."""
+        radius = max(self.length - depth, 0)
+        if radius < self.radius:
+            for ring in self.rings[radius : self.radius]:
+                for q, mask in enumerate(ring):
+                    self.far[q] |= mask
+            self.radius = radius
+            self.far_map = _MaskMap(self.far, (1 << self.pfa.n) - 1)
+        return self.far_map
 
 
 def _trace_back(parent: dict, full: int, mask: int, last_letter: int) -> tuple:
@@ -112,11 +195,24 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
     are tried in ascending order, so the witness is the lexicographically
     least among the shortest.
 
+    Once a layer holds more subsets than a trigger in BOUND_STAGES, a beam
+    search of that stage's width runs once; the shortest word any beam has found,
+    of length U, bounds the search. From then on a new image at depth d is
+    neither stored nor expanded when it holds two states whose pair
+    distance (`encoder.pair_distances`) exceeds U - d. The answer and
+    witness stay those of the unbounded search: a word of length L <= U
+    merges every pair of its image after d letters within its last L - d
+    letters, so no subset on such a word is pruned. Such a subset's first
+    discoverer lies on such a word too, so among these subsets the
+    frontier order and the parent links are unchanged, and the first
+    singleton reached is the same.
+
     Exhausting all reachable subsets without a singleton proves there is no
-    such word. Raises BudgetExceeded (with a `visited` attribute) when the
-    stored subsets, at ceil(n/64) words each, would exceed max_visited
-    words, and before building anything when the letter tables would
-    exceed MAX_TABLE_WORDS.
+    such word; it raises ModelVerificationError when pruning was on, since
+    the beam's verified word contradicts it. Raises BudgetExceeded (with a
+    `visited` attribute) when the stored subsets, at ceil(n/64) words each,
+    would exceed max_visited words, and before building anything when the
+    letter tables would exceed MAX_TABLE_WORDS.
     """
     n = pfa.n
     full = (1 << n) - 1
@@ -129,9 +225,20 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
     parent = {full: (full, 0)}
     frontier = [full]
     depth = 0
+    bound = None
+    far_map = None
+    # layer size past which the next bounding beam runs
+    trigger = min([math.inf] + [size for size, _ in BOUND_STAGES])
 
     while frontier:
+        if len(frontier) > trigger:
+            if bound is None:
+                bound = _PairBound(pfa, actions)
+            bound.tighten(len(frontier))
+            trigger = bound.next_trigger()
         depth += 1
+        if bound is not None and bound.length is not None:
+            far_map = bound.far_map_at(depth)
         next_frontier = []
         for subset in frontier:
             for a in letters:
@@ -156,6 +263,8 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
                         bound=depth,
                         visited=len(parent),
                     )
+                if far_map is not None and img & far_map.image(img):
+                    continue
                 parent[img] = (subset, a)
                 if len(parent) > max_stored:
                     exc = BudgetExceeded(
@@ -166,31 +275,19 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
                 next_frontier.append(img)
         frontier = next_frontier
 
+    if bound is not None and bound.length is not None:
+        raise ModelVerificationError(
+            f"pruned search found no word, yet a beam found one of length {bound.length}"
+        )
     return SearchOutcome(
         status=NOT_SYNCHRONIZING, bound=depth - 1, visited=len(parent)
     )
 
 
-def beam_word(pfa: Pfa) -> Optional[tuple]:
-    """A carefully synchronizing word found by beam search, or None.
-
-    Like `power_bfs`, but each layer keeps only the BEAM_WIDTH smallest
-    images not seen before, ties broken by mask: the "Beam" heuristic of
-    Roman and Szykula (2015). The first singleton reached ends the search,
-    so the word is the shortest the beam finds, an upper bound on the
-    minimal length and often equal to it.
-
-    Returns None when a layer empties or when the stored subsets, at
-    ceil(n/64) words each, reach DEFAULT_MAX_VISITED words. Raises
-    BudgetExceeded before building anything when the letter tables would
-    exceed MAX_TABLE_WORDS, and ModelVerificationError when the word fails
-    `is_carefully_synchronizing`.
-    """
+def _beam(pfa: Pfa, actions: list, width: int) -> Optional[tuple]:
+    """`beam_word` at the given width, over prebuilt letter actions."""
     n = pfa.n
     full = (1 << n) - 1
-    if n == 1:
-        return ()
-    actions = _letter_actions(pfa)
     max_stored = DEFAULT_MAX_VISITED // -(-n // 64)
     parent = {full: (full, 0)}
     layer = [full]
@@ -209,7 +306,27 @@ def beam_word(pfa: Pfa) -> Optional[tuple]:
                         )
                     return word
                 images[img] = (subset, a)
-        layer = sorted(images, key=lambda mask: (mask.bit_count(), mask))[:BEAM_WIDTH]
+        layer = sorted(images, key=lambda mask: (mask.bit_count(), mask))[:width]
         for img in layer:
             parent[img] = images[img]
     return None
+
+
+def beam_word(pfa: Pfa) -> Optional[tuple]:
+    """A carefully synchronizing word found by beam search, or None.
+
+    Like `power_bfs`, but each layer keeps only the BEAM_WIDTH smallest
+    images not seen before, ties broken by mask: the "Beam" heuristic of
+    Roman and Szykula (2015). The first singleton reached ends the search,
+    so the word is the shortest the beam finds, an upper bound on the
+    minimal length and often equal to it.
+
+    Returns None when a layer empties or when the stored subsets, at
+    ceil(n/64) words each, reach DEFAULT_MAX_VISITED words. Raises
+    BudgetExceeded before building anything when the letter tables would
+    exceed MAX_TABLE_WORDS, and ModelVerificationError when the word fails
+    `is_carefully_synchronizing`.
+    """
+    if pfa.n == 1:
+        return ()
+    return _beam(pfa, _letter_actions(pfa), BEAM_WIDTH)

@@ -4,11 +4,16 @@ from hypothesis import example, given, settings
 from cswsat.automaton import Pfa, is_carefully_synchronizing, serialize_pfa
 from cswsat.cli import EXIT_FAULT, main
 from cswsat.generators import GenConfig, pn, random_pfa
-from cswsat.oracle import MAX_TABLE_WORDS, beam_word, power_bfs
+from cswsat.oracle import BEAM_WIDTH, MAX_TABLE_WORDS, beam_word, power_bfs
 from cswsat.search import FOUND, NOT_SYNCHRONIZING
 from cswsat.solver import BudgetExceeded, ModelVerificationError
 
 from helpers import explicit_power_length, pfas, shortest_sync_word
+
+
+def _identity(n, m=1):
+    return Pfa(n=n, m=m, delta=(tuple(range(1, n + 1)),) * m)
+
 
 A1 = Pfa(n=2, m=2, delta=((1, 1), (2, None)))
 
@@ -163,6 +168,69 @@ class TestBeam:
         assert len(beam_word(pn(8))) == 55
 
 
+class TestBoundedSearch:
+    """Pruning by the beam's bound must not change an answer, a witness or
+    a refutation's stored-subset count."""
+
+    # a trigger of 0 runs every beam before the first layer, so pruning
+    # starts at depth 1
+    @pytest.mark.parametrize("stages", [((0, 1),), ((0, 4),), ((0, 2), (0, BEAM_WIDTH))])
+    @given(pfa=pfas(max_n=8, max_m=3))
+    @settings(max_examples=150)
+    @example(pfa=C3)
+    def test_forced_prune_matches_plain_set_bfs(self, stages, pfa):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("cswsat.oracle.BOUND_STAGES", stages)
+            out = power_bfs(pfa)
+        reference = shortest_sync_word(pfa.n, pfa.delta, pfa.m, max_len=2**pfa.n)
+        if reference is None:
+            assert out.status == NOT_SYNCHRONIZING
+        else:
+            assert (out.status, out.min_length, out.witness) == (
+                FOUND,
+                len(reference),
+                reference,
+            )
+
+    @pytest.mark.parametrize(
+        "pfa",
+        [
+            _identity(70),
+            random_pfa(GenConfig(n=30, seed=3)),
+            random_pfa(GenConfig(n=30, seed=4)),
+        ],
+    )
+    def test_forced_prune_keeps_refutations(self, monkeypatch, pfa):
+        monkeypatch.setattr("cswsat.oracle.BOUND_STAGES", ())
+        unbounded = power_bfs(pfa)
+        monkeypatch.setattr("cswsat.oracle.BOUND_STAGES", ((0, 1), (0, BEAM_WIDTH)))
+        out = power_bfs(pfa)
+        assert unbounded.status == out.status == NOT_SYNCHRONIZING
+        assert out.visited == unbounded.visited
+
+    def test_finishes_where_the_unbounded_search_runs_out(self, monkeypatch):
+        pfa = random_pfa(GenConfig(n=60, seed=5))
+        out = power_bfs(pfa, max_visited=2**14)
+        assert (out.status, out.min_length) == (FOUND, 21)
+        assert out.visited <= 2**14
+        assert out.witness == power_bfs(pfa).witness
+        monkeypatch.setattr("cswsat.oracle.BOUND_STAGES", ())
+        with pytest.raises(BudgetExceeded):
+            power_bfs(pfa, max_visited=2**14)
+
+    def test_a_bound_below_the_minimum_is_a_fault(self, monkeypatch, tmp_path, capsys):
+        # C3 needs four letters; a bound of three prunes every way there
+        monkeypatch.setattr("cswsat.oracle.BOUND_STAGES", ((0, 1),))
+        monkeypatch.setattr("cswsat.oracle._beam", lambda pfa, actions, width: (1, 1, 1))
+        with pytest.raises(ModelVerificationError, match="pruned search"):
+            power_bfs(C3)
+        path = tmp_path / "c3.txt"
+        path.write_text(serialize_pfa(C3))
+        for command in ("oracle", "min"):
+            assert main([command, str(path)]) == EXIT_FAULT
+            assert "pruned search" in capsys.readouterr().err
+
+
 class TestExplicitConstruction:
     """The slow side of acceptance criterion 7 must be an exact method, or
     its timing says nothing."""
@@ -183,10 +251,6 @@ class TestExplicitConstruction:
             assert out.status == NOT_SYNCHRONIZING
         else:
             assert length == len(reference) == out.min_length
-
-
-def _identity(n, m=1):
-    return Pfa(n=n, m=m, delta=(tuple(range(1, n + 1)),) * m)
 
 
 def _all_words(m, length):

@@ -1,10 +1,12 @@
 import shlex
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cswsat
 from cswsat.automaton import Pfa, is_carefully_synchronizing
 from cswsat.encoder import CnfInstance, decode_word, encode
 from cswsat.generators import pn
@@ -234,9 +236,16 @@ time.sleep(10)
 """
 
 
+# the directory holding the cswsat package under test, which a shim's own
+# interpreter would not otherwise search
+CSWSAT_ROOT = str(Path(cswsat.__file__).resolve().parents[1])
+
+
 def shim_command(tmp_path, source, name, suffix=""):
+    """Shell command running `source` as a script that imports the same
+    cswsat as the tests."""
     script = tmp_path / f"{name}.py"
-    script.write_text(source)
+    script.write_text(f"import sys\nsys.path.insert(0, {CSWSAT_ROOT!r})\n" + source)
     cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
     return cmd + suffix
 
