@@ -437,7 +437,7 @@ def _parse_points(text: str) -> list:
     """
     col_x, col_y = 0, 1
     points = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -448,7 +448,8 @@ def _parse_points(text: str) -> list:
         else:
             parts = line.split()
         try:
-            float(parts[col_x])
+            # a row too short for column x is tested on its last field
+            float(parts[min(col_x, len(parts) - 1)])
         except ValueError:
             lowered = [p.lower() for p in parts]
             if "n" in lowered:
@@ -456,6 +457,11 @@ def _parse_points(text: str) -> list:
             if "mean_length" in lowered:
                 col_y = lowered.index("mean_length")
             continue
+        if len(parts) <= max(col_x, col_y):
+            raise ValueError(
+                f"line {number} has {len(parts)} column(s); "
+                f"x and y need {max(col_x, col_y) + 1}"
+            )
         points.append((float(parts[col_x]), float(parts[col_y])))
     return points
 
@@ -544,6 +550,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     if args.family == "pn":
         if args.count != 1:
             raise ValueError("the chain family is deterministic; --count must be 1")

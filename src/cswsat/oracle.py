@@ -1,6 +1,5 @@
 """Exact minimal-length computation by breadth-first search over state
-subsets, the ground truth the solver pipeline is checked against, and a
-beam search that bounds the length from above.
+subsets, the ground truth the solver pipeline is checked against.
 
 Subsets live as bit masks (state j is bit j-1), and each letter's action on
 a whole subset is assembled from precomputed byte-slice tables: eight
@@ -13,7 +12,8 @@ image at depth d holding two states that no U - d letters merge (by the
 encoder's pair-distance table) is dropped. No subset on a shortest word is
 ever dropped, so the answer and the witness are those of the full search.
 The test is one more byte-slice table image: the union, over the subset's
-states, of the states too far from each.
+states, of the states too far from each. A search that still runs out of
+budget raises with the shortest word its beams have found.
 """
 
 from __future__ import annotations
@@ -33,11 +33,9 @@ from .automaton import (
 from .encoder import pair_distances
 
 __all__ = [
-    "BEAM_WIDTH",
     "BOUND_STAGES",
     "DEFAULT_MAX_VISITED",
     "MAX_TABLE_WORDS",
-    "beam_word",
     "power_bfs",
 ]
 
@@ -53,13 +51,10 @@ DEFAULT_MAX_VISITED = 1 << 20
 MAX_TABLE_WORDS = 1 << 24
 _ENTRY_OVERHEAD_WORDS = 4
 
-# Subsets `beam_word` keeps per layer
-BEAM_WIDTH = 1024
-
 # The bounding beams `power_bfs` runs, each at most once, as (layer size
 # past which the beam runs, beam width). A beam layer costs about as much as
 # a breadth-first layer of its width, so each waits for layers 8x wider.
-BOUND_STAGES = ((512, 64), (8192, BEAM_WIDTH))
+BOUND_STAGES = ((512, 64), (8192, 1024))
 
 _CHUNK = 8
 _CHUNK_MASK = (1 << _CHUNK) - 1
@@ -120,8 +115,8 @@ def _letter_actions(pfa: Pfa) -> list:
 
 
 class _PairBound:
-    """The prune test of `power_bfs`: the length U of the shortest word the
-    bounding beams have found, and which subsets hold a state pair too far
+    """The prune test of `power_bfs`: the shortest word the bounding beams
+    have found, of length U, and which subsets hold a state pair too far
     apart to merge in the letters left before U.
 
     far[q] is the mask of states p with dist(p, q) > radius, so a subset
@@ -133,7 +128,7 @@ class _PairBound:
     def __init__(self, pfa: Pfa, actions: list):
         self.pfa = pfa
         self.actions = actions
-        self.length = None
+        self.word = None
         self.far_map = None
         dist = pair_distances(pfa)
         n = pfa.n
@@ -156,18 +151,18 @@ class _PairBound:
 
     def tighten(self, layer_size: int) -> None:
         """Run, once each, the bounding beams whose trigger `layer_size`
-        passes, and keep the shortest word's length."""
+        passes, and keep the shortest word."""
         while self.next_trigger() < layer_size:
             _, width = self.stages.pop(0)
             word = _beam(self.pfa, self.actions, width)
-            if word is not None and (self.length is None or len(word) < self.length):
-                self.length = len(word)
+            if word is not None and (self.word is None or len(word) < len(self.word)):
+                self.word = word
 
     def far_map_at(self, depth: int) -> Optional[_MaskMap]:
         """The map whose image of a subset S meets S exactly when S holds
         a pair no word of length at most U can hold after `depth` letters,
         one farther apart than U - depth; None while no pair is."""
-        radius = max(self.length - depth, 0)
+        radius = max(len(self.word) - depth, 0)
         if radius < self.radius:
             for ring in self.rings[radius : self.radius]:
                 for q, mask in enumerate(ring):
@@ -209,10 +204,12 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
 
     Exhausting all reachable subsets without a singleton proves there is no
     such word; it raises ModelVerificationError when pruning was on, since
-    the beam's verified word contradicts it. Raises BudgetExceeded (with a
-    `visited` attribute) when the stored subsets, at ceil(n/64) words each,
-    would exceed max_visited words, and before building anything when the
-    letter tables would exceed MAX_TABLE_WORDS.
+    the beam's verified word contradicts it. Raises BudgetExceeded when the
+    stored subsets, at ceil(n/64) words each, would exceed max_visited
+    words; it carries `visited` and `word`, the shortest word the beams
+    run so far have found, or None when none has run or found one. Raises
+    BudgetExceeded before building anything when the letter tables would
+    exceed MAX_TABLE_WORDS.
     """
     n = pfa.n
     full = (1 << n) - 1
@@ -237,7 +234,7 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
             bound.tighten(len(frontier))
             trigger = bound.next_trigger()
         depth += 1
-        if bound is not None and bound.length is not None:
+        if bound is not None and bound.word is not None:
             far_map = bound.far_map_at(depth)
         next_frontier = []
         for subset in frontier:
@@ -267,17 +264,19 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
                     continue
                 parent[img] = (subset, a)
                 if len(parent) > max_stored:
+                    word = bound.word if bound is not None else None
                     exc = BudgetExceeded(
                         f"subset budget {max_visited} words exceeded at depth {depth}"
+                        + (f"; a beam word of length {len(word)} bounds it" if word else "")
                     )
-                    exc.visited = len(parent)
+                    exc.visited, exc.word = len(parent), word
                     raise exc
                 next_frontier.append(img)
         frontier = next_frontier
 
-    if bound is not None and bound.length is not None:
+    if bound is not None and bound.word is not None:
         raise ModelVerificationError(
-            f"pruned search found no word, yet a beam found one of length {bound.length}"
+            f"pruned search found no word, yet a beam found one of length {len(bound.word)}"
         )
     return SearchOutcome(
         status=NOT_SYNCHRONIZING, bound=depth - 1, visited=len(parent)
@@ -285,7 +284,16 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
 
 
 def _beam(pfa: Pfa, actions: list, width: int) -> Optional[tuple]:
-    """`beam_word` at the given width, over prebuilt letter actions."""
+    """A carefully synchronizing word found by beam search, or None.
+
+    Like `power_bfs`, but each layer keeps only the `width` smallest images
+    not seen before, ties broken by mask: the "Beam" heuristic of Roman and
+    Szykula (2015). The first singleton reached ends the search, so the
+    word is the shortest the beam finds, an upper bound on the minimal
+    length and often equal to it. Returns None when a layer empties or when
+    the stored subsets, at ceil(n/64) words each, reach DEFAULT_MAX_VISITED
+    words; ModelVerificationError when the word fails verification.
+    """
     n = pfa.n
     full = (1 << n) - 1
     max_stored = DEFAULT_MAX_VISITED // -(-n // 64)
@@ -310,23 +318,3 @@ def _beam(pfa: Pfa, actions: list, width: int) -> Optional[tuple]:
         for img in layer:
             parent[img] = images[img]
     return None
-
-
-def beam_word(pfa: Pfa) -> Optional[tuple]:
-    """A carefully synchronizing word found by beam search, or None.
-
-    Like `power_bfs`, but each layer keeps only the BEAM_WIDTH smallest
-    images not seen before, ties broken by mask: the "Beam" heuristic of
-    Roman and Szykula (2015). The first singleton reached ends the search,
-    so the word is the shortest the beam finds, an upper bound on the
-    minimal length and often equal to it.
-
-    Returns None when a layer empties or when the stored subsets, at
-    ceil(n/64) words each, reach DEFAULT_MAX_VISITED words. Raises
-    BudgetExceeded before building anything when the letter tables would
-    exceed MAX_TABLE_WORDS, and ModelVerificationError when the word fails
-    `is_carefully_synchronizing`.
-    """
-    if pfa.n == 1:
-        return ()
-    return _beam(pfa, _letter_actions(pfa), BEAM_WIDTH)

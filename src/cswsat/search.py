@@ -9,8 +9,9 @@ When a word of some length U is already known, min_csw descends from it:
 it probes U - 1, and each satisfiable probe's word, cut at its first
 singleton image, lowers U, until the first unsatisfiable probe proves U
 minimal. The known word comes from the pre-check: `power_bfs` gives the
-exact length, so the run makes two probes; past its budget, the beam search
-`beam_word` gives an upper bound. Without either, min_csw gallops
+exact length, so the run makes two probes; past its budget, a beam word
+gives an upper bound: the one its BudgetExceeded carries, else one from a
+width-1024 beam. Without either, min_csw gallops
 (1, 2, 4, ...) to the first satisfiable length and binary-searches the
 bracketed interval. Either way the probe record doubles as a minimality
 certificate, holding an unsatisfiable probe one below the answer.
@@ -39,7 +40,7 @@ from .automaton import (
     is_carefully_synchronizing,
 )
 from .encoder import MAX_CLAUSES, clause_count, decode_word, encode, pair_distances
-from .oracle import beam_word, power_bfs
+from .oracle import _beam, _letter_actions, power_bfs
 from .solver import SAT, UNSAT, Backend, BudgetExceeded, ModelVerificationError, SolveStats
 
 __all__ = [
@@ -89,12 +90,13 @@ def min_csw(
     concluded from length probes alone.
 
     With `precheck` on, a positive answer sets the first probe length: one
-    below `power_bfs`'s exact length, or one below the length of
-    `beam_word`'s word when the exact search runs out of budget. The probes
-    then descend from there, and a minimum that differs from `power_bfs`'s
+    below `power_bfs`'s exact length, or, when the exact search runs out of
+    budget, one below the length of a beam word: the one its BudgetExceeded
+    carries, else one from a width-1024 beam run here. The probes then
+    descend from there, and a minimum that differs from `power_bfs`'s
     raises ModelVerificationError. When the known length exceeds
     `max_length`, the first probe is at `max_length`. With `precheck` off,
-    or when the beam finds no word, the probes gallop from length 1 and
+    or when no beam finds a word, the probes gallop from length 1 and
     binary-search. Either way the answer rests on the probes, and
     `SearchOutcome.upper_bound_source` names where the first length came
     from.
@@ -120,11 +122,13 @@ def min_csw(
     if precheck:
         try:
             exact = power_bfs(pfa)
-        except BudgetExceeded:
-            try:
-                word = beam_word(pfa)
-            except BudgetExceeded:
-                word = None
+        except BudgetExceeded as exc:
+            word = getattr(exc, "word", None)
+            if word is None:
+                try:
+                    word = _beam(pfa, _letter_actions(pfa), 1024)
+                except BudgetExceeded:
+                    pass
             if word is not None:
                 upper, source = len(word), BEAM
         else:

@@ -343,6 +343,25 @@ class TestCommandSurface:
         path = self._pfa_file(tmp_path, serialize_pfa(pn(8)))
         assert main(["oracle", path, "--max-visited", "5"]) == 2
 
+    def test_oracle_budget_names_the_beam_bound(self, tmp_path, capsys, monkeypatch):
+        # a trigger of 0 runs both bounding beams before the first layer
+        monkeypatch.setattr("cswsat.oracle.BOUND_STAGES", ((0, 64), (0, 1024)))
+        path = self._pfa_file(tmp_path, serialize_pfa(pn(8)))
+        assert main(["oracle", path, "--max-visited", "50"]) == 2
+        assert "a beam word of length 55 bounds it" in capsys.readouterr().err
+
+    def test_oracle_budget_on_a_long_chain(self, tmp_path, capsys, monkeypatch):
+        # the overrun stops at the budget: no beam and no pair table, whose
+        # rings on pn(400) would hold tens of millions of entries
+        def refuse(*args):
+            raise AssertionError("overrun went past the budget")
+
+        monkeypatch.setattr("cswsat.oracle._beam", refuse)
+        monkeypatch.setattr("cswsat.oracle.pair_distances", refuse)
+        path = self._pfa_file(tmp_path, serialize_pfa(pn(400)))
+        assert main(["oracle", path, "--max-visited", "50"]) == 2
+        assert "subset budget 50 words exceeded" in capsys.readouterr().err
+
     def test_gen_stdout_roundtrip(self, capsys):
         assert main(["--seed", "9", "gen", "--n", "6", "--k", "2"]) == 0
         out = capsys.readouterr().out
@@ -364,6 +383,12 @@ class TestCommandSurface:
         assert main(["gen", "--family", "pn", "--n", "4"]) == 0
         assert parse_pfa(capsys.readouterr().out).delta == pn(4).delta
         assert main(["gen", "--family", "pn", "--n", "4", "--count", "2"]) == 1
+
+    @pytest.mark.parametrize("family", ["random", "pn"])
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_gen_rejects_no_automata(self, capsys, family, count):
+        assert main(["gen", "--family", family, "--n", "5", "--count", count]) == 1
+        assert "--count must be at least 1" in capsys.readouterr().err
 
     def test_bench_curve(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
@@ -463,6 +488,26 @@ class TestCommandSurface:
 
     def test_fit_needs_input(self, capsys):
         assert main(["fit"]) == 1
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("1\n2\n3\n4\n", 1),
+            ("results\n1 2\n3\n", 3),
+            ("a,b,n,mean_length\n1,2,3,4\n5,6,7\n", 3),
+        ],
+    )
+    def test_fit_short_row(self, monkeypatch, capsys, text, line):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["fit", "-"]) == 1
+        assert f"error: line {line} has" in capsys.readouterr().err
+
+    def test_fit_skips_a_title_row(self, monkeypatch, capsys):
+        poly = cubic(2.0, 0.5, 0.0, 0.0)
+        rows = ["results"] + [f"{n} {poly(n)}" for n in range(4, 10)]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(rows) + "\n"))
+        assert main(["fit", "-"]) == 0
+        assert "c0: 2" in capsys.readouterr().out
 
     def test_usage_errors(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from cswsat.automaton import Pfa, is_carefully_synchronizing, serialize_pfa
 from cswsat.cli import EXIT_FAULT, main
 from cswsat.generators import GenConfig, pn, random_pfa
-from cswsat.oracle import BEAM_WIDTH, MAX_TABLE_WORDS, beam_word, power_bfs
+from cswsat.oracle import MAX_TABLE_WORDS, _beam, _letter_actions, power_bfs
 from cswsat.search import FOUND, NOT_SYNCHRONIZING
 from cswsat.solver import BudgetExceeded, ModelVerificationError
 
@@ -16,6 +16,9 @@ def _identity(n, m=1):
 
 
 A1 = Pfa(n=2, m=2, delta=((1, 1), (2, None)))
+
+# bounding stages that both run before the first layer
+FIRST_LAYER_STAGES = ((0, 64), (0, 1024))
 
 # complete three-state automaton whose shortest synchronizing word has
 # length 4: a cycles the states, b merges 1 into 2
@@ -138,13 +141,34 @@ class TestAgainstIndependentSearch:
         assert out.visited <= 2**pfa.n - 1
 
 
+def _beam_word(pfa, width=1024):
+    return _beam(pfa, _letter_actions(pfa), width)
+
+
 class TestBeam:
+    """The beam words a subset-budget overrun carries, and the beam itself."""
+
     @given(pfas(max_n=7, max_m=3))
     @settings(max_examples=100)
     @example(C3)
     def test_bounds_the_minimum_from_above(self, pfa):
-        word = beam_word(pfa)
         exact = power_bfs(pfa)
+        try:
+            # a trigger of 0 runs both beams before the first layer
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr("cswsat.oracle.BOUND_STAGES", FIRST_LAYER_STAGES)
+                out = power_bfs(pfa, max_visited=1)
+        except BudgetExceeded as exc:
+            word = exc.word
+        else:
+            # settled before storing a subset: no word, or one of at most
+            # one letter
+            assert (out.status, out.min_length, out.witness) == (
+                exact.status,
+                exact.min_length,
+                exact.witness,
+            )
+            return
         if word is None:
             return
         assert exact.status == FOUND
@@ -153,19 +177,39 @@ class TestBeam:
 
     @pytest.mark.parametrize("n", range(5, 9))
     def test_matches_the_chain_family(self, n):
-        assert len(beam_word(pn(n))) == power_bfs(pn(n)).min_length
+        assert len(_beam_word(pn(n))) == power_bfs(pn(n)).min_length
 
     def test_no_word_when_a_layer_empties(self):
         frozen = Pfa(n=2, m=2, delta=((1, 2), (1, 2)))
-        assert beam_word(frozen) is None
-        assert beam_word(_identity(70)) is None
+        assert _beam_word(frozen) is None
+        assert _beam_word(_identity(70)) is None
 
     def test_stops_at_the_subset_budget(self, monkeypatch):
         # pn(8) needs 55 layers; at 8 subsets per word budget it runs out
         monkeypatch.setattr("cswsat.oracle.DEFAULT_MAX_VISITED", 8)
-        assert beam_word(pn(8)) is None
+        assert _beam_word(pn(8)) is None
         monkeypatch.setattr("cswsat.oracle.DEFAULT_MAX_VISITED", 200)
-        assert len(beam_word(pn(8))) == 55
+        assert len(_beam_word(pn(8))) == 55
+
+    def test_overrun_carries_the_beams_word(self, monkeypatch):
+        monkeypatch.setattr("cswsat.oracle.BOUND_STAGES", FIRST_LAYER_STAGES)
+        with pytest.raises(BudgetExceeded, match="beam word of length 55") as info:
+            power_bfs(pn(8), max_visited=50)
+        assert len(info.value.word) == 55
+        assert info.value.visited == 51
+
+    def test_overrun_runs_no_beam(self, monkeypatch):
+        # pn(8)'s layers never pass a default trigger, and the overrun adds
+        # neither a beam nor a pair table past the caller's budget
+        def refuse(*args):
+            raise AssertionError("overrun ran a beam")
+
+        monkeypatch.setattr("cswsat.oracle._beam", refuse)
+        monkeypatch.setattr("cswsat.oracle.pair_distances", refuse)
+        with pytest.raises(BudgetExceeded) as info:
+            power_bfs(pn(8), max_visited=50)
+        assert info.value.word is None
+        assert "beam word" not in str(info.value)
 
 
 class TestBoundedSearch:
@@ -174,7 +218,7 @@ class TestBoundedSearch:
 
     # a trigger of 0 runs every beam before the first layer, so pruning
     # starts at depth 1
-    @pytest.mark.parametrize("stages", [((0, 1),), ((0, 4),), ((0, 2), (0, BEAM_WIDTH))])
+    @pytest.mark.parametrize("stages", [((0, 1),), ((0, 4),), ((0, 2), (0, 1024))])
     @given(pfa=pfas(max_n=8, max_m=3))
     @settings(max_examples=150)
     @example(pfa=C3)
@@ -203,7 +247,7 @@ class TestBoundedSearch:
     def test_forced_prune_keeps_refutations(self, monkeypatch, pfa):
         monkeypatch.setattr("cswsat.oracle.BOUND_STAGES", ())
         unbounded = power_bfs(pfa)
-        monkeypatch.setattr("cswsat.oracle.BOUND_STAGES", ((0, 1), (0, BEAM_WIDTH)))
+        monkeypatch.setattr("cswsat.oracle.BOUND_STAGES", ((0, 1), (0, 1024)))
         out = power_bfs(pfa)
         assert unbounded.status == out.status == NOT_SYNCHRONIZING
         assert out.visited == unbounded.visited

@@ -15,7 +15,8 @@ from cswsat.automaton import (
 from cswsat.cli import EXIT_FAULT, main
 from cswsat.encoder import decode_word, encode, pair_distances
 from cswsat.generators import GenConfig, pn, random_pfa
-from cswsat.oracle import power_bfs
+from cswsat import oracle
+from cswsat.oracle import _beam, power_bfs
 from cswsat.search import (
     BEAM,
     FOUND,
@@ -294,12 +295,40 @@ class TestProbeSchedule:
         assert (out.status, out.min_length) == (FOUND, 26)
         assert [(p.length, p.status) for p in out.probes] == [(25, UNSAT), (26, SAT)]
 
+    @pytest.mark.parametrize(
+        "stages, widths",
+        [
+            # both beams run at the first layer; the overrun's word is the
+            # bound, with no third beam
+            (((0, 64), (0, 1024)), [64, 1024]),
+            # pn(8)'s layers pass no default trigger; min_csw runs one beam
+            (oracle.BOUND_STAGES, [1024]),
+        ],
+    )
+    def test_overrun_bound_runs_each_beam_once(self, monkeypatch, stages, widths):
+        ran = []
+
+        def counted(pfa, actions, width):
+            ran.append(width)
+            return _beam(pfa, actions, width)
+
+        monkeypatch.setattr("cswsat.oracle.BOUND_STAGES", stages)
+        monkeypatch.setattr("cswsat.oracle._beam", counted)
+        monkeypatch.setattr("cswsat.search._beam", counted)
+        monkeypatch.setattr(
+            "cswsat.search.power_bfs", lambda pfa: power_bfs(pfa, max_visited=50)
+        )
+        out = min_csw(pn(8))
+        assert (out.upper_bound_source, out.min_length) == (BEAM, 55)
+        assert [(p.length, p.status) for p in out.probes] == [(54, UNSAT), (55, SAT)]
+        assert ran == widths
+
     def test_no_precheck_skips_both_bounds(self, monkeypatch):
         def refuse(pfa, *args, **kwargs):
             raise AssertionError("pre-check ran with precheck=False")
 
         monkeypatch.setattr("cswsat.search.power_bfs", refuse)
-        monkeypatch.setattr("cswsat.search.beam_word", refuse)
+        monkeypatch.setattr("cswsat.search._beam", refuse)
         out = min_csw(pn(5), precheck=False)
         assert (out.min_length, out.upper_bound_source) == (15, None)
 
