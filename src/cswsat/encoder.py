@@ -18,17 +18,31 @@ Clause groups, in emission order:
 
 The emission order is fixed so instances are byte-reproducible.
 
-One more group, pair distance, is left out of the plain encoding: `encode`
-appends it only when given a `pair_distances` table, which `search.min_csw`
-does for every probe. For each step t < ell and each state pair p < q whose
-shortest merging word is longer than ell - t, it forbids both states being
-active after t steps. The sync block is the t = ell case of the same rule.
+Two more groups are left out of the plain encoding and appended in this
+order when `encode` is given their tables:
+  pair distance  for each step t < ell and each state pair p < q whose
+                 shortest merging word is longer than ell - t, forbid both
+                 states being active after t steps. The sync block is the
+                 t = ell case of the same rule. `search.min_csw` passes a
+                 `pair_distances` table to every probe.
+  triple distance
+                 for each step t < ell and each state triple whose shortest
+                 merging word is longer than ell - t while none of its
+                 pairs' is, forbid all three being active after t steps.
+                 `search.min_csw` passes a `far_triples` list to a probe
+                 when the triple table has no more entries, C(n, 3), than
+                 the probe's plain encoding has clauses: long-word
+                 automata, where the table is cheap beside the probe.
+Both rest on one fact: the rest of a real word merges the word's whole
+image after t letters in ell - t letters, so a real word's assignment
+satisfies every clause of both groups.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .automaton import BudgetExceeded, ModelVerificationError, Pfa
@@ -43,6 +57,10 @@ __all__ = [
     "pair_distances",
     "pair_clause_count",
     "pair_clauses",
+    "far_pairs",
+    "far_triples",
+    "triple_clause_count",
+    "triple_clauses",
     "decode_word",
     "to_dimacs",
     "parse_dimacs",
@@ -124,18 +142,23 @@ class DimacsError(ValueError):
     """Malformed DIMACS text."""
 
 
-def encode(pfa: Pfa, ell: int, dist: Optional[list] = None) -> CnfInstance:
+def encode(
+    pfa: Pfa, ell: int, dist: Optional[list] = None, triples: Optional[list] = None
+) -> CnfInstance:
     """Build the instance asking for a carefully synchronizing word of
     length exactly ell (ell >= 1), with the pair-distance group appended
-    when `dist` (from pair_distances) is given. Raises BudgetExceeded,
-    before building anything, when the instance would have more than
-    MAX_CLAUSES clauses."""
+    when `dist` (from pair_distances) is given and then the
+    triple-distance group when `triples` (from far_triples) is. Raises
+    BudgetExceeded, before building anything, when the instance would have
+    more than MAX_CLAUSES clauses."""
     if ell < 1:
         raise ValueError(f"target length must be >= 1, got {ell}")
     n, m = pfa.n, pfa.m
     size = clause_count(n, m, ell)
     if dist is not None:
         size += pair_clause_count(dist, ell)
+    if triples is not None:
+        size += triple_clause_count(triples, ell)
     if size > MAX_CLAUSES:
         raise BudgetExceeded(f"length {ell} needs {size} clauses, over the {MAX_CLAUSES} budget")
     layout = VarLayout(n=n, m=m, ell=ell)
@@ -165,6 +188,8 @@ def encode(pfa: Pfa, ell: int, dist: Optional[list] = None) -> CnfInstance:
             clauses.append((-layout.state_var(r, ell), -layout.state_var(s, ell)))
     if dist is not None:
         clauses.extend(pair_clauses(dist, layout))
+    if triples is not None:
+        clauses.extend(triple_clauses(triples, layout))
 
     instance = CnfInstance(
         var_count=layout.var_count, clauses=tuple(clauses), layout=layout
@@ -174,6 +199,19 @@ def encode(pfa: Pfa, ell: int, dist: Optional[list] = None) -> CnfInstance:
             f"encoded {instance.clause_count} clauses, closed form gives {size}"
         )
     return instance
+
+
+def _preimages(pfa: Pfa) -> list:
+    """pre[a][r]: the states, 0-based and ascending, that letter a + 1
+    sends to state r + 1."""
+    preimages = []
+    for row in pfa.delta:
+        pre = [[] for _ in range(pfa.n)]
+        for p, t in enumerate(row):
+            if t is not None:
+                pre[t - 1].append(p)
+        preimages.append(pre)
+    return preimages
 
 
 def pair_distances(pfa: Pfa) -> list:
@@ -189,13 +227,7 @@ def pair_distances(pfa: Pfa) -> list:
     dist = [[math.inf] * n for _ in range(n)]
     for p in range(n):
         dist[p][p] = 0
-    preimages = []
-    for row in pfa.delta:
-        pre = [[] for _ in range(n)]
-        for p, t in enumerate(row):
-            if t is not None:
-                pre[t - 1].append(p)
-        preimages.append(pre)
+    preimages = _preimages(pfa)
     frontier = [(r, r) for r in range(n)]
     d = 0
     while frontier:
@@ -219,27 +251,120 @@ def pair_clause_count(dist: list, ell: int) -> int:
     return sum(min(ell, d - 1) for i, row in enumerate(dist) for d in row[i + 1 :] if d > 1)
 
 
+def far_pairs(dist: list) -> list:
+    """Every state pair p < q as (dist(p,q), p, q), farthest first, so the
+    pairs farther apart than any bound are a prefix."""
+    return sorted(
+        (
+            (d, p, q)
+            for p, row in enumerate(dist, start=1)
+            for q, d in enumerate(row[p:], start=p + 1)
+        ),
+        key=lambda pair: -pair[0],
+    )
+
+
 def pair_clauses(dist: list, layout: VarLayout) -> list:
     """The pair-distance group: (-x[p,t], -x[q,t]) for every step t < ell
     and every pair p < q with dist(p,q) > ell - t, step by step and, within
     a step, from the farthest pairs down."""
     ell = layout.ell
-    # farthest first, so the pairs forbidden at each step are a prefix
-    far = sorted(
-        (
-            (d, p, q)
-            for p, row in enumerate(dist, start=1)
-            for q, d in enumerate(row[p:], start=p + 1)
-            if d > 1
-        ),
-        key=lambda pair: -pair[0],
-    )
+    far = far_pairs(dist)
     clauses = []
     for t in range(ell):
         for d, p, q in far:
             if d <= ell - t:
                 break
             clauses.append((-layout.state_var(p, t), -layout.state_var(q, t)))
+    return clauses
+
+
+def far_triples(pfa: Pfa, dist: list) -> list:
+    """The state triples p < q < r that take longer to merge than their
+    farthest pair, as (D, inner, p, q, r), farthest first. D is the length
+    of the shortest word that merges the three states and is defined on
+    them at every step (math.inf when none does), inner the largest of
+    their three pair distances in `dist` (from pair_distances); D >= inner
+    always, so the other triples add nothing to the pair group.
+
+    D(S) = 1 + min over letters a defined on S of D(S.a), where the image
+    S.a is a triple, a pair (distance from `dist`) or one state (0). A
+    backward breadth-first search settles it level by level: level d's
+    triples and pairs at distance d send every triple that some letter maps
+    onto them to level d + 1. Each (triple, letter) is met once, as a
+    preimage of its own image, so this takes O(C(n,3) m) time.
+    """
+    n = pfa.n
+    preimages = _preimages(pfa)
+    pair_levels = {}
+    for d, p, q in far_pairs(dist):
+        if d != math.inf:
+            pair_levels.setdefault(d, []).append((p - 1, q - 1))
+    top = max(pair_levels, default=0)
+    tdist = {}
+
+    def reach(key, d):
+        key = tuple(sorted(key))
+        if key not in tdist:
+            tdist[key] = d
+            frontier.append(key)
+
+    # level 0 is the single states, whose preimage triples one letter merges
+    frontier = []
+    for pre in preimages:
+        for group in pre:
+            for key in combinations(group, 3):
+                reach(key, 1)
+    d = 1
+    while frontier or d <= top:
+        level, frontier = frontier, []
+        for pre in preimages:
+            for x, y in pair_levels.get(d, ()):
+                px, py = pre[x], pre[y]
+                for p, q in combinations(px, 2):
+                    for r in py:
+                        reach((p, q, r), d + 1)
+                for p, q in combinations(py, 2):
+                    for r in px:
+                        reach((p, q, r), d + 1)
+            for x, y, z in level:
+                for p in pre[x]:
+                    for q in pre[y]:
+                        for r in pre[z]:
+                            reach((p, q, r), d + 1)
+        d += 1
+
+    far = []
+    for p, q, r in combinations(range(n), 3):
+        inner = max(dist[p][q], dist[p][r], dist[q][r])
+        D = tdist.get((p, q, r), math.inf)
+        if D > inner:
+            far.append((D, inner, p + 1, q + 1, r + 1))
+    far.sort(key=lambda triple: -triple[0])
+    return far
+
+
+def triple_clause_count(triples: list, ell: int) -> int:
+    """Size of the triple-distance group at length ell: for each triple of
+    `triples`, the number of s = ell - t in 1..ell with inner <= s < D."""
+    return sum(max(0, min(ell, D - 1) - inner + 1) for D, inner, *_ in triples)
+
+
+def triple_clauses(triples: list, layout: VarLayout) -> list:
+    """The triple-distance group: (-x[p,t], -x[q,t], -x[r,t]) for every
+    step t < ell and every triple of `triples` (from far_triples) with
+    inner <= ell - t < D, so that no pair inside it is forbidden at that
+    step already; step by step and, within a step, farthest first."""
+    ell = layout.ell
+    var = layout.state_var
+    clauses = []
+    for t in range(ell):
+        left = ell - t
+        for D, inner, p, q, r in triples:
+            if D <= left:
+                break
+            if inner <= left:
+                clauses.append((-var(p, t), -var(q, t), -var(r, t)))
     return clauses
 
 

@@ -30,7 +30,7 @@ from .automaton import (
     SearchOutcome,
     is_carefully_synchronizing,
 )
-from .encoder import pair_distances
+from .encoder import far_pairs, pair_distances
 
 __all__ = [
     "BOUND_STAGES",
@@ -121,8 +121,10 @@ class _PairBound:
 
     far[q] is the mask of states p with dist(p, q) > radius, so a subset
     S holds such a pair exactly when S & (union of far[q] over q in S) is
-    nonzero: one _MaskMap image. As the radius falls, each ring of pairs at
-    the distance left behind is ORed into far once.
+    nonzero: one _MaskMap image. The pairs wait in the encoder's
+    farthest-first list, reversed, and as the radius falls each pair
+    farther apart than it pops off the end into far, so the whole test
+    takes O(n^2) memory.
     """
 
     def __init__(self, pfa: Pfa, actions: list):
@@ -131,19 +133,13 @@ class _PairBound:
         self.word = None
         self.far_map = None
         dist = pair_distances(pfa)
-        n = pfa.n
         # a word merges every pair, so where some pair never merges no beam
         # can find one
         mergeable = all(math.inf not in row for row in dist)
         self.stages = sorted(BOUND_STAGES) if mergeable else []
-        self.radius = max(map(max, dist)) if mergeable else 0
-        # rings[d - 1][q]: the states at distance exactly d from q
-        self.rings = [[0] * n for _ in range(self.radius)]
-        for q, row in enumerate(dist):
-            for p, d in enumerate(row):
-                if 0 < d <= self.radius:
-                    self.rings[d - 1][q] |= 1 << p
-        self.far = [0] * n
+        self.pairs = far_pairs(dist)[::-1] if mergeable else []
+        self.radius = self.pairs[-1][0] if self.pairs else 0
+        self.far = [0] * pfa.n
 
     def next_trigger(self) -> float:
         """Layer size past which the next bounding beam runs."""
@@ -164,9 +160,10 @@ class _PairBound:
         one farther apart than U - depth; None while no pair is."""
         radius = max(len(self.word) - depth, 0)
         if radius < self.radius:
-            for ring in self.rings[radius : self.radius]:
-                for q, mask in enumerate(ring):
-                    self.far[q] |= mask
+            while self.pairs and self.pairs[-1][0] > radius:
+                _, p, q = self.pairs.pop()
+                self.far[p - 1] |= 1 << (q - 1)
+                self.far[q - 1] |= 1 << (p - 1)
             self.radius = radius
             self.far_map = _MaskMap(self.far, (1 << self.pfa.n) - 1)
         return self.far_map

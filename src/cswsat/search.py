@@ -18,13 +18,17 @@ certificate, holding an unsatisfiable probe one below the answer.
 
 Every probe also carries the encoder's pair-distance clauses: states p and
 q may not both be active after t steps when no word of length ell - t
-merges them. A real word makes x[q,t] true exactly on its image after t
-letters, and the rest of that word merges every pair in the image, so the
-clauses remove no real word and no length's answer changes.
+merges them. A probe whose plain encoding has at least C(n, 3) clauses,
+which on these automata means a long word, carries the triple-distance
+clauses as well: the same rule for three states none of whose pairs is
+forbidden yet. A real word makes x[q,t] true exactly on its image after t
+letters, and the rest of that word merges the whole image, so the clauses
+remove no real word and no length's answer changes.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -39,7 +43,14 @@ from .automaton import (
     full_state_set,
     is_carefully_synchronizing,
 )
-from .encoder import MAX_CLAUSES, clause_count, decode_word, encode, pair_distances
+from .encoder import (
+    MAX_CLAUSES,
+    clause_count,
+    decode_word,
+    encode,
+    far_triples,
+    pair_distances,
+)
 from .oracle import _beam, _letter_actions, power_bfs
 from .solver import SAT, UNSAT, Backend, BudgetExceeded, ModelVerificationError, SolveStats
 
@@ -102,10 +113,13 @@ def min_csw(
     from.
 
     Each probe appends the pair-distance group, from a table built once on
-    the first probe that fits the size budget. The image after t letters of
-    a real word holds only pairs that its remaining ell - t letters merge.
-    So the word's own assignment satisfies the group, and every length
-    keeps its answer.
+    the first probe that fits the size budget. A probe whose plain encoding
+    has at least C(n, 3) clauses also appends the triple-distance group,
+    from a table built once on the first such probe; so the table is never
+    larger than the probe, nor than MAX_CLAUSES. The image after t letters
+    of a real word holds only pairs and triples that its remaining ell - t
+    letters merge. So the word's own assignment satisfies both groups, and
+    every length keeps its answer.
 
     Raises BudgetExceeded (with a `probes` attribute holding the partial
     record) when the backend gives out or a probe would exceed the
@@ -139,15 +153,22 @@ def min_csw(
     backend = backend or Backend()
     probes = []
     words = {}
-    dist = None
+    dist = triples = None
+    triple_count = math.comb(pfa.n, 3)
 
     def probe(length: int) -> str:
-        nonlocal dist
+        nonlocal dist, triples
         try:
-            # the table is built once, and only for a probe under the size budget
-            if dist is None and clause_count(pfa.n, pfa.m, length) <= MAX_CLAUSES:
-                dist = pair_distances(pfa)
-            instance = encode(pfa, length, dist)
+            # each table is built once, and only for a probe under the size
+            # budget; the triple table only for a probe at least its size
+            plain = clause_count(pfa.n, pfa.m, length)
+            with_triples = triple_count <= plain
+            if plain <= MAX_CLAUSES:
+                if dist is None:
+                    dist = pair_distances(pfa)
+                if triples is None and with_triples:
+                    triples = far_triples(pfa, dist)
+            instance = encode(pfa, length, dist, triples if with_triples else None)
             start = time.perf_counter()
             result = backend.run(instance)
         except BudgetExceeded as exc:

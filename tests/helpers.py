@@ -7,6 +7,7 @@ avoid the library code paths they are checking.
 
 import itertools
 import math
+import random
 from functools import lru_cache
 
 from hypothesis import strategies as st
@@ -116,22 +117,22 @@ def shortest_sync_word(n: int, delta, m: int, max_len: int):
     return None
 
 
-def pair_distance(delta, p: int, q: int):
-    """Length of the shortest word that merges states p and q and is defined
-    on both at every step, or math.inf if there is none: forward
-    breadth-first search over plain-set pairs."""
-    if p == q:
+def merge_distance(delta, *states: int):
+    """Length of the shortest word that merges the given states and is
+    defined on all of them at every step, or math.inf if there is none:
+    forward breadth-first search over plain sets."""
+    start = frozenset(states)
+    if len(start) == 1:
         return 0
-    start = frozenset((p, q))
     seen = {start}
     frontier = [start]
     length = 0
     while frontier:
         length += 1
         nxt = []
-        for pair in frontier:
+        for current in frontier:
             for a in range(1, len(delta) + 1):
-                img = set_image(delta, pair, a)
+                img = set_image(delta, current, a)
                 if img is None:
                     continue
                 if len(img) == 1:
@@ -216,3 +217,16 @@ def pfas_with_subset(draw, max_n: int = 6, max_m: int = 4):
         st.frozensets(st.integers(1, pfa.n), min_size=1, max_size=pfa.n)
     )
     return pfa, subset
+
+
+def pfas_with_holes(count: int = 600):
+    """`count` seeded transition tables with n <= 7 and m <= 3, each entry
+    missing with probability 0.2."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        n, m = rng.randint(2, 7), rng.randint(1, 3)
+        delta = tuple(
+            tuple(None if rng.random() < 0.2 else rng.randint(1, n) for _ in range(n))
+            for _ in range(m)
+        )
+        yield Pfa(n=n, m=m, delta=delta)

@@ -24,7 +24,14 @@ from cswsat.cli import (
     run_experiment,
     write_gnuplot,
 )
-from cswsat.encoder import clause_count, pair_clause_count, pair_distances, parse_dimacs
+from cswsat.encoder import (
+    clause_count,
+    far_triples,
+    pair_clause_count,
+    pair_distances,
+    parse_dimacs,
+    triple_clause_count,
+)
 from cswsat.generators import GenConfig, pn, random_pfa
 from cswsat.search import min_csw
 
@@ -288,10 +295,15 @@ class TestCommandSurface:
             for p in probes_made
         ]
         assert got == [tuple(map(str, e)) for e in expected]
-        # the probe instance's size: the encoding plus the pair-distance group
+        # the probe instance's size: the encoding plus the pair- and
+        # triple-distance groups; with one triple, every probe passes the
+        # triple group's gate
         dist = pair_distances(pfa)
+        triples = far_triples(pfa, dist)
         assert [p.clauses for p in probes_made] == [
-            clause_count(pfa.n, pfa.m, p.length) + pair_clause_count(dist, p.length)
+            clause_count(pfa.n, pfa.m, p.length)
+            + pair_clause_count(dist, p.length)
+            + triple_clause_count(triples, p.length)
             for p in probes_made
         ]
 
@@ -540,6 +552,13 @@ class TestMemoryBounds:
         proc = self._run(tmp_path, random_pfa(GenConfig(n=30, seed=3)), "min", "--no-precheck")
         assert proc.returncode == 2
         assert "length 16384" in proc.stderr
+
+    def test_long_chain_pair_table(self, tmp_path):
+        # the chain family's pair distances reach n^2 / 2; the bound on
+        # subset search keeps them in one O(n^2) list
+        proc = self._run(tmp_path, pn(800), "oracle")
+        assert proc.returncode == 2
+        assert "subset budget" in proc.stderr
 
     @pytest.mark.parametrize("command", ["min", "oracle"])
     def test_twenty_thousand_states(self, tmp_path, command):

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,22 +15,27 @@ from cswsat.encoder import (
     clause_count,
     decode_word,
     encode,
+    far_pairs,
+    far_triples,
     layout_comment,
     pair_clause_count,
     pair_clauses,
     pair_distances,
     parse_dimacs,
     to_dimacs,
+    triple_clause_count,
+    triple_clauses,
     variable_count,
 )
-from cswsat.generators import GenConfig, random_pfa
+from cswsat.generators import GenConfig, pn, random_pfa
 from cswsat.solver import BudgetExceeded, ModelVerificationError
 
 from helpers import (
     brute_force_models,
     eval_clauses,
-    pair_distance,
+    merge_distance,
     pfas,
+    pfas_with_holes,
     shortest_sync_word,
 )
 
@@ -208,7 +214,7 @@ class TestPairDistances:
         dist = pair_distances(pfa)
         for p in range(1, pfa.n + 1):
             for q in range(1, pfa.n + 1):
-                assert dist[p - 1][q - 1] == pair_distance(pfa.delta, p, q)
+                assert dist[p - 1][q - 1] == merge_distance(pfa.delta, p, q)
 
     def test_chain_of_merges(self):
         # a sends 1 and 2 to 1 and each later state one place down; b
@@ -228,7 +234,7 @@ class TestPairDistances:
         dist = pair_distances(pfa)
         group = pair_clauses(dist, VarLayout(n=pfa.n, m=pfa.m, ell=ell))
         closed = sum(
-            min(ell, pair_distance(pfa.delta, p, q) - 1)
+            min(ell, merge_distance(pfa.delta, p, q) - 1)
             for p in range(1, pfa.n + 1)
             for q in range(p + 1, pfa.n + 1)
         )
@@ -249,9 +255,18 @@ class TestPairDistances:
             for t in range(ell)
             for p in range(1, pfa.n + 1)
             for q in range(p + 1, pfa.n + 1)
-            if pair_distance(pfa.delta, p, q) > ell - t
+            if merge_distance(pfa.delta, p, q) > ell - t
         }
         assert set(pair_clauses(dist, lay)) == expected
+
+    @given(pfas(max_n=6, max_m=3))
+    @settings(max_examples=40)
+    def test_far_pairs_lists_every_pair_farthest_first(self, pfa):
+        dist = pair_distances(pfa)
+        far = far_pairs(dist)
+        assert sorted((p, q) for _, p, q in far) == list(combinations(range(1, pfa.n + 1), 2))
+        assert all(d == dist[p - 1][q - 1] for d, p, q in far)
+        assert [d for d, _, _ in far] == sorted((d for d, _, _ in far), reverse=True)
 
     def test_group_counts_toward_the_budget(self):
         # 20 pairs never merge: 16384 * 20 more clauses push length 16384 over
@@ -259,6 +274,103 @@ class TestPairDistances:
         assert clause_count(30, pfa.m, 16384) <= MAX_CLAUSES
         with pytest.raises(BudgetExceeded, match="length 16384 needs 1345026 clauses"):
             encode(pfa, 16384, pair_distances(pfa))
+
+
+# each pair merges under one letter, but no letter is defined on all three
+PAIRWISE = Pfa(n=3, m=3, delta=((1, 1, None), (None, 2, 2), (1, None, 1)))
+
+
+def _triple_table(pfa):
+    """Brute force: {(p, q, r): (D, inner)} over every state triple."""
+    table = {}
+    for triple in combinations(range(1, pfa.n + 1), 3):
+        inner = max(merge_distance(pfa.delta, *pair) for pair in combinations(triple, 2))
+        table[triple] = (merge_distance(pfa.delta, *triple), inner)
+    return table
+
+
+class TestTripleDistances:
+    @staticmethod
+    def _check_table(pfa):
+        far = far_triples(pfa, pair_distances(pfa))
+        assert [D for D, *_ in far] == sorted((D for D, *_ in far), reverse=True)
+        kept = {(p, q, r): (D, inner) for D, inner, p, q, r in far}
+        assert len(kept) == len(far)
+        for triple, (D, inner) in _triple_table(pfa).items():
+            # merging three states merges each pair inside
+            assert D >= inner
+            if D > inner:
+                assert kept[triple] == (D, inner)
+            else:
+                assert triple not in kept
+
+    @given(pfas(max_n=7, max_m=3))
+    @settings(max_examples=150, deadline=None)
+    @example(PAIRWISE)
+    # identity letters: nothing ever merges
+    @example(Pfa(n=3, m=2, delta=((1, 2, 3), (1, 2, 3))))
+    def test_matches_plain_set_triple_search(self, pfa):
+        self._check_table(pfa)
+
+    def test_matches_on_the_holes_sweep(self):
+        for pfa in pfas_with_holes():
+            self._check_table(pfa)
+
+    def test_pairwise_merging_triple_is_infinite(self):
+        assert far_triples(PAIRWISE, pair_distances(PAIRWISE)) == [(math.inf, 1, 1, 2, 3)]
+        lay = VarLayout(n=3, m=3, ell=4)
+        triples = far_triples(PAIRWISE, pair_distances(PAIRWISE))
+        assert triple_clauses(triples, lay) == [
+            (-lay.state_var(1, t), -lay.state_var(2, t), -lay.state_var(3, t)) for t in range(4)
+        ]
+
+    @staticmethod
+    def _check_group(pfa, ell, table):
+        dist = pair_distances(pfa)
+        triples = far_triples(pfa, dist)
+        lay = VarLayout(n=pfa.n, m=pfa.m, ell=ell)
+        group = triple_clauses(triples, lay)
+        expected = {
+            tuple(-lay.state_var(j, t) for j in triple)
+            for t in range(ell)
+            for triple, (D, inner) in table.items()
+            if inner <= ell - t < D
+        }
+        assert set(group) == expected
+        assert len(group) == len(expected) == triple_clause_count(triples, ell)
+        inst = encode(pfa, ell, dist, triples)
+        # appended after the pair group, which comes after the plain encoding
+        assert inst.clauses == encode(pfa, ell, dist).clauses + tuple(group)
+
+    @given(pfas(max_n=6, max_m=3), st.integers(1, 30))
+    @settings(max_examples=80, deadline=None)
+    @example(PAIRWISE, 5)
+    @example(pn(6), 26)
+    def test_group_matches_closed_form(self, pfa, ell):
+        self._check_group(pfa, ell, _triple_table(pfa))
+
+    def test_group_on_the_holes_sweep(self):
+        for pfa in pfas_with_holes():
+            table = _triple_table(pfa)
+            for ell in range(1, 9):
+                self._check_group(pfa, ell, table)
+
+    def test_group_counts_toward_the_budget(self, monkeypatch):
+        dist = pair_distances(PAIRWISE)
+        triples = far_triples(PAIRWISE, dist)
+        ell = 1000
+        size = clause_count(3, 3, ell) + pair_clause_count(dist, ell)
+        monkeypatch.setattr("cswsat.encoder.MAX_CLAUSES", size)
+        encode(PAIRWISE, ell, dist)
+        with pytest.raises(BudgetExceeded, match=f"needs {size + ell} clauses"):
+            encode(PAIRWISE, ell, dist, triples)
+
+    def test_miscount_is_a_fault(self, monkeypatch):
+        dist = pair_distances(PAIRWISE)
+        triples = far_triples(PAIRWISE, dist)
+        monkeypatch.setattr("cswsat.encoder.triple_clause_count", lambda triples, ell: 0)
+        with pytest.raises(ModelVerificationError, match="closed form"):
+            encode(PAIRWISE, 3, dist, triples)
 
 
 class TestDecode:

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 
 from cswsat.automaton import Pfa, is_carefully_synchronizing, serialize_pfa
 from cswsat.cli import EXIT_FAULT, main
+from cswsat.encoder import pair_distances
 from cswsat.generators import GenConfig, pn, random_pfa
-from cswsat.oracle import MAX_TABLE_WORDS, _beam, _letter_actions, power_bfs
+from cswsat.oracle import MAX_TABLE_WORDS, _beam, _letter_actions, _PairBound, power_bfs
 from cswsat.search import FOUND, NOT_SYNCHRONIZING
 from cswsat.solver import BudgetExceeded, ModelVerificationError
 
@@ -273,6 +276,35 @@ class TestBoundedSearch:
         for command in ("oracle", "min"):
             assert main([command, str(path)]) == EXIT_FAULT
             assert "pruned search" in capsys.readouterr().err
+
+
+class TestPairBound:
+    @pytest.mark.parametrize("pfa", [pn(12), random_pfa(GenConfig(n=40, seed=1))])
+    def test_far_masks_follow_the_radius(self, pfa):
+        dist = pair_distances(pfa)
+        bound = _PairBound(pfa, _letter_actions(pfa))
+        bound.word = (1,) * max(map(max, dist))
+        for depth in range(len(bound.word) + 2):
+            radius = max(len(bound.word) - depth, 0)
+            far_map = bound.far_map_at(depth)
+            expected = [
+                sum(1 << p for p, d in enumerate(row) if d > radius) for row in dist
+            ]
+            assert bound.far == expected
+            assert (far_map is None) == (not any(expected))
+
+    def test_memory_is_quadratic_on_the_chain_family(self):
+        # pn(300)'s largest pair distance is 44,849: a dense radius x n
+        # table of masks took 111 MB
+        pfa = pn(300)
+        actions = _letter_actions(pfa)
+        tracemalloc.start()
+        try:
+            _PairBound(pfa, actions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
 
 
 class TestExplicitConstruction:

@@ -1,5 +1,5 @@
 import dataclasses
-import random
+import math
 from unittest import mock
 
 import pytest
@@ -13,7 +13,15 @@ from cswsat.automaton import (
     serialize_pfa,
 )
 from cswsat.cli import EXIT_FAULT, main
-from cswsat.encoder import decode_word, encode, pair_distances
+from cswsat.encoder import (
+    clause_count,
+    decode_word,
+    encode,
+    far_triples,
+    pair_clause_count,
+    pair_distances,
+    triple_clause_count,
+)
 from cswsat.generators import GenConfig, pn, random_pfa
 from cswsat import oracle
 from cswsat.oracle import _beam, power_bfs
@@ -36,7 +44,7 @@ from cswsat.solver import (
     solve,
 )
 
-from helpers import pfas, sync_lengths
+from helpers import pfas, pfas_with_holes, sync_lengths
 from test_solver import SHIM_STDIN, shim_command
 
 A1 = Pfa(n=2, m=2, delta=((1, 1), (2, None)))
@@ -181,7 +189,8 @@ def _word_model(pfa, word, layout):
 
 
 class TestPairDistanceGroup:
-    """Pair-distance clauses must not change SAT/UNSAT at any length."""
+    """Pair- and triple-distance clauses must not change SAT/UNSAT at any
+    length."""
 
     @given(pfas(max_n=7, max_m=3))
     @settings(max_examples=60, deadline=None)
@@ -191,8 +200,10 @@ class TestPairDistanceGroup:
         exact = power_bfs(pfa)
         if exact.status != FOUND or exact.min_length == 0:
             return
-        instance = encode(pfa, exact.min_length, pair_distances(pfa))
-        assert satisfies(instance, _word_model(pfa, exact.witness, instance.layout))
+        dist = pair_distances(pfa)
+        for triples in (None, far_triples(pfa, dist)):
+            instance = encode(pfa, exact.min_length, dist, triples)
+            assert satisfies(instance, _word_model(pfa, exact.witness, instance.layout))
 
     # from two states on, a word of length min_length + k exists for all k
     @given(pfas(max_n=7, max_m=3, min_n=2))
@@ -203,30 +214,86 @@ class TestPairDistanceGroup:
         self._check_every_length(pfa)
 
     def test_seeded_sweep_with_holes(self):
-        # 600 tables, n <= 7, m <= 3, each entry missing with probability 0.2
-        for seed in range(600):
-            rng = random.Random(seed)
-            n, m = rng.randint(2, 7), rng.randint(1, 3)
-            delta = tuple(
-                tuple(None if rng.random() < 0.2 else rng.randint(1, n) for _ in range(n))
-                for _ in range(m)
-            )
-            self._check_every_length(Pfa(n=n, m=m, delta=delta))
+        for pfa in pfas_with_holes():
+            self._check_every_length(pfa)
 
     @staticmethod
     def _check_every_length(pfa):
         exact = power_bfs(pfa)
         top = exact.min_length + 2 if exact.status == FOUND else 8
         dist = pair_distances(pfa)
+        triples = far_triples(pfa, dist)
         found = sync_lengths(pfa.n, pfa.delta, pfa.m, top)
         for ell in range(1, top + 1):
-            instance = encode(pfa, ell, dist)
-            result = solve(instance)
-            assert (result.status == SAT) == (ell in found)
-            assert (result.status == SAT) == (exact.status == FOUND and ell >= exact.min_length)
-            if result.status == SAT:
-                word = decode_word(result.model, instance.layout)
-                assert is_carefully_synchronizing(pfa, word)
+            for instance in (encode(pfa, ell, dist), encode(pfa, ell, dist, triples)):
+                result = solve(instance)
+                assert (result.status == SAT) == (ell in found)
+                assert (result.status == SAT) == (
+                    exact.status == FOUND and ell >= exact.min_length
+                )
+                if result.status == SAT:
+                    word = decode_word(result.model, instance.layout)
+                    assert is_carefully_synchronizing(pfa, word)
+
+
+def _probe_sizes(pfa, out, triples=None):
+    """Each probe's expected clause count: plain, pair and triple groups."""
+    dist = pair_distances(pfa)
+    return [
+        clause_count(pfa.n, pfa.m, p.length)
+        + pair_clause_count(dist, p.length)
+        + (triple_clause_count(triples, p.length) if triples is not None else 0)
+        for p in out.probes
+    ]
+
+
+class TestTripleGate:
+    """A probe carries the triple group when C(n, 3) is at most its plain
+    clause count."""
+
+    def test_short_words_on_wide_automata_keep_the_pair_encoding(self, monkeypatch):
+        def refuse(pfa, dist):
+            raise AssertionError("triple table built for a short probe")
+
+        monkeypatch.setattr("cswsat.search.far_triples", refuse)
+        pfa = random_pfa(GenConfig(n=30, seed=1))
+        out = min_csw(pfa)
+        assert out.status == FOUND
+        # 4060 triples against at most 1457 plain clauses
+        assert all(clause_count(30, pfa.m, p.length) < math.comb(30, 3) for p in out.probes)
+        assert [p.clauses for p in out.probes] == _probe_sizes(pfa, out)
+
+    def test_long_words_carry_the_triple_group(self):
+        pfa = pn(6)
+        out = min_csw(pfa)
+        triples = far_triples(pfa, pair_distances(pfa))
+        assert all(triple_clause_count(triples, p.length) > 0 for p in out.probes)
+        assert [p.clauses for p in out.probes] == _probe_sizes(pfa, out, triples)
+
+    def test_table_is_built_once(self, monkeypatch):
+        calls = []
+
+        def counted(pfa, dist):
+            calls.append(pfa)
+            return far_triples(pfa, dist)
+
+        monkeypatch.setattr("cswsat.search.far_triples", counted)
+        out = min_csw(pn(5), precheck=False)
+        assert len(out.probes) > 2
+        assert len(calls) == 1
+
+    def test_gate_is_per_probe(self):
+        # galloping from length 1: the triple group waits for the first
+        # probe whose plain encoding has at least C(10, 3) = 120 clauses
+        pfa = random_pfa(GenConfig(n=10, seed=1))
+        out = min_csw(pfa, precheck=False)
+        triples = far_triples(pfa, pair_distances(pfa))
+        plain = [clause_count(10, pfa.m, p.length) for p in out.probes]
+        assert plain[0] < 120 <= plain[-1]
+        assert [p.clauses for p in out.probes] == [
+            size + (triple_clause_count(triples, p.length) if count >= 120 else 0)
+            for p, size, count in zip(out.probes, _probe_sizes(pfa, out), plain)
+        ]
 
 
 class TestBeyondSixtyFourStates:
