@@ -18,32 +18,35 @@ Clause groups, in emission order:
 
 The emission order is fixed so instances are byte-reproducible.
 
-Two more groups are left out of the plain encoding and appended in this
+More groups are left out of the plain encoding and appended in this
 order when `encode` is given their tables:
   pair distance  for each step t < ell and each state pair p < q whose
                  shortest merging word is longer than ell - t, forbid both
                  states being active after t steps. The sync block is the
                  t = ell case of the same rule. `search.min_csw` passes a
                  `pair_distances` table to every probe.
-  triple distance
-                 for each step t < ell and each state triple whose shortest
-                 merging word is longer than ell - t while none of its
-                 pairs' is, forbid all three being active after t steps.
-                 `search.min_csw` passes a `far_triples` list to a probe
-                 when the triple table has no more entries, C(n, 3), than
-                 the probe's plain encoding has clauses: long-word
-                 automata, where the table is cheap beside the probe.
-Both rest on one fact: the rest of a real word merges the word's whole
+  set distance   one group per set size k = 3, 4, ...: for each step
+                 t < ell and each set of k states whose shortest merging
+                 word is longer than ell - t while none of its subsets one
+                 state smaller is, forbid all k being active after t
+                 steps. `search.min_csw` passes the `far_sets` list for
+                 size k to a probe when the automaton has no more sets of
+                 k states, C(n, k), than the probe's plain encoding has
+                 clauses: long-word automata, where the table is cheap
+                 beside the probe.
+All rest on one fact: the rest of a real word merges the word's whole
 image after t letters in ell - t letters, so a real word's assignment
-satisfies every clause of both groups.
+satisfies every clause of these groups. `check_distances` checks the
+tables by the equation that defines them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional
+from itertools import chain, combinations, compress, product, repeat
+from operator import add, gt, itemgetter, mul
+from typing import Optional, Sequence
 
 from .automaton import BudgetExceeded, ModelVerificationError, Pfa
 
@@ -58,9 +61,10 @@ __all__ = [
     "pair_clause_count",
     "pair_clauses",
     "far_pairs",
-    "far_triples",
-    "triple_clause_count",
-    "triple_clauses",
+    "far_sets",
+    "set_clause_count",
+    "set_clauses",
+    "check_distances",
     "decode_word",
     "to_dimacs",
     "parse_dimacs",
@@ -142,13 +146,11 @@ class DimacsError(ValueError):
     """Malformed DIMACS text."""
 
 
-def encode(
-    pfa: Pfa, ell: int, dist: Optional[list] = None, triples: Optional[list] = None
-) -> CnfInstance:
+def encode(pfa: Pfa, ell: int, dist: Optional[list] = None, sets: Sequence = ()) -> CnfInstance:
     """Build the instance asking for a carefully synchronizing word of
     length exactly ell (ell >= 1), with the pair-distance group appended
-    when `dist` (from pair_distances) is given and then the
-    triple-distance group when `triples` (from far_triples) is. Raises
+    when `dist` (from pair_distances) is given and then one set-distance
+    group for each list of `sets` (lists from far_sets), in order. Raises
     BudgetExceeded, before building anything, when the instance would have
     more than MAX_CLAUSES clauses."""
     if ell < 1:
@@ -157,8 +159,7 @@ def encode(
     size = clause_count(n, m, ell)
     if dist is not None:
         size += pair_clause_count(dist, ell)
-    if triples is not None:
-        size += triple_clause_count(triples, ell)
+    size += sum(set_clause_count(group, ell) for group in sets)
     if size > MAX_CLAUSES:
         raise BudgetExceeded(f"length {ell} needs {size} clauses, over the {MAX_CLAUSES} budget")
     layout = VarLayout(n=n, m=m, ell=ell)
@@ -188,8 +189,8 @@ def encode(
             clauses.append((-layout.state_var(r, ell), -layout.state_var(s, ell)))
     if dist is not None:
         clauses.extend(pair_clauses(dist, layout))
-    if triples is not None:
-        clauses.extend(triple_clauses(triples, layout))
+    for group in sets:
+        clauses.extend(set_clauses(group, layout))
 
     instance = CnfInstance(
         var_count=layout.var_count, clauses=tuple(clauses), layout=layout
@@ -279,93 +280,232 @@ def pair_clauses(dist: list, layout: VarLayout) -> list:
     return clauses
 
 
-def far_triples(pfa: Pfa, dist: list) -> list:
-    """The state triples p < q < r that take longer to merge than their
-    farthest pair, as (D, inner, p, q, r), farthest first. D is the length
-    of the shortest word that merges the three states and is defined on
-    them at every step (math.inf when none does), inner the largest of
-    their three pair distances in `dist` (from pair_distances); D >= inner
-    always, so the other triples add nothing to the pair group.
+def far_sets(pfa: Pfa, dist: list, k: int) -> list:
+    """The state sets of 3..k states that take longer to merge than any of
+    their subsets one state smaller, one list per size: element i lists
+    the sets of i + 3 states as (D, inner, q1, ..., q_{i+3}), states
+    ascending, farthest first and, at equal D, in lexicographic order. D is
+    the length of the shortest word that merges the set and is defined on
+    it at every step (math.inf when none does), inner the largest D among
+    its subsets one state smaller, pairs read from `dist` (from
+    pair_distances). D >= inner always, since a word that merges a set
+    merges each subset, so the other sets add nothing to the smaller sets'
+    clauses.
 
-    D(S) = 1 + min over letters a defined on S of D(S.a), where the image
-    S.a is a triple, a pair (distance from `dist`) or one state (0). A
-    backward breadth-first search settles it level by level: level d's
-    triples and pairs at distance d send every triple that some letter maps
-    onto them to level d + 1. Each (triple, letter) is met once, as a
-    preimage of its own image, so this takes O(C(n,3) m) time.
+    D(S) = 1 + min over letters a defined on S of D(S.a). A backward
+    breadth-first search settles it level by level: single states sit at
+    level 0 and the pairs at distance d in `dist` at level d, and each
+    level's sets send every set of 3..k states that some letter maps onto
+    them to the next level. A letter's preimage of a set takes a nonempty
+    part of the letter's preimage of each of its states, from per-letter
+    lists of those parts, so each (set, letter) is met once, as a preimage
+    of its own image: O(C(n, k) m) time.
     """
     n = pfa.n
-    preimages = _preimages(pfa)
+    inf = math.inf
+    # A set's key is the product of its states' primes, one prime per
+    # state: unique factorization makes it one key per set, and it stays a
+    # small int. (CPython hashes an int modulo 2**61 - 1, so the bit masks
+    # of sets over more than 61 states collide in a dict: states p and
+    # p + 61 hash alike.)
+    primes = _primes(n)
+    # per letter a + 1, by the prime of each state r: pre[r], the primes
+    # of the states the letter sends to r; parts[r], the nonempty subsets
+    # of at most k of those; and the states it sends nothing to
+    letters = []
+    for groups in _preimages(pfa):
+        pre = {primes[r]: tuple(primes[p] for p in group) for r, group in enumerate(groups)}
+        parts = {
+            r: [
+                combo
+                for size in range(1, min(k, len(group)) + 1)
+                for combo in combinations(group, size)
+            ]
+            for r, group in pre.items()
+        }
+        missing = {r for r, group in pre.items() if not group}
+        letters.append((missing, pre.__getitem__, parts))
+    # D of each set settled so far, by key: single states, finite pairs,
+    # then the sets of 3..k states as the search reaches them
+    settled = dict.fromkeys(primes, 0)
     pair_levels = {}
-    for d, p, q in far_pairs(dist):
-        if d != math.inf:
-            pair_levels.setdefault(d, []).append((p - 1, q - 1))
+    for p, q in combinations(range(n), 2):
+        d = dist[p][q]
+        if d != inf:
+            settled[primes[p] * primes[q]] = d
+            pair_levels.setdefault(d, []).append((primes[p], primes[q]))
     top = max(pair_levels, default=0)
-    tdist = {}
 
-    def reach(key, d):
-        key = tuple(sorted(key))
-        if key not in tdist:
-            tdist[key] = d
-            frontier.append(key)
-
-    # level 0 is the single states, whose preimage triples one letter merges
-    frontier = []
-    for pre in preimages:
-        for group in pre:
-            for key in combinations(group, 3):
-                reach(key, 1)
-    d = 1
-    while frontier or d <= top:
-        level, frontier = frontier, []
-        for pre in preimages:
-            for x, y in pair_levels.get(d, ()):
-                px, py = pre[x], pre[y]
-                for p, q in combinations(px, 2):
-                    for r in py:
-                        reach((p, q, r), d + 1)
-                for p, q in combinations(py, 2):
-                    for r in px:
-                        reach((p, q, r), d + 1)
-            for x, y, z in level:
-                for p in pre[x]:
-                    for q in pre[y]:
-                        for r in pre[z]:
-                            reach((p, q, r), d + 1)
+    # level d's sets of 3..k states, each as its states' primes in any order
+    level = [(r,) for r in primes]
+    d = 0
+    while level or d <= top:
+        full = [image for image in level if len(image) == k]
+        smaller = [image for image in level if len(image) < k] + pair_levels.get(d, [])
+        reached = []
+        for missing, pre, parts in letters:
+            defined = missing.isdisjoint
+            # the preimages of a set of k states take one state per part
+            preimages = [product(*map(pre, image)) for image in full if defined(image)]
+            preimages += [_joined_parts(parts, image, k) for image in smaller if defined(image)]
+            for states in chain.from_iterable(preimages):
+                key = math.prod(states)
+                if key not in settled:
+                    settled[key] = d + 1
+                    reached.append(states)
         d += 1
+        level = reached
 
+    # A set of `size` states is a set P of size - 1 states plus a state r
+    # above P's, and its subsets one state smaller are P and each P - x + r.
+    # So with rows[Q][r] = D(Q + r) for the sets Q of size - 2, the inner
+    # distances of all of P's extensions are one elementwise max over
+    # P's rows, and D(P + r) is the row of P for the next size.
+    get = settled.get
+    rows = {primes[p]: dist[p] for p in range(n)}
     far = []
-    for p, q, r in combinations(range(n), 3):
-        inner = max(dist[p][q], dist[p][r], dist[q][r])
-        D = tdist.get((p, q, r), math.inf)
-        if D > inner:
-            far.append((D, inner, p + 1, q + 1, r + 1))
-    far.sort(key=lambda triple: -triple[0])
+    for size in range(3, k + 1):
+        kept = []
+        next_rows = {}
+        for prefix in combinations(range(n), size - 1):
+            key = math.prod([primes[p] for p in prefix])
+            after = prefix[-1] + 1
+            row = list(map(get, map(mul, primes[after:], repeat(key)), repeat(inf)))
+            if size < k:
+                # read only above the largest state of a set holding P
+                next_rows[key] = [inf] * after + row
+            inners = list(
+                map(max, repeat(get(key, inf)), *(rows[key // primes[x]][after:] for x in prefix))
+            )
+            entries = zip(
+                row, inners, *(repeat(p + 1) for p in prefix), range(after + 1, n + 1)
+            )
+            kept.extend(compress(entries, map(gt, row, inners)))
+        rows = next_rows
+        kept.sort(key=itemgetter(0), reverse=True)
+        far.append(kept)
     return far
 
 
-def triple_clause_count(triples: list, ell: int) -> int:
-    """Size of the triple-distance group at length ell: for each triple of
-    `triples`, the number of s = ell - t in 1..ell with inner <= s < D."""
-    return sum(max(0, min(ell, D - 1) - inner + 1) for D, inner, *_ in triples)
+def _joined_parts(parts: dict, image: tuple, k: int) -> list:
+    """The sets of 3..k states that one letter sends onto `image`: one
+    part from parts[r] for each state prime r of the image, joined."""
+    joined = [()]
+    left = len(image)
+    for r in image:
+        left -= 1
+        joined = [
+            states + part
+            for states in joined
+            for part in parts[r]
+            if len(states) + len(part) + left <= k
+        ]
+    return [states for states in joined if len(states) >= 3]
 
 
-def triple_clauses(triples: list, layout: VarLayout) -> list:
-    """The triple-distance group: (-x[p,t], -x[q,t], -x[r,t]) for every
-    step t < ell and every triple of `triples` (from far_triples) with
-    inner <= ell - t < D, so that no pair inside it is forbidden at that
+def _primes(count: int) -> list:
+    """The first `count` primes, by a sieve that doubles until it holds them."""
+    limit = 16
+    while True:
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for p in range(2, math.isqrt(limit - 1) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+        primes = [p for p in range(limit) if sieve[p]]
+        if len(primes) >= count:
+            return primes[:count]
+        limit *= 2
+
+
+def set_clause_count(sets: list, ell: int) -> int:
+    """Size of one set-distance group at length ell: for each set of
+    `sets`, the number of s = ell - t in 1..ell with inner <= s < D."""
+    return sum(max(0, min(ell, D - 1) - inner + 1) for D, inner, *_ in sets)
+
+
+def set_clauses(sets: list, layout: VarLayout) -> list:
+    """One set-distance group: (-x[q1,t] v ... v -x[qk,t]) for every step
+    t < ell and every set of `sets` (one list from far_sets) with
+    inner <= ell - t < D, so that no subset inside it is forbidden at that
     step already; step by step and, within a step, farthest first."""
     ell = layout.ell
     var = layout.state_var
     clauses = []
     for t in range(ell):
         left = ell - t
-        for D, inner, p, q, r in triples:
-            if D <= left:
+        for entry in sets:
+            if entry[0] <= left:
                 break
-            if inner <= left:
-                clauses.append((-var(p, t), -var(q, t), -var(r, t)))
+            if entry[1] <= left:
+                clauses.append(tuple(-var(q, t) for q in entry[2:]))
     return clauses
+
+
+def check_distances(pfa: Pfa, dist: list, sets: Sequence = ()) -> None:
+    """Check `dist` (from pair_distances) and the lists of `sets` (from
+    far_sets, for sets of 3, 4, ... states in order) against the equation
+    that defines them: D = 0 on single states and, for every set S of two
+    or more states, D(S) = 1 + min over letters a defined on S of D(S.a),
+    math.inf when no letter is. A set missing from its list has D = inner,
+    the largest D among its subsets one state smaller. Only one table
+    solves the equation, so tables that pass are the true distances.
+
+    Takes O(n^2 m) time for the pairs and O(C(n, k) k m) for the sets of k
+    states. Raises ModelVerificationError at the first entry that fails.
+    """
+    n = pfa.n
+    inf = math.inf
+    if [list(column) for column in zip(*dist)] != dist:
+        raise ModelVerificationError("pair distance table is not symmetric")
+    # images[a][q]: the 0-based state letter a + 1 sends q to, n where the
+    # letter is undefined, and padded[x][y] = D(x, y), math.inf at n
+    images = [[n if t is None else t - 1 for t in row] for row in pfa.delta]
+    padded = [row + [inf] for row in dist] + [[inf] * (n + 1)]
+    for p in range(n):
+        # 1 + min over letters a of D(p.a, q.a), for every q > p at once
+        after = (map(padded[image[p]].__getitem__, image[p + 1 :]) for image in images)
+        best = [0, *map(add, map(min, repeat(inf), *after), repeat(1))]
+        if dist[p][p:] != best:
+            q = next(q for q in range(p, n) if dist[p][q] != best[q - p])
+            _equation_fault((p, q), dist[p][q], best[q - p])
+    if not sets:
+        return
+
+    # D by ascending 0-based states, for sets of 1..k states
+    table = {(p,): 0 for p in range(n)}
+    table.update(((p, q), dist[p][q]) for p, q in combinations(range(n), 2))
+    for size, group in enumerate(sets, start=3):
+        listed = {tuple(q - 1 for q in entry[2:]): entry[:2] for entry in group}
+        if len(listed) != len(group):
+            raise ModelVerificationError(f"set list for {size} states repeats a set")
+        for states in combinations(range(n), size):
+            inner = max(table[sub] for sub in combinations(states, size - 1))
+            entry = listed.pop(states, None)
+            if entry is not None and (entry[1] != inner or entry[0] <= inner):
+                raise ModelVerificationError(
+                    f"set list entry for states {tuple(q + 1 for q in states)} is "
+                    f"{entry}, but its subsets' largest distance is {inner}"
+                )
+            # a set left out takes as long as its farthest subset
+            table[states] = inner if entry is None else entry[0]
+        if listed:
+            raise ModelVerificationError(f"set list for {size} states holds {min(listed)}")
+        for states in combinations(range(n), size):
+            best = inf
+            for image in images:
+                targets = {image[q] for q in states}
+                if n not in targets:
+                    best = min(best, 1 + table[tuple(sorted(targets))])
+            if table[states] != best:
+                _equation_fault(states, table[states], best)
+
+
+def _equation_fault(states: tuple, D, best) -> None:
+    raise ModelVerificationError(
+        f"distance of states {tuple(q + 1 for q in states)} is {D}, "
+        f"its defining equation gives {best}"
+    )
 
 
 def decode_word(assignment, layout: VarLayout) -> tuple:

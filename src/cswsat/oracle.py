@@ -136,9 +136,12 @@ class _PairBound:
         # a word merges every pair, so where some pair never merges no beam
         # can find one
         mergeable = all(math.inf not in row for row in dist)
-        self.stages = sorted(BOUND_STAGES) if mergeable else []
         self.pairs = far_pairs(dist)[::-1] if mergeable else []
         self.radius = self.pairs[-1][0] if self.pairs else 0
+        # nor where a word, at least as long as the farthest pair's distance,
+        # is longer than a beam can store subsets: one per layer
+        storable = DEFAULT_MAX_VISITED // -(-pfa.n // 64)
+        self.stages = sorted(BOUND_STAGES) if mergeable and self.radius <= storable else []
         self.far = [0] * pfa.n
 
     def next_trigger(self) -> float:
@@ -189,7 +192,10 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
 
     Once a layer holds more subsets than a trigger in BOUND_STAGES, a beam
     search of that stage's width runs once; the shortest word any beam has found,
-    of length U, bounds the search. From then on a new image at depth d is
+    of length U, bounds the search. No beam runs when some pair never
+    merges, or when the farthest pair is farther apart than the subsets a
+    beam may store: a word is at least that long, and a beam stores one
+    subset per layer. From then on a new image at depth d is
     neither stored nor expanded when it holds two states whose pair
     distance (`encoder.pair_distances`) exceeds U - d. The answer and
     witness stay those of the unbounded search: a word of length L <= U

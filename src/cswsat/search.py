@@ -18,12 +18,14 @@ certificate, holding an unsatisfiable probe one below the answer.
 
 Every probe also carries the encoder's pair-distance clauses: states p and
 q may not both be active after t steps when no word of length ell - t
-merges them. A probe whose plain encoding has at least C(n, 3) clauses,
-which on these automata means a long word, carries the triple-distance
-clauses as well: the same rule for three states none of whose pairs is
-forbidden yet. A real word makes x[q,t] true exactly on its image after t
-letters, and the rest of that word merges the whole image, so the clauses
-remove no real word and no length's answer changes.
+merges them. A probe whose plain encoding has at least C(n, k) clauses,
+which on these automata means a long word, carries the set-distance
+clauses for sets of k states as well, k = 3 and 4: the same rule for k
+states none of whose subsets is forbidden yet. A real word makes x[q,t]
+true exactly on its image after t letters, and the rest of that word
+merges the whole image, so the clauses remove no real word and no length's
+answer changes. Each distance table is checked by its defining equation
+before a probe uses it.
 """
 
 from __future__ import annotations
@@ -45,10 +47,11 @@ from .automaton import (
 )
 from .encoder import (
     MAX_CLAUSES,
+    check_distances,
     clause_count,
     decode_word,
     encode,
-    far_triples,
+    far_sets,
     pair_distances,
 )
 from .oracle import _beam, _letter_actions, power_bfs
@@ -67,6 +70,12 @@ __all__ = [
 ]
 
 DEFAULT_MAX_LENGTH = 1 << 20
+
+# Largest state sets whose distance group a probe carries. Larger sets cut
+# the chain family's probes further, but at n states the group alone
+# refutes min - 1 by unit propagation: the certificate would then be the
+# table, not the solver's search.
+MAX_SET_SIZE = 4
 
 # SearchOutcome.upper_bound_source values: where the first probe length came from
 POWER_BFS = "power_bfs"
@@ -113,15 +122,18 @@ def min_csw(
     from.
 
     Each probe appends the pair-distance group, from a table built once on
-    the first probe that fits the size budget. A probe whose plain encoding
-    has at least C(n, 3) clauses also appends the triple-distance group,
-    from a table built once on the first such probe; so the table is never
-    larger than the probe, nor than MAX_CLAUSES. The image after t letters
-    of a real word holds only pairs and triples that its remaining ell - t
-    letters merge. So the word's own assignment satisfies both groups, and
-    every length keeps its answer.
+    the first probe that fits the size budget. For k = 3 and 4, a probe
+    whose plain encoding has at least C(n, k) clauses also appends the
+    group for sets of k states, from `far_sets` tables built on the first
+    probe that admits a larger set size than those built so far; so no
+    table is larger than the probe, nor than MAX_CLAUSES. The image after
+    t letters of a real word holds only sets that its remaining ell - t
+    letters merge. So the word's own assignment satisfies every group, and
+    every length keeps its answer. Each table is checked once, by its
+    defining equation (`encoder.check_distances`), before a probe uses it.
 
-    Raises BudgetExceeded (with a `probes` attribute holding the partial
+    Raises ModelVerificationError when a table fails that check. Raises
+    BudgetExceeded (with a `probes` attribute holding the partial
     record) when the backend gives out or a probe would exceed the
     encoder's MAX_CLAUSES.
     """
@@ -153,22 +165,30 @@ def min_csw(
     backend = backend or Backend()
     probes = []
     words = {}
-    dist = triples = None
-    triple_count = math.comb(pfa.n, 3)
+    dist = None
+    # sets[i]: the far_sets list for sets of i + 3 states
+    sets = []
 
     def probe(length: int) -> str:
-        nonlocal dist, triples
+        nonlocal dist, sets
         try:
-            # each table is built once, and only for a probe under the size
-            # budget; the triple table only for a probe at least its size
+            # the tables are built for a probe under the size budget, each
+            # checked once. A probe carries the groups of the set sizes k
+            # with C(n, k) <= its plain clause count: 3..top, since
+            # C(n, 3) <= C(n, 4) from n = 7 on and every plain encoding of
+            # fewer states has more than C(n, 3) clauses.
             plain = clause_count(pfa.n, pfa.m, length)
-            with_triples = triple_count <= plain
+            top = 2
+            while top < MAX_SET_SIZE and math.comb(pfa.n, top + 1) <= plain:
+                top += 1
             if plain <= MAX_CLAUSES:
                 if dist is None:
                     dist = pair_distances(pfa)
-                if triples is None and with_triples:
-                    triples = far_triples(pfa, dist)
-            instance = encode(pfa, length, dist, triples if with_triples else None)
+                    check_distances(pfa, dist)
+                if len(sets) < top - 2:
+                    sets = far_sets(pfa, dist, top)
+                    check_distances(pfa, dist, sets)
+            instance = encode(pfa, length, dist, sets[: top - 2])
             start = time.perf_counter()
             result = backend.run(instance)
         except BudgetExceeded as exc:

@@ -26,11 +26,11 @@ from cswsat.cli import (
 )
 from cswsat.encoder import (
     clause_count,
-    far_triples,
+    far_sets,
     pair_clause_count,
     pair_distances,
     parse_dimacs,
-    triple_clause_count,
+    set_clause_count,
 )
 from cswsat.generators import GenConfig, pn, random_pfa
 from cswsat.search import min_csw
@@ -296,14 +296,14 @@ class TestCommandSurface:
         ]
         assert got == [tuple(map(str, e)) for e in expected]
         # the probe instance's size: the encoding plus the pair- and
-        # triple-distance groups; with one triple, every probe passes the
-        # triple group's gate
+        # set-distance groups; with one triple, every probe passes both
+        # set sizes' gates
         dist = pair_distances(pfa)
-        triples = far_triples(pfa, dist)
+        sets = far_sets(pfa, dist, 4)
         assert [p.clauses for p in probes_made] == [
             clause_count(pfa.n, pfa.m, p.length)
             + pair_clause_count(dist, p.length)
-            + triple_clause_count(triples, p.length)
+            + sum(set_clause_count(group, p.length) for group in sets)
             for p in probes_made
         ]
 

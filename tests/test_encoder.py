@@ -12,19 +12,20 @@ from cswsat.encoder import (
     DecodeError,
     DimacsError,
     VarLayout,
+    check_distances,
     clause_count,
     decode_word,
     encode,
     far_pairs,
-    far_triples,
+    far_sets,
     layout_comment,
     pair_clause_count,
     pair_clauses,
     pair_distances,
     parse_dimacs,
+    set_clause_count,
+    set_clauses,
     to_dimacs,
-    triple_clause_count,
-    triple_clauses,
     variable_count,
 )
 from cswsat.generators import GenConfig, pn, random_pfa
@@ -280,30 +281,59 @@ class TestPairDistances:
 PAIRWISE = Pfa(n=3, m=3, delta=((1, 1, None), (None, 2, 2), (1, None, 1)))
 
 
-def _triple_table(pfa):
-    """Brute force: {(p, q, r): (D, inner)} over every state triple."""
+def _set_table(pfa, size):
+    """Brute force: {states: (D, inner)} over every set of `size` states."""
     table = {}
-    for triple in combinations(range(1, pfa.n + 1), 3):
-        inner = max(merge_distance(pfa.delta, *pair) for pair in combinations(triple, 2))
-        table[triple] = (merge_distance(pfa.delta, *triple), inner)
+    for states in combinations(range(1, pfa.n + 1), size):
+        inner = max(merge_distance(pfa.delta, *sub) for sub in combinations(states, size - 1))
+        table[states] = (merge_distance(pfa.delta, *states), inner)
     return table
 
 
-class TestTripleDistances:
-    @staticmethod
-    def _check_table(pfa):
-        far = far_triples(pfa, pair_distances(pfa))
+def _far(pfa, dist, size):
+    """far_sets' list for sets of `size` states."""
+    return far_sets(pfa, dist, size)[size - 3]
+
+
+class _SetDistanceChecks:
+    """far_sets and the set-distance group for sets of SIZE states, against
+    a forward search over plain sets."""
+
+    SIZE = 3
+
+    def _check_table(self, pfa):
+        far = _far(pfa, pair_distances(pfa), self.SIZE)
         assert [D for D, *_ in far] == sorted((D for D, *_ in far), reverse=True)
-        kept = {(p, q, r): (D, inner) for D, inner, p, q, r in far}
+        kept = {tuple(states): (D, inner) for D, inner, *states in far}
         assert len(kept) == len(far)
-        for triple, (D, inner) in _triple_table(pfa).items():
-            # merging three states merges each pair inside
+        for states, (D, inner) in _set_table(pfa, self.SIZE).items():
+            # merging a set merges each subset inside
             assert D >= inner
             if D > inner:
-                assert kept[triple] == (D, inner)
+                assert kept[states] == (D, inner)
             else:
-                assert triple not in kept
+                assert states not in kept
 
+    def _check_group(self, pfa, ell, table):
+        dist = pair_distances(pfa)
+        sets = far_sets(pfa, dist, self.SIZE)
+        lay = VarLayout(n=pfa.n, m=pfa.m, ell=ell)
+        group = set_clauses(sets[-1], lay)
+        expected = {
+            tuple(-lay.state_var(j, t) for j in states)
+            for t in range(ell)
+            for states, (D, inner) in table.items()
+            if inner <= ell - t < D
+        }
+        assert set(group) == expected
+        assert len(group) == len(expected) == set_clause_count(sets[-1], ell)
+        inst = encode(pfa, ell, dist, sets)
+        # appended after the smaller sets' groups, which come after the pair
+        # group and the plain encoding
+        assert inst.clauses == encode(pfa, ell, dist, sets[:-1]).clauses + tuple(group)
+
+
+class TestTripleDistances(_SetDistanceChecks):
     @given(pfas(max_n=7, max_m=3))
     @settings(max_examples=150, deadline=None)
     @example(PAIRWISE)
@@ -317,60 +347,140 @@ class TestTripleDistances:
             self._check_table(pfa)
 
     def test_pairwise_merging_triple_is_infinite(self):
-        assert far_triples(PAIRWISE, pair_distances(PAIRWISE)) == [(math.inf, 1, 1, 2, 3)]
+        triples = _far(PAIRWISE, pair_distances(PAIRWISE), 3)
+        assert triples == [(math.inf, 1, 1, 2, 3)]
         lay = VarLayout(n=3, m=3, ell=4)
-        triples = far_triples(PAIRWISE, pair_distances(PAIRWISE))
-        assert triple_clauses(triples, lay) == [
+        assert set_clauses(triples, lay) == [
             (-lay.state_var(1, t), -lay.state_var(2, t), -lay.state_var(3, t)) for t in range(4)
         ]
-
-    @staticmethod
-    def _check_group(pfa, ell, table):
-        dist = pair_distances(pfa)
-        triples = far_triples(pfa, dist)
-        lay = VarLayout(n=pfa.n, m=pfa.m, ell=ell)
-        group = triple_clauses(triples, lay)
-        expected = {
-            tuple(-lay.state_var(j, t) for j in triple)
-            for t in range(ell)
-            for triple, (D, inner) in table.items()
-            if inner <= ell - t < D
-        }
-        assert set(group) == expected
-        assert len(group) == len(expected) == triple_clause_count(triples, ell)
-        inst = encode(pfa, ell, dist, triples)
-        # appended after the pair group, which comes after the plain encoding
-        assert inst.clauses == encode(pfa, ell, dist).clauses + tuple(group)
 
     @given(pfas(max_n=6, max_m=3), st.integers(1, 30))
     @settings(max_examples=80, deadline=None)
     @example(PAIRWISE, 5)
     @example(pn(6), 26)
     def test_group_matches_closed_form(self, pfa, ell):
-        self._check_group(pfa, ell, _triple_table(pfa))
+        self._check_group(pfa, ell, _set_table(pfa, 3))
 
     def test_group_on_the_holes_sweep(self):
         for pfa in pfas_with_holes():
-            table = _triple_table(pfa)
+            table = _set_table(pfa, 3)
             for ell in range(1, 9):
                 self._check_group(pfa, ell, table)
 
     def test_group_counts_toward_the_budget(self, monkeypatch):
         dist = pair_distances(PAIRWISE)
-        triples = far_triples(PAIRWISE, dist)
+        triples = _far(PAIRWISE, dist, 3)
         ell = 1000
         size = clause_count(3, 3, ell) + pair_clause_count(dist, ell)
         monkeypatch.setattr("cswsat.encoder.MAX_CLAUSES", size)
         encode(PAIRWISE, ell, dist)
         with pytest.raises(BudgetExceeded, match=f"needs {size + ell} clauses"):
-            encode(PAIRWISE, ell, dist, triples)
+            encode(PAIRWISE, ell, dist, [triples])
 
     def test_miscount_is_a_fault(self, monkeypatch):
         dist = pair_distances(PAIRWISE)
-        triples = far_triples(PAIRWISE, dist)
-        monkeypatch.setattr("cswsat.encoder.triple_clause_count", lambda triples, ell: 0)
+        triples = _far(PAIRWISE, dist, 3)
+        monkeypatch.setattr("cswsat.encoder.set_clause_count", lambda sets, ell: 0)
         with pytest.raises(ModelVerificationError, match="closed form"):
-            encode(PAIRWISE, 3, dist, triples)
+            encode(PAIRWISE, 3, dist, [triples])
+
+
+# each triple merges under one letter, but no letter is defined on all
+# four states
+TRIPLEWISE = Pfa(
+    n=4, m=4, delta=((1, 1, 1, None), (1, 1, None, 1), (1, None, 1, 1), (None, 2, 2, 2))
+)
+
+
+class TestFourSetDistances(_SetDistanceChecks):
+    SIZE = 4
+
+    @given(pfas(max_n=7, max_m=3))
+    @settings(max_examples=150, deadline=None)
+    @example(TRIPLEWISE)
+    @example(Pfa(n=4, m=2, delta=((1, 2, 3, 4), (1, 2, 3, 4))))
+    def test_matches_plain_set_search(self, pfa):
+        self._check_table(pfa)
+
+    def test_matches_on_the_holes_sweep(self):
+        for pfa in pfas_with_holes():
+            self._check_table(pfa)
+
+    def test_triple_list_is_the_same_at_every_size(self):
+        for pfa in (pn(6), PAIRWISE, TRIPLEWISE, random_pfa(GenConfig(n=12, seed=2))):
+            dist = pair_distances(pfa)
+            assert far_sets(pfa, dist, 4)[0] == far_sets(pfa, dist, 3)[0]
+
+    def test_triplewise_merging_set_is_infinite(self):
+        dist = pair_distances(TRIPLEWISE)
+        assert _far(TRIPLEWISE, dist, 4) == [(math.inf, 1, 1, 2, 3, 4)]
+        lay = VarLayout(n=4, m=4, ell=3)
+        assert set_clauses(_far(TRIPLEWISE, dist, 4), lay) == [
+            tuple(-lay.state_var(j, t) for j in (1, 2, 3, 4)) for t in range(3)
+        ]
+
+    @given(pfas(max_n=6, max_m=3), st.integers(1, 30))
+    @settings(max_examples=80, deadline=None)
+    @example(TRIPLEWISE, 5)
+    @example(pn(6), 26)
+    def test_group_matches_closed_form(self, pfa, ell):
+        self._check_group(pfa, ell, _set_table(pfa, 4))
+
+    def test_group_on_the_holes_sweep(self):
+        for pfa in pfas_with_holes(200):
+            table = _set_table(pfa, 4)
+            for ell in range(1, 9):
+                self._check_group(pfa, ell, table)
+
+
+class TestCheckDistances:
+    @given(pfas(max_n=7, max_m=3))
+    @settings(max_examples=80, deadline=None)
+    @example(PAIRWISE)
+    @example(TRIPLEWISE)
+    def test_true_tables_pass(self, pfa):
+        dist = pair_distances(pfa)
+        check_distances(pfa, dist, far_sets(pfa, dist, 4))
+
+    def test_every_corrupt_pair_entry_fails(self):
+        pfa = pn(5)
+        for p, q in combinations(range(5), 2):
+            for wrong in (0, merge_distance(pfa.delta, p + 1, q + 1) + 1, math.inf):
+                dist = pair_distances(pfa)
+                dist[p][q] = dist[q][p] = wrong
+                with pytest.raises(ModelVerificationError, match="equation"):
+                    check_distances(pfa, dist)
+
+    def test_asymmetric_pair_table_fails(self):
+        dist = pair_distances(pn(5))
+        dist[3][1] += 1
+        with pytest.raises(ModelVerificationError, match="symmetric"):
+            check_distances(pn(5), dist)
+
+    def test_every_corrupt_set_entry_fails(self):
+        pfa = pn(6)
+        dist = pair_distances(pfa)
+        sets = far_sets(pfa, dist, 4)
+        for size, group in enumerate(sets):
+            for i, (D, inner, *states) in enumerate(group):
+                for wrong in ((D + 1, inner), (D - 1, inner), (D, inner + 1)):
+                    bad = [list(g) for g in sets]
+                    bad[size][i] = (*wrong, *states)
+                    with pytest.raises(ModelVerificationError):
+                        check_distances(pfa, dist, bad)
+
+    def test_dropped_and_foreign_set_entries_fail(self):
+        pfa = pn(6)
+        dist = pair_distances(pfa)
+        triples, quads = far_sets(pfa, dist, 4)
+        with pytest.raises(ModelVerificationError):
+            check_distances(pfa, dist, [triples[1:], quads])
+        with pytest.raises(ModelVerificationError, match="equation"):
+            check_distances(pfa, dist, [triples, quads[1:]])
+        with pytest.raises(ModelVerificationError, match="holds"):
+            check_distances(pfa, dist, [triples, quads + [(99, 1, 4, 3, 2, 1)]])
+        with pytest.raises(ModelVerificationError, match="repeats"):
+            check_distances(pfa, dist, [triples + triples[:1], quads])
 
 
 class TestDecode:

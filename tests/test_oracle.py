@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +8,14 @@ from cswsat.automaton import Pfa, is_carefully_synchronizing, serialize_pfa
 from cswsat.cli import EXIT_FAULT, main
 from cswsat.encoder import pair_distances
 from cswsat.generators import GenConfig, pn, random_pfa
-from cswsat.oracle import MAX_TABLE_WORDS, _beam, _letter_actions, _PairBound, power_bfs
+from cswsat.oracle import (
+    BOUND_STAGES,
+    MAX_TABLE_WORDS,
+    _beam,
+    _letter_actions,
+    _PairBound,
+    power_bfs,
+)
 from cswsat.search import FOUND, NOT_SYNCHRONIZING
 from cswsat.solver import BudgetExceeded, ModelVerificationError
 
@@ -305,6 +313,26 @@ class TestPairBound:
         finally:
             tracemalloc.stop()
         assert peak < 32 << 20
+
+
+    def test_stages_need_a_word_a_beam_can_store(self, monkeypatch):
+        # pn(8)'s farthest pair is 27 letters apart, and every word at least
+        # that long; a beam stores one subset per layer
+        pfa = pn(8)
+        assert max(map(max, pair_distances(pfa))) == 27
+        monkeypatch.setattr("cswsat.oracle.DEFAULT_MAX_VISITED", 27)
+        assert _PairBound(pfa, _letter_actions(pfa)).stages == sorted(BOUND_STAGES)
+        monkeypatch.setattr("cswsat.oracle.DEFAULT_MAX_VISITED", 26)
+        assert _PairBound(pfa, _letter_actions(pfa)).stages == []
+
+    def test_long_chain_runs_no_beam(self):
+        # pn(800)'s farthest pair is 319,599 letters apart, against 80,659
+        # subsets of 13 words that a beam may store
+        with mock.patch("cswsat.oracle._beam") as beam:
+            with pytest.raises(BudgetExceeded) as info:
+                power_bfs(pn(800))
+        beam.assert_not_called()
+        assert info.value.word is None
 
 
 class TestExplicitConstruction:

@@ -14,13 +14,14 @@ from cswsat.automaton import (
 )
 from cswsat.cli import EXIT_FAULT, main
 from cswsat.encoder import (
+    check_distances,
     clause_count,
     decode_word,
     encode,
-    far_triples,
+    far_sets,
     pair_clause_count,
     pair_distances,
-    triple_clause_count,
+    set_clause_count,
 )
 from cswsat.generators import GenConfig, pn, random_pfa
 from cswsat import oracle
@@ -189,7 +190,7 @@ def _word_model(pfa, word, layout):
 
 
 class TestPairDistanceGroup:
-    """Pair- and triple-distance clauses must not change SAT/UNSAT at any
+    """Pair- and set-distance clauses must not change SAT/UNSAT at any
     length."""
 
     @given(pfas(max_n=7, max_m=3))
@@ -201,8 +202,8 @@ class TestPairDistanceGroup:
         if exact.status != FOUND or exact.min_length == 0:
             return
         dist = pair_distances(pfa)
-        for triples in (None, far_triples(pfa, dist)):
-            instance = encode(pfa, exact.min_length, dist, triples)
+        for sets in ((), far_sets(pfa, dist, 3), far_sets(pfa, dist, 4)):
+            instance = encode(pfa, exact.min_length, dist, sets)
             assert satisfies(instance, _word_model(pfa, exact.witness, instance.layout))
 
     # from two states on, a word of length min_length + k exists for all k
@@ -222,10 +223,11 @@ class TestPairDistanceGroup:
         exact = power_bfs(pfa)
         top = exact.min_length + 2 if exact.status == FOUND else 8
         dist = pair_distances(pfa)
-        triples = far_triples(pfa, dist)
+        triples, quads = far_sets(pfa, dist, 4)
         found = sync_lengths(pfa.n, pfa.delta, pfa.m, top)
         for ell in range(1, top + 1):
-            for instance in (encode(pfa, ell, dist), encode(pfa, ell, dist, triples)):
+            for sets in ((), [triples], [triples, quads]):
+                instance = encode(pfa, ell, dist, sets)
                 result = solve(instance)
                 assert (result.status == SAT) == (ell in found)
                 assert (result.status == SAT) == (
@@ -236,26 +238,26 @@ class TestPairDistanceGroup:
                     assert is_carefully_synchronizing(pfa, word)
 
 
-def _probe_sizes(pfa, out, triples=None):
-    """Each probe's expected clause count: plain, pair and triple groups."""
+def _probe_sizes(pfa, out, sets=()):
+    """Each probe's expected clause count: plain, pair and set groups."""
     dist = pair_distances(pfa)
     return [
         clause_count(pfa.n, pfa.m, p.length)
         + pair_clause_count(dist, p.length)
-        + (triple_clause_count(triples, p.length) if triples is not None else 0)
+        + sum(set_clause_count(group, p.length) for group in sets)
         for p in out.probes
     ]
 
 
 class TestTripleGate:
-    """A probe carries the triple group when C(n, 3) is at most its plain
-    clause count."""
+    """A probe carries the group of sets of k states, k = 3 and 4, when
+    C(n, k) is at most its plain clause count."""
 
     def test_short_words_on_wide_automata_keep_the_pair_encoding(self, monkeypatch):
-        def refuse(pfa, dist):
-            raise AssertionError("triple table built for a short probe")
+        def refuse(pfa, dist, k):
+            raise AssertionError("set table built for a short probe")
 
-        monkeypatch.setattr("cswsat.search.far_triples", refuse)
+        monkeypatch.setattr("cswsat.search.far_sets", refuse)
         pfa = random_pfa(GenConfig(n=30, seed=1))
         out = min_csw(pfa)
         assert out.status == FOUND
@@ -266,34 +268,55 @@ class TestTripleGate:
     def test_long_words_carry_the_triple_group(self):
         pfa = pn(6)
         out = min_csw(pfa)
-        triples = far_triples(pfa, pair_distances(pfa))
-        assert all(triple_clause_count(triples, p.length) > 0 for p in out.probes)
-        assert [p.clauses for p in out.probes] == _probe_sizes(pfa, out, triples)
+        sets = far_sets(pfa, pair_distances(pfa), 4)
+        assert all(set_clause_count(sets[0], p.length) > 0 for p in out.probes)
+        assert [p.clauses for p in out.probes] == _probe_sizes(pfa, out, sets)
+
+    def test_long_words_carry_the_four_set_group(self):
+        pfa = pn(6)
+        out = min_csw(pfa)
+        quads = far_sets(pfa, pair_distances(pfa), 4)[1]
+        assert all(set_clause_count(quads, p.length) > 0 for p in out.probes)
 
     def test_table_is_built_once(self, monkeypatch):
         calls = []
 
-        def counted(pfa, dist):
-            calls.append(pfa)
-            return far_triples(pfa, dist)
+        def counted(pfa, dist, k):
+            calls.append(k)
+            return far_sets(pfa, dist, k)
 
-        monkeypatch.setattr("cswsat.search.far_triples", counted)
+        monkeypatch.setattr("cswsat.search.far_sets", counted)
         out = min_csw(pn(5), precheck=False)
         assert len(out.probes) > 2
-        assert len(calls) == 1
+        assert calls == [4]
 
     def test_gate_is_per_probe(self):
         # galloping from length 1: the triple group waits for the first
-        # probe whose plain encoding has at least C(10, 3) = 120 clauses
+        # probe whose plain encoding has at least C(10, 3) = 120 clauses,
+        # the 4-set group for one with at least C(10, 4) = 210
         pfa = random_pfa(GenConfig(n=10, seed=1))
         out = min_csw(pfa, precheck=False)
-        triples = far_triples(pfa, pair_distances(pfa))
+        triples, quads = far_sets(pfa, pair_distances(pfa), 4)
         plain = [clause_count(10, pfa.m, p.length) for p in out.probes]
         assert plain[0] < 120 <= plain[-1]
+        assert any(120 <= count < 210 for count in plain) and plain[-1] >= 210
         assert [p.clauses for p in out.probes] == [
-            size + (triple_clause_count(triples, p.length) if count >= 120 else 0)
+            size
+            + (set_clause_count(triples, p.length) if count >= 120 else 0)
+            + (set_clause_count(quads, p.length) if count >= 210 else 0)
             for p, size, count in zip(out.probes, _probe_sizes(pfa, out), plain)
         ]
+
+    def test_tables_grow_with_the_gate(self, monkeypatch):
+        calls = []
+
+        def counted(pfa, dist, k):
+            calls.append(k)
+            return far_sets(pfa, dist, k)
+
+        monkeypatch.setattr("cswsat.search.far_sets", counted)
+        min_csw(random_pfa(GenConfig(n=10, seed=1)), precheck=False)
+        assert calls == [3, 4]
 
 
 class TestBeyondSixtyFourStates:
@@ -412,6 +435,53 @@ class TestProbeSchedule:
         path.write_text(serialize_pfa(C3))
         assert main(["min", str(path)]) == EXIT_FAULT
         assert "error" in capsys.readouterr().err
+
+
+class TestDistanceTableCheck:
+    """min_csw checks each distance table by its defining equation before a
+    probe uses it; a wrong entry is a fault (exit 3)."""
+
+    @staticmethod
+    def _run_cli(tmp_path, capsys, pfa):
+        path = tmp_path / "pfa.txt"
+        path.write_text(serialize_pfa(pfa))
+        code = main(["min", str(path)])
+        return code, capsys.readouterr().err
+
+    def test_corrupt_pair_entry_is_a_fault(self, monkeypatch, tmp_path, capsys):
+        def corrupt(pfa):
+            dist = pair_distances(pfa)
+            dist[0][1] = dist[1][0] = dist[0][1] + 1
+            return dist
+
+        monkeypatch.setattr("cswsat.search.pair_distances", corrupt)
+        code, err = self._run_cli(tmp_path, capsys, pn(6))
+        assert code == EXIT_FAULT
+        assert "distance of states (1, 2)" in err
+
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_corrupt_set_entry_is_a_fault(self, monkeypatch, tmp_path, capsys, size):
+        def corrupt(pfa, dist, k):
+            sets = far_sets(pfa, dist, k)
+            D, inner, *states = sets[size - 3][0]
+            sets[size - 3][0] = (D + 1, inner, *states)
+            return sets
+
+        monkeypatch.setattr("cswsat.search.far_sets", corrupt)
+        code, err = self._run_cli(tmp_path, capsys, pn(6))
+        assert code == EXIT_FAULT
+        assert "distance" in err
+
+    def test_each_table_is_checked_once(self, monkeypatch):
+        calls = []
+
+        def counted(pfa, dist, sets=()):
+            calls.append(len(sets))
+            return check_distances(pfa, dist, sets)
+
+        monkeypatch.setattr("cswsat.search.check_distances", counted)
+        min_csw(random_pfa(GenConfig(n=10, seed=1)), precheck=False)
+        assert calls == [0, 1, 2]
 
 
 class TestExternalBackend:
