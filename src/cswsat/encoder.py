@@ -261,7 +261,8 @@ def far_pairs(dist: list) -> list:
             for p, row in enumerate(dist, start=1)
             for q, d in enumerate(row[p:], start=p + 1)
         ),
-        key=lambda pair: -pair[0],
+        key=itemgetter(0),
+        reverse=True,
     )
 
 

@@ -2,16 +2,17 @@
 subsets, the ground truth the solver pipeline is checked against.
 
 Subsets live as bit masks (state j is bit j-1), and each letter's action on
-a whole subset is assembled from precomputed byte-slice tables: eight
-lookups and ORs per step instead of per-state work. A letter applies to a
-subset only when defined on all of it, which is one mask test.
+a whole subset is read from precomputed tables, one per byte of the mask:
+ceil(n/8) lookups and ORs per step, written inline in the search loops,
+instead of per-state work. A letter applies to a subset only when the
+subset misses the letter's undefined states, which is one mask test.
 
 Once its layers grow wide, the breadth-first search bounds itself: a
 narrow beam, and later a wide one, give a word of some length U, and an
 image at depth d holding two states that no U - d letters merge (by the
 encoder's pair-distance table) is dropped. No subset on a shortest word is
 ever dropped, so the answer and the witness are those of the full search.
-The test is one more byte-slice table image: the union, over the subset's
+The test is one more byte-table image: the union, over the subset's
 states, of the states too far from each. A search that still runs out of
 budget raises with the shortest word its beams have found.
 """
@@ -42,8 +43,9 @@ __all__ = [
 # Stored subsets allowed, counted in 64-bit words of mask
 DEFAULT_MAX_VISITED = 1 << 20
 
-# Largest byte-slice tables `power_bfs` builds, in 64-bit words: each of
-# the m * ceil(n/8) * 256 entries costs its ceil(n/64) mask words plus
+# Largest tables `power_bfs` builds, in 64-bit words; the letter tables
+# and the pair table are each held to it. Each of the m * ceil(n/8) * 256
+# letter-table entries costs its ceil(n/64) mask words plus
 # _ENTRY_OVERHEAD_WORDS of Python object overhead (list slot, int header,
 # allocator rounding; 3-4 words measured with tracemalloc at n = 16..512).
 # At this ceiling the tables peak at 91-128 MB RSS for 2 letters at
@@ -56,61 +58,40 @@ _ENTRY_OVERHEAD_WORDS = 4
 # a breadth-first layer of its width, so each waits for layers 8x wider.
 BOUND_STAGES = ((512, 64), (8192, 1024))
 
-_CHUNK = 8
-_CHUNK_MASK = (1 << _CHUNK) - 1
 
-
-class _MaskMap:
-    """A map on bit-mask subsets that sends state q to the mask targets[q]
-    and a subset to the union of its states' masks, defined only on
-    subsets inside `defined_mask`."""
-
-    __slots__ = ("defined_mask", "tables")
-
-    def __init__(self, targets: list, defined_mask: int):
-        self.defined_mask = defined_mask
-        chunks = -(-len(targets) // _CHUNK)
-        # padded to whole chunks; bits past n are never set in a subset
-        targets = targets + [0] * (chunks * _CHUNK - len(targets))
-        self.tables = []
-        for c in range(chunks):
-            base = c * _CHUNK
-            table = [0] * (1 << _CHUNK)
-            # each value's image is its lowest bit's target joined to the rest's
-            for value in range(1, 1 << _CHUNK):
-                low = value & -value
-                table[value] = table[value ^ low] | targets[base + low.bit_length() - 1]
-            self.tables.append(table)
-
-    def image(self, subset: int) -> Optional[int]:
-        """Image mask, or None when the map is undefined somewhere on it."""
-        if subset & ~self.defined_mask:
-            return None
-        img = 0
-        for table in self.tables:
-            img |= table[subset & _CHUNK_MASK]
-            subset >>= _CHUNK
-        return img
+def _byte_tables(targets: list) -> list:
+    """One table per byte of a subset mask: entry v of table c is the union
+    of targets[8c + j] over the bits j set in v. Each table doubles once
+    per state of its byte, the new half adding that state's target; the
+    last byte's table stops at its states, since bits past them are never
+    set in a subset."""
+    tables = []
+    for base in range(0, len(targets), 8):
+        table = [0]
+        for target in targets[base : base + 8]:
+            table += [img | target for img in table]
+        tables.append(table)
+    return tables
 
 
 def _letter_actions(pfa: Pfa) -> list:
-    """Every letter's action on subsets, in letter order; BudgetExceeded
-    before building anything when the tables would exceed MAX_TABLE_WORDS."""
+    """Every letter's action on subsets, in letter order, as (letter,
+    undefined, tables): the mask of states where the letter is undefined,
+    and the byte tables of its state images. A subset's image is the union
+    of the tables' entries at its bytes, where it misses `undefined`.
+    BudgetExceeded before building anything when the tables would exceed
+    MAX_TABLE_WORDS."""
     words = -(-pfa.n // 64)
-    table_words = pfa.m * -(-pfa.n // _CHUNK) * (1 << _CHUNK) * (words + _ENTRY_OVERHEAD_WORDS)
+    table_words = pfa.m * -(-pfa.n // 8) * 256 * (words + _ENTRY_OVERHEAD_WORDS)
     if table_words > MAX_TABLE_WORDS:
         raise BudgetExceeded(
             f"{pfa.n} states need {table_words} table words, over the {MAX_TABLE_WORDS} budget"
         )
     actions = []
-    for row in pfa.delta:
-        targets = [0] * pfa.n
-        defined = 0
-        for q, t in enumerate(row):
-            if t is not None:
-                defined |= 1 << q
-                targets[q] = 1 << (t - 1)
-        actions.append(_MaskMap(targets, defined))
+    for a, row in enumerate(pfa.delta, 1):
+        undefined = sum(1 << q for q, t in enumerate(row) if t is None)
+        targets = [0 if t is None else 1 << (t - 1) for t in row]
+        actions.append((a, undefined, _byte_tables(targets)))
     return actions
 
 
@@ -121,27 +102,31 @@ class _PairBound:
 
     far[q] is the mask of states p with dist(p, q) > radius, so a subset
     S holds such a pair exactly when S & (union of far[q] over q in S) is
-    nonzero: one _MaskMap image. The pairs wait in the encoder's
+    nonzero: one more byte-table image. The pairs wait in the encoder's
     farthest-first list, reversed, and as the radius falls each pair
     farther apart than it pops off the end into far, so the whole test
-    takes O(n^2) memory.
+    takes O(n^2) memory. That table and list are charged to
+    MAX_TABLE_WORDS, and no beam runs where they would exceed it.
     """
 
     def __init__(self, pfa: Pfa, actions: list):
         self.pfa = pfa
         self.actions = actions
         self.word = None
-        self.far_map = None
-        dist = pair_distances(pfa)
-        # a word merges every pair, so where some pair never merges no beam
-        # can find one
-        mergeable = all(math.inf not in row for row in dist)
-        self.pairs = far_pairs(dist)[::-1] if mergeable else []
-        self.radius = self.pairs[-1][0] if self.pairs else 0
+        self.pairs = []
+        # the pair table and the far-pair list peak at 6.5-8.8 words per
+        # state pair under tracemalloc, at n = 64..1000
+        if 9 * pfa.n * pfa.n <= MAX_TABLE_WORDS:
+            dist = pair_distances(pfa)
+            # a word merges every pair, so where some pair never merges no
+            # beam can find one
+            if all(math.inf not in row for row in dist):
+                self.pairs = far_pairs(dist)
+                self.pairs.reverse()
         # nor where a word, at least as long as the farthest pair's distance,
         # is longer than a beam can store subsets: one per layer
         storable = DEFAULT_MAX_VISITED // -(-pfa.n // 64)
-        self.stages = sorted(BOUND_STAGES) if mergeable and self.radius <= storable else []
+        self.stages = sorted(BOUND_STAGES) if self.pairs and self.pairs[-1][0] <= storable else []
         self.far = [0] * pfa.n
 
     def next_trigger(self) -> float:
@@ -157,19 +142,17 @@ class _PairBound:
             if word is not None and (self.word is None or len(word) < len(self.word)):
                 self.word = word
 
-    def far_map_at(self, depth: int) -> Optional[_MaskMap]:
-        """The map whose image of a subset S meets S exactly when S holds
-        a pair no word of length at most U can hold after `depth` letters,
-        one farther apart than U - depth; None while no pair is."""
-        radius = max(len(self.word) - depth, 0)
-        if radius < self.radius:
-            while self.pairs and self.pairs[-1][0] > radius:
-                _, p, q = self.pairs.pop()
-                self.far[p - 1] |= 1 << (q - 1)
-                self.far[q - 1] |= 1 << (p - 1)
-            self.radius = radius
-            self.far_map = _MaskMap(self.far, (1 << self.pfa.n) - 1)
-        return self.far_map
+    def far_map_at(self, depth: int) -> Optional[list]:
+        """The byte tables of far, whose image of a subset S meets S exactly
+        when S holds a pair no word of length at most U can hold after
+        `depth` letters, one farther apart than U - depth; None while no
+        pair is."""
+        radius = len(self.word) - depth
+        while self.pairs and self.pairs[-1][0] > radius:
+            _, p, q = self.pairs.pop()
+            self.far[p - 1] |= 1 << (q - 1)
+            self.far[q - 1] |= 1 << (p - 1)
+        return _byte_tables(self.far) if any(self.far) else None
 
 
 def _trace_back(parent: dict, full: int, mask: int, last_letter: int) -> tuple:
@@ -192,10 +175,11 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
 
     Once a layer holds more subsets than a trigger in BOUND_STAGES, a beam
     search of that stage's width runs once; the shortest word any beam has found,
-    of length U, bounds the search. No beam runs when some pair never
-    merges, or when the farthest pair is farther apart than the subsets a
-    beam may store: a word is at least that long, and a beam stores one
-    subset per layer. From then on a new image at depth d is
+    of length U, bounds the search. No beam runs when the pair table would
+    exceed MAX_TABLE_WORDS, when some pair never merges, or when the
+    farthest pair is farther apart than the subsets a beam may store: a
+    word is at least that long, and a beam stores one subset per layer.
+    From then on a new image at depth d is
     neither stored nor expanded when it holds two states whose pair
     distance (`encoder.pair_distances`) exceeds U - d. The answer and
     witness stay those of the unbounded search: a word of length L <= U
@@ -220,13 +204,11 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
         return SearchOutcome(status=FOUND, min_length=0, witness=(), visited=1)
     actions = _letter_actions(pfa)
     max_stored = max_visited // -(-n // 64)
-    letters = tuple(range(1, pfa.m + 1))
     # parent[subset] = (previous subset, letter applied); the start maps to itself
     parent = {full: (full, 0)}
     frontier = [full]
     depth = 0
-    bound = None
-    far_map = None
+    bound = far = None
     # layer size past which the next bounding beam runs
     trigger = min([math.inf] + [size for size, _ in BOUND_STAGES])
 
@@ -238,12 +220,17 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
             trigger = bound.next_trigger()
         depth += 1
         if bound is not None and bound.word is not None:
-            far_map = bound.far_map_at(depth)
+            far = bound.far_map_at(depth)
         next_frontier = []
         for subset in frontier:
-            for a in letters:
-                img = actions[a - 1].image(subset)
-                if img is None or img in parent:
+            for a, undefined, tables in actions:
+                if subset & undefined:
+                    continue
+                img, rest = 0, subset
+                for table in tables:
+                    img |= table[rest & 255]
+                    rest >>= 8
+                if img in parent:
                     continue
                 if img & (img - 1) == 0:
                     witness = _trace_back(parent, full, subset, a)
@@ -263,8 +250,13 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
                         bound=depth,
                         visited=len(parent),
                     )
-                if far_map is not None and img & far_map.image(img):
-                    continue
+                if far is not None:
+                    hit, rest = 0, img
+                    for table in far:
+                        hit |= table[rest & 255]
+                        rest >>= 8
+                    if img & hit:
+                        continue
                 parent[img] = (subset, a)
                 if len(parent) > max_stored:
                     word = bound.word if bound is not None else None
@@ -305,9 +297,14 @@ def _beam(pfa: Pfa, actions: list, width: int) -> Optional[tuple]:
     while layer and len(parent) < max_stored:
         images = {}
         for subset in layer:
-            for a, action in enumerate(actions, 1):
-                img = action.image(subset)
-                if img is None or img in parent or img in images:
+            for a, undefined, tables in actions:
+                if subset & undefined:
+                    continue
+                img, rest = 0, subset
+                for table in tables:
+                    img |= table[rest & 255]
+                    rest >>= 8
+                if img in parent or img in images:
                     continue
                 if img & (img - 1) == 0:
                     word = _trace_back(parent, full, subset, a)
@@ -317,7 +314,8 @@ def _beam(pfa: Pfa, actions: list, width: int) -> Optional[tuple]:
                         )
                     return word
                 images[img] = (subset, a)
-        layer = sorted(images, key=lambda mask: (mask.bit_count(), mask))[:width]
+        # fewest states first, ties by mask: the sort by size is stable
+        layer = sorted(sorted(images), key=int.bit_count)[:width]
         for img in layer:
             parent[img] = images[img]
     return None

@@ -1,10 +1,17 @@
+import random
 import tracemalloc
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 
-from cswsat.automaton import Pfa, is_carefully_synchronizing, serialize_pfa
+from cswsat.automaton import (
+    Pfa,
+    apply_letter,
+    is_carefully_synchronizing,
+    serialize_pfa,
+    word_from_letters,
+)
 from cswsat.cli import EXIT_FAULT, main
 from cswsat.encoder import pair_distances
 from cswsat.generators import GenConfig, pn, random_pfa
@@ -34,6 +41,26 @@ FIRST_LAYER_STAGES = ((0, 64), (0, 1024))
 # complete three-state automaton whose shortest synchronizing word has
 # length 4: a cycles the states, b merges 1 into 2
 C3 = Pfa(n=3, m=2, delta=((2, 3, 1), (2, 2, 3)))
+
+
+def _table_image(undefined, tables, subset):
+    """A subset's image under one letter's action, as the search loops
+    compute it inline: None when the subset meets `undefined`."""
+    if subset & undefined:
+        return None
+    img, rest = 0, subset
+    for table in tables:
+        img |= table[rest & 255]
+        rest >>= 8
+    return img
+
+
+def _mask(states):
+    return sum(1 << (q - 1) for q in states)
+
+
+def _states(mask):
+    return frozenset(q for q in range(1, mask.bit_length() + 1) if mask >> (q - 1) & 1)
 
 
 class TestExamples:
@@ -89,6 +116,42 @@ class TestBudgetAndCap:
         assert 1638 * 8 * 256 * 5 <= MAX_TABLE_WORDS < 1639 * 8 * 256 * 5
         with pytest.raises(BudgetExceeded, match="table words"):
             power_bfs(_identity(64, m=1639))
+
+
+class TestLetterTables:
+    """The byte tables' image of a subset is the set-based image."""
+
+    @staticmethod
+    def _check(pfa, subsets):
+        actions = _letter_actions(pfa)
+        assert [a for a, _, _ in actions] == list(range(1, pfa.m + 1))
+        for a, undefined, tables in actions:
+            for subset in subsets:
+                expected = apply_letter(pfa, _states(subset), a)
+                assert _table_image(undefined, tables, subset) == (
+                    None if expected is None else _mask(expected)
+                )
+
+    @given(pfas(max_n=9, max_m=3))
+    @settings(max_examples=100)
+    @example(Pfa(n=8, m=1, delta=(tuple(range(8, 0, -1)),)))  # one whole byte
+    def test_every_subset_of_small_automata(self, pfa):
+        self._check(pfa, range(1, 1 << pfa.n))
+
+    # chunk edges at 8, 16, 64 and 128 states, and masks past 64 bits
+    @pytest.mark.parametrize("n", [9, 17, 40, 65, 130])
+    def test_random_subsets(self, n):
+        rng = random.Random(n)
+        pfa = random_pfa(GenConfig(n=n, undefined_count=n // 4, seed=n))
+        full = (1 << n) - 1
+        subsets = [full, 1 << (n - 1)] + [1 << q for q in range(0, n, 7)]
+        for _ in range(300):
+            # sparse draws avoid the undefined states more often
+            subset = rng.getrandbits(n)
+            for _ in range(rng.randrange(4)):
+                subset &= rng.getrandbits(n)
+            subsets.append(subset or 1)
+        self._check(pfa, subsets)
 
 
 class TestBeyondSixtyFourStates:
@@ -286,20 +349,51 @@ class TestBoundedSearch:
             assert "pruned search" in capsys.readouterr().err
 
 
+class TestHeaviestCurveDraws:
+    """The two heaviest draws of the benchmark's length curve, pinned: a
+    change to pruning or to frontier order moves `visited`."""
+
+    @pytest.mark.parametrize(
+        "seed, length, visited, witness",
+        [
+            (15, 23, 11715, "abbbbbbbbbbbbbbaabaabab"),
+            (27, 22, 9057, "aaabbbabbabaaabbbababa"),
+        ],
+    )
+    def test_search_is_pinned(self, seed, length, visited, witness):
+        out = power_bfs(random_pfa(GenConfig(n=40, seed=seed)))
+        assert (out.min_length, out.visited) == (length, visited)
+        assert out.witness == word_from_letters(witness)
+
+
 class TestPairBound:
     @pytest.mark.parametrize("pfa", [pn(12), random_pfa(GenConfig(n=40, seed=1))])
     def test_far_masks_follow_the_radius(self, pfa):
         dist = pair_distances(pfa)
         bound = _PairBound(pfa, _letter_actions(pfa))
         bound.word = (1,) * max(map(max, dist))
+        rng = random.Random(pfa.n)
+        subsets = [(1 << pfa.n) - 1] + [rng.getrandbits(pfa.n) or 1 for _ in range(100)]
         for depth in range(len(bound.word) + 2):
             radius = max(len(bound.word) - depth, 0)
-            far_map = bound.far_map_at(depth)
+            far_tables = bound.far_map_at(depth)
             expected = [
                 sum(1 << p for p, d in enumerate(row) if d > radius) for row in dist
             ]
             assert bound.far == expected
-            assert (far_map is None) == (not any(expected))
+            assert (far_tables is None) == (not any(expected))
+            if far_tables is None:
+                continue
+            for subset in subsets:
+                states = _states(subset)
+                image = _table_image(0, far_tables, subset)
+                assert image == _mask(
+                    {p for q in states for p in range(1, pfa.n + 1) if dist[q - 1][p - 1] > radius}
+                )
+                # the prune test: the subset holds a pair farther apart
+                assert bool(subset & image) == any(
+                    dist[p - 1][q - 1] > radius for p in states for q in states
+                )
 
     def test_memory_is_quadratic_on_the_chain_family(self):
         # pn(300)'s largest pair distance is 44,849: a dense radius x n
@@ -324,6 +418,37 @@ class TestPairBound:
         assert _PairBound(pfa, _letter_actions(pfa)).stages == sorted(BOUND_STAGES)
         monkeypatch.setattr("cswsat.oracle.DEFAULT_MAX_VISITED", 26)
         assert _PairBound(pfa, _letter_actions(pfa)).stages == []
+
+    def test_pair_table_is_held_to_the_table_ceiling(self, monkeypatch):
+        # the pair table costs 9 words per state pair: pn(8)'s fits 576 words
+        pfa = pn(8)
+        actions = _letter_actions(pfa)
+        with mock.patch("cswsat.oracle.pair_distances", wraps=pair_distances) as dist:
+            monkeypatch.setattr("cswsat.oracle.MAX_TABLE_WORDS", 575)
+            assert _PairBound(pfa, actions).stages == []
+            dist.assert_not_called()
+            monkeypatch.setattr("cswsat.oracle.MAX_TABLE_WORDS", 576)
+            assert _PairBound(pfa, actions).stages == sorted(BOUND_STAGES)
+            dist.assert_called_once()
+        # at the default ceiling, 1365 states fit and 1366 do not
+        assert 9 * 1365**2 <= MAX_TABLE_WORDS < 9 * 1366**2
+        with mock.patch("cswsat.oracle.pair_distances") as dist:
+            assert _PairBound(_identity(1366), []).stages == []
+        dist.assert_not_called()
+
+    def test_a_search_past_the_pair_ceiling_is_unbounded(self, monkeypatch):
+        # random n=60 seed 5 settles within 2^14 words only when bounded; its
+        # letter tables take 20,480 words and its pair table 32,400
+        pfa = random_pfa(GenConfig(n=60, seed=5))
+        monkeypatch.setattr("cswsat.oracle.MAX_TABLE_WORDS", 32400)
+        out = power_bfs(pfa, max_visited=2**14)
+        assert (out.status, out.min_length) == (FOUND, 21)
+        monkeypatch.setattr("cswsat.oracle.MAX_TABLE_WORDS", 32399)
+        with mock.patch("cswsat.oracle.pair_distances") as dist:
+            with pytest.raises(BudgetExceeded) as info:
+                power_bfs(pfa, max_visited=2**14)
+        dist.assert_not_called()
+        assert info.value.word is None
 
     def test_long_chain_runs_no_beam(self):
         # pn(800)'s farthest pair is 319,599 letters apart, against 80,659
