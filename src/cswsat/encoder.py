@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, product, repeat
-from operator import add, gt, itemgetter, mul
+from operator import add, gt, itemgetter, mul, sub
 from typing import Optional, Sequence
 
 from .automaton import BudgetExceeded, ModelVerificationError, Pfa
@@ -91,7 +91,9 @@ class VarLayout:
     variable numbers 1..(m+n)*ell + n.
 
     Step 0 state variables come first; afterwards each position t occupies a
-    contiguous block of width m+n, letters before states.
+    contiguous block of width m+n, letters before states. So state j after
+    t steps is variable t*(m+n) + j, and letter i at position t sits m
+    below: the encoder computes its literals from these bases directly.
     """
 
     n: int
@@ -100,13 +102,11 @@ class VarLayout:
 
     def letter_var(self, i: int, t: int) -> int:
         """Variable asserting position t (1-based) holds letter i."""
-        return self.n + (t - 1) * (self.m + self.n) + i
+        return t * (self.m + self.n) - self.m + i
 
     def state_var(self, j: int, t: int) -> int:
         """Variable asserting state j is active after t steps (t >= 0)."""
-        if t == 0:
-            return j
-        return self.n + (t - 1) * (self.m + self.n) + self.m + j
+        return t * (self.m + self.n) + j
 
     @property
     def var_count(self) -> int:
@@ -128,10 +128,13 @@ class CnfInstance:
     layout: Optional[VarLayout] = None
 
     def __post_init__(self):
-        for clause in self.clauses:
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.var_count:
-                    raise ValueError(f"literal {lit} out of range for {self.var_count} variables")
+        lits = set(chain.from_iterable(self.clauses))
+        if 0 not in lits and max(map(abs, lits), default=0) <= self.var_count:
+            return
+        # name the first literal out of range
+        for lit in chain.from_iterable(self.clauses):
+            if lit == 0 or abs(lit) > self.var_count:
+                raise ValueError(f"literal {lit} out of range for {self.var_count} variables")
 
     @property
     def clause_count(self) -> int:
@@ -163,30 +166,26 @@ def encode(pfa: Pfa, ell: int, dist: Optional[list] = None, sets: Sequence = ())
     if size > MAX_CLAUSES:
         raise BudgetExceeded(f"length {ell} needs {size} clauses, over the {MAX_CLAUSES} budget")
     layout = VarLayout(n=n, m=m, ell=ell)
-    clauses = []
-
+    width = m + n
     # every state active after 0 steps
-    for j in range(1, n + 1):
-        clauses.append((j,))
+    clauses = [(j,) for j in range(1, n + 1)]
 
+    # targets[j - 1]: where each letter sends state j, None if undefined
+    targets = list(zip(*pfa.delta))
     for t in range(1, ell + 1):
-        letter_vars = [layout.letter_var(i, t) for i in range(1, m + 1)]
+        base = t * width  # state j after t steps is base + j, letter i base - m + i
+        letter_vars = range(base - m + 1, base + 1)
+        negated = [-v for v in letter_vars]
         clauses.append(tuple(letter_vars))
-        for r in range(m):
-            for s in range(r + 1, m):
-                clauses.append((-letter_vars[r], -letter_vars[s]))
-        for j in range(1, n + 1):
-            active_prev = layout.state_var(j, t - 1)
-            for i in range(1, m + 1):
-                k = pfa.delta[i - 1][j - 1]
-                if k is None:
-                    clauses.append((-active_prev, -letter_vars[i - 1]))
-                else:
-                    clauses.append((-active_prev, -letter_vars[i - 1], layout.state_var(k, t)))
+        clauses.extend(combinations(negated, 2))
+        clauses.extend(
+            (-prev, x) if k is None else (-prev, x, base + k)
+            for prev, row in zip(range(base - width + 1, base - m + 1), targets)
+            for x, k in zip(negated, row)
+        )
 
-    for r in range(1, n + 1):
-        for s in range(r + 1, n + 1):
-            clauses.append((-layout.state_var(r, ell), -layout.state_var(s, ell)))
+    last = ell * width
+    clauses.extend(combinations(range(-last - 1, -last - n - 1, -1), 2))
     if dist is not None:
         clauses.extend(pair_clauses(dist, layout))
     for group in sets:
@@ -271,13 +270,15 @@ def pair_clauses(dist: list, layout: VarLayout) -> list:
     and every pair p < q with dist(p,q) > ell - t, step by step and, within
     a step, from the farthest pairs down."""
     ell = layout.ell
+    width = layout.m + layout.n
     far = far_pairs(dist)
     clauses = []
     for t in range(ell):
+        base = t * width
         for d, p, q in far:
             if d <= ell - t:
                 break
-            clauses.append((-layout.state_var(p, t), -layout.state_var(q, t)))
+            clauses.append((-base - p, -base - q))
     return clauses
 
 
@@ -431,7 +432,7 @@ def set_clauses(sets: list, layout: VarLayout) -> list:
     inner <= ell - t < D, so that no subset inside it is forbidden at that
     step already; step by step and, within a step, farthest first."""
     ell = layout.ell
-    var = layout.state_var
+    width = layout.m + layout.n
     clauses = []
     for t in range(ell):
         left = ell - t
@@ -439,7 +440,7 @@ def set_clauses(sets: list, layout: VarLayout) -> list:
             if entry[0] <= left:
                 break
             if entry[1] <= left:
-                clauses.append(tuple(-var(q, t) for q in entry[2:]))
+                clauses.append(tuple(map(sub, repeat(-t * width), entry[2:])))
     return clauses
 
 

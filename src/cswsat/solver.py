@@ -7,7 +7,10 @@ clause minimization, exponentially decayed variable activities breaking ties
 toward the lowest variable index, saved phases (default false, which suits
 the mostly-false models of the synchronization encoding), reluctant-doubling
 restarts, and periodic forgetting of high-glue learned clauses. Runs are
-deterministic for a fixed seed.
+deterministic for a fixed seed. The assignment is stored per literal, as in
+MiniSat: each literal's value has its own slot, written for both
+polarities when a variable is assigned, so the watch loop tests a literal
+with one lookup.
 
 Decisions come from a lazy binary heap of (-activity, variable) entries.
 Bumping a variable makes its old entry stale instead of removing it, and a
@@ -104,9 +107,10 @@ def satisfies(instance: CnfInstance, model) -> bool:
 
 
 # Literal codes: variable v becomes 2v (positive) or 2v+1 (negative), so
-# code ^ 1 negates and code >> 1 recovers the variable. val[v] is 1 (true),
-# 0 (false) or -1 (unassigned); literal code c is true iff val[c>>1] equals
-# (c & 1) ^ 1.
+# code ^ 1 negates and code >> 1 recovers the variable. The engine keeps
+# one value per literal code: lv[c] is 1 (true), 0 (false) or -1
+# (unassigned). Assigning a variable writes both of its codes and
+# backtracking clears both, so a literal's truth is one lookup.
 
 
 def _code(lit: int) -> int:
@@ -121,7 +125,7 @@ class _Engine:
         self.ok = True
 
         nv = self.nvars
-        self.val = [-1] * (nv + 1)
+        self.lv = [-1] * (2 * nv + 2)
         self.level = [0] * (nv + 1)
         self.reason = [-1] * (nv + 1)
         self.polarity = [False] * (nv + 1)
@@ -145,33 +149,33 @@ class _Engine:
 
         self._rebuild_heap()
 
+        # code[lit] for either sign: -v indexes from the end of the table
+        code = [*map(_code, range(nv + 1)), *map(_code, range(-nv, 0))].__getitem__
+        clauses = self.clauses
+        watches = self.watches
         for clause in instance.clauses:
-            if not self._add_input_clause(clause):
+            lits = sorted(set(map(code, clause)))
+            size = len(lits)
+            if size > 1:
+                # a tautology has fewer variables than codes: for two
+                # codes, they are 2v and 2v + 1
+                if lits[0] ^ 1 == lits[1] or size > 2 and size > len(set(map(abs, clause))):
+                    continue  # always satisfied
+                ci = len(clauses)
+                watches[lits[0]].append(ci)
+                watches[lits[1]].append(ci)
+                clauses.append(lits)
+            elif not lits or not self._enqueue(lits[0], -1):
                 self.ok = False
                 return
 
-    def _add_input_clause(self, clause) -> bool:
-        lits = sorted({_code(l) for l in clause})
-        for a, b in zip(lits, lits[1:]):
-            if a ^ b == 1:
-                return True  # tautology, always satisfied
-        if not lits:
-            return False
-        if len(lits) == 1:
-            return self._enqueue(lits[0], -1)
-        ci = len(self.clauses)
-        self.clauses.append(lits)
-        self.watches[lits[0]].append(ci)
-        self.watches[lits[1]].append(ci)
-        return True
-
     def _enqueue(self, code: int, reason: int) -> bool:
+        lv = self.lv
+        if lv[code] != -1:
+            return lv[code] == 1
+        lv[code] = 1
+        lv[code ^ 1] = 0
         v = code >> 1
-        want = (code & 1) ^ 1
-        cur = self.val[v]
-        if cur != -1:
-            return cur == want
-        self.val[v] = want
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(code)
@@ -181,7 +185,7 @@ class _Engine:
         """Exhaust unit propagation; return a conflicting clause index or -1."""
         watches = self.watches
         clauses = self.clauses
-        val = self.val
+        lv = self.lv
         trail = self.trail
         props = 0
         while self.qhead < len(trail):
@@ -199,40 +203,38 @@ class _Engine:
                     lits[0] = lits[1]
                     lits[1] = falsified
                 first = lits[0]
-                fv = val[first >> 1]
-                if fv == (first & 1) ^ 1:
+                if lv[first] == 1:
                     wl[j] = ci
                     j += 1
                     continue
-                moved = False
                 for k in range(2, len(lits)):
                     lk = lits[k]
-                    if val[lk >> 1] != lk & 1:
+                    if lv[lk]:  # not false
                         lits[1] = lk
                         lits[k] = falsified
                         watches[lk].append(ci)
-                        moved = True
                         break
-                if moved:
-                    continue
-                wl[j] = ci
-                j += 1
-                if fv == first & 1:
-                    # conflict: keep the rest of the watch list intact
-                    while i < end:
-                        wl[j] = wl[i]
-                        j += 1
-                        i += 1
-                    del wl[j:]
-                    self.qhead = len(trail)
-                    self.stats.propagations += props
-                    return ci
-                props += 1
-                v = first >> 1
-                self.val[v] = (first & 1) ^ 1
-                self.level[v] = len(self.trail_lim)
-                self.reason[v] = ci
-                trail.append(first)
+                else:
+                    # no other watch: the clause is unit or conflicting
+                    wl[j] = ci
+                    j += 1
+                    if lv[first] == 0:
+                        # conflict: keep the rest of the watch list intact
+                        while i < end:
+                            wl[j] = wl[i]
+                            j += 1
+                            i += 1
+                        del wl[j:]
+                        self.qhead = len(trail)
+                        self.stats.propagations += props
+                        return ci
+                    props += 1
+                    lv[first] = 1
+                    lv[first ^ 1] = 0
+                    v = first >> 1
+                    self.level[v] = len(self.trail_lim)
+                    self.reason[v] = ci
+                    trail.append(first)
             del wl[j:]
         self.stats.propagations += props
         return -1
@@ -246,7 +248,7 @@ class _Engine:
                 self.activity[u] *= scale
             self.var_inc *= scale
             self._rebuild_heap()
-        elif self.val[v] == -1:
+        elif self.lv[v << 1] == -1:
             heapq.heappush(self.heap, (-act, v))
             self.in_heap[v] = 1
         else:
@@ -256,7 +258,7 @@ class _Engine:
     def _rebuild_heap(self):
         """One current entry per unassigned variable and nothing else;
         in_heap[v] is set exactly when the heap holds (-activity[v], v)."""
-        val = self.val
+        val = self.lv[::2]  # the value of each variable's positive code
         activity = self.activity
         self.heap = [(-activity[v], v) for v in range(1, self.nvars + 1) if val[v] == -1]
         heapq.heapify(self.heap)
@@ -327,15 +329,15 @@ class _Engine:
 
     def _backtrack(self, target: int):
         trail = self.trail
-        val = self.val
+        lv = self.lv
         heap = self.heap
         in_heap = self.in_heap
         limit = self.trail_lim[target]
         for idx in range(len(trail) - 1, limit - 1, -1):
-            code = trail[idx]
+            code = trail[idx]  # the literal the assignment made true
             v = code >> 1
-            self.polarity[v] = val[v] == 1
-            val[v] = -1
+            self.polarity[v] = not code & 1
+            lv[code] = lv[code ^ 1] = -1
             self.reason[v] = -1
             if not in_heap[v]:
                 heapq.heappush(heap, (-self.activity[v], v))
@@ -348,13 +350,13 @@ class _Engine:
 
     def _pick_branch(self) -> int:
         heap = self.heap
-        val = self.val
+        lv = self.lv
         activity = self.activity
         while heap:
             negact, v = heapq.heappop(heap)
             if -negact == activity[v]:
                 self.in_heap[v] = 0
-                if val[v] == -1:
+                if lv[v << 1] == -1:
                     return (v << 1) | (0 if self.polarity[v] else 1)
         return -1
 
@@ -368,8 +370,7 @@ class _Engine:
         drop = set()
         for ci in by_worst[: len(by_worst) // 2]:
             lits = self.clauses[ci]
-            v0 = lits[0] >> 1
-            if self.reason[v0] == ci and self.val[v0] != -1:
+            if self.reason[lits[0] >> 1] == ci and self.lv[lits[0]] != -1:
                 continue
             drop.add(ci)
         if not drop:
@@ -439,7 +440,7 @@ class _Engine:
                     max_learned += 500
                 code = self._pick_branch()
                 if code == -1:
-                    model = {v: self.val[v] == 1 for v in range(1, self.nvars + 1)}
+                    model = {v: self.lv[v << 1] == 1 for v in range(1, self.nvars + 1)}
                     return SAT, model
                 self.stats.decisions += 1
                 if limited:

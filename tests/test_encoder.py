@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import combinations
 
@@ -105,6 +106,29 @@ class TestEncode:
         monkeypatch.setattr("cswsat.encoder.clause_count", lambda n, m, ell: -1)
         with pytest.raises(ModelVerificationError, match="closed form"):
             encode(A1, 2)
+
+    @pytest.mark.parametrize(
+        "pfa, ell, k, digest",
+        [
+            # random n=60 seed 0 at its first probe length, pair group only
+            (
+                random_pfa(GenConfig(n=60, seed=0)),
+                17,
+                2,
+                "ae6e59e5b9264da7becb9cd88021ea609d958669d52ce27003fa9df91cef1cb3",
+            ),
+            # pn(8) at its UNSAT probe, with the 3- and 4-set groups
+            (pn(8), 54, 4, "279744f8f110182997d18d5b86bd3109a290fef69a65ea9571b584355351e6c0"),
+        ],
+    )
+    def test_dimacs_digest_is_pinned(self, pfa, ell, k, digest):
+        """Digests of two instances with thousands of clauses and every
+        group: a change to the encoder's variable arithmetic or emission
+        order moves them."""
+        dist = pair_distances(pfa)
+        sets = far_sets(pfa, dist, k) if k > 2 else ()
+        text = to_dimacs(encode(pfa, ell, dist, sets))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @given(pfas(max_n=8, max_m=8), st.integers(1, 6))
     @settings(max_examples=60)
@@ -550,6 +574,17 @@ class TestDimacs:
     def test_literal_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             parse_dimacs("p cnf 1 1\n2 0\n")
+
+    @pytest.mark.parametrize("bad", [0, 11, -11])
+    def test_range_check_names_a_literal_in_the_last_clause(self, bad):
+        """The check runs over all literals at once; a bad literal deep in a
+        large instance must still be found and named."""
+        clauses = [(v % 10 + 1, -(v * 7 % 10 + 1)) for v in range(9999)]
+        clauses.append((3, bad, -4))
+        with pytest.raises(ValueError, match=f"^literal {bad} out of range for 10 variables$"):
+            CnfInstance(var_count=10, clauses=tuple(clauses))
+        clauses[-1] = (3, -10, 4)
+        assert CnfInstance(var_count=10, clauses=tuple(clauses)).clause_count == 10000
 
     def test_multiline_and_multi_clause_lines(self):
         inst = parse_dimacs("p cnf 3 2\n1 2 0 -3\n0\n")

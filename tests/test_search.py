@@ -11,6 +11,7 @@ from cswsat.automaton import (
     image,
     is_carefully_synchronizing,
     serialize_pfa,
+    word_from_letters,
 )
 from cswsat.cli import EXIT_FAULT, main
 from cswsat.encoder import (
@@ -139,6 +140,55 @@ class TestProbeRecord:
     def test_bound_is_largest_probe(self):
         out = min_csw(C3)
         assert out.bound == max(p.length for p in out.probes)
+
+
+class TestSearchIdentity:
+    """Each probe's (length, status, clauses, conflicts, decisions,
+    propagations, restarts) and the witness, pinned. A change to the
+    solver's data structures that leaves its search alone keeps every one
+    of these; one that changes the search, even with the same answers,
+    fails here."""
+
+    @pytest.mark.parametrize(
+        "pfa, probes, witness",
+        [
+            (
+                random_pfa(GenConfig(n=30, seed=9)),
+                [(16, UNSAT, 2993, 406, 907, 27550, 3), (17, SAT, 3055, 312, 1137, 19423, 2)],
+                "abbbbaababbbbabbb",
+            ),
+            (
+                random_pfa(GenConfig(n=60, seed=1)),
+                [(11, UNSAT, 8174, 21, 380, 1199, 0), (12, SAT, 8296, 25, 624, 2345, 0)],
+                "aabaaaaaabab",
+            ),
+            (
+                pn(7),
+                [(38, UNSAT, 995, 47, 122, 710, 0), (39, SAT, 1011, 41, 145, 969, 0)],
+                "aababaabababaabbabbabaabbbabbaabbbbabaa",
+            ),
+            (
+                pn(8),
+                [(54, UNSAT, 1710, 170, 486, 3812, 1), (55, SAT, 1728, 188, 589, 5217, 1)],
+                "aababaababaababaabbabbabbaabbbabbabaabbbbabbaabbbbbabaa",
+            ),
+        ],
+    )
+    def test_probe_counts_are_pinned(self, pfa, probes, witness):
+        out = min_csw(pfa)
+        assert [
+            (
+                p.length,
+                p.status,
+                p.clauses,
+                p.stats.conflicts,
+                p.stats.decisions,
+                p.stats.propagations,
+                p.stats.restarts,
+            )
+            for p in out.probes
+        ] == probes
+        assert out.witness == word_from_letters(witness)
 
 
 class TestBudgets:

@@ -132,6 +132,76 @@ class TestBuiltinSolve:
             assert satisfies(instance, res.model)
 
 
+def reference_ingest(instance):
+    """Clause-by-clause ingestion by the rule the engine must keep: codes
+    2v / 2v + 1, each clause as sorted({code(l) for l in clause}); a
+    tautology is skipped, the empty clause or a unit contradicting an
+    earlier one stops ingestion, another unit is assigned, and a longer
+    clause watches its first two codes. Returns (ok, clauses, watches,
+    trail)."""
+    code = lambda lit: 2 * abs(lit) + (lit < 0)  # noqa: E731
+    clauses, trail, value = [], [], {}
+    watches = [[] for _ in range(2 * instance.var_count + 2)]
+    for clause in instance.clauses:
+        lits = sorted({code(lit) for lit in clause})
+        if len({c // 2 for c in lits}) < len(lits):
+            continue
+        if not lits:
+            return False, clauses, watches, trail
+        if len(lits) == 1:
+            var, want = divmod(lits[0], 2)
+            if var in value:
+                if value[var] != want:
+                    return False, clauses, watches, trail
+                continue
+            value[var] = want
+            trail.append(lits[0])
+            continue
+        watches[lits[0]].append(len(clauses))
+        watches[lits[1]].append(len(clauses))
+        clauses.append(lits)
+    return True, clauses, watches, trail
+
+
+@st.composite
+def raw_cnfs(draw):
+    """Clauses with repeated literals, tautologies, units and, sometimes,
+    empty clauses, over few variables so that all of them are common."""
+    nvars = draw(st.integers(1, 6))
+    lit = st.integers(1, nvars).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(lit, max_size=6).map(tuple), max_size=30))
+    return CnfInstance(var_count=nvars, clauses=tuple(clauses))
+
+
+class TestIngestion:
+    @given(raw_cnfs())
+    @settings(max_examples=300)
+    def test_matches_clause_by_clause_reference(self, instance):
+        engine = _Engine(instance, SolverLimits(), 0)
+        ok, clauses, watches, trail = reference_ingest(instance)
+        assert (engine.ok, engine.clauses, engine.watches, engine.trail) == (
+            ok,
+            clauses,
+            watches,
+            trail,
+        )
+        # the units' codes are true, their negations false, the rest unset
+        value = {c: 1 for c in trail} | {c ^ 1: 0 for c in trail}
+        assert engine.lv[2:] == [value.get(c, -1) for c in range(2, len(engine.lv))]
+
+    def test_every_case_is_met(self):
+        # 2 and -2 give a tautology, (1, 1) a duplicated unit, (-1,) a
+        # contradiction that stops ingestion before the last clause
+        instance = inst(3, [2, -2, 3], [1, 1], [3, -1, 3], [-3, 2], [-1], [2, 3])
+        engine = _Engine(instance, SolverLimits(), 0)
+        assert not engine.ok
+        assert engine.clauses == [[3, 6], [4, 7]]
+        assert engine.trail == [2]
+        assert [c for c, wl in enumerate(engine.watches) if wl] == [3, 4, 6, 7]
+        assert reference_ingest(instance) == (False, engine.clauses, engine.watches, [2])
+        assert not _Engine(inst(2, [1, -2], []), SolverLimits(), 0).ok
+
+
 class TestDecisionHeap:
     """At every decision the heap holds a current entry for each unassigned
     variable and at most 2 * nvars entries in all."""
@@ -145,7 +215,12 @@ class TestDecisionHeap:
             heap, activity = engine.heap, engine.activity
             assert len(heap) <= 2 * engine.nvars
             current = {v for negact, v in heap if -negact == activity[v]}
-            unassigned = {v for v in range(1, engine.nvars + 1) if engine.val[v] == -1}
+            lv = engine.lv
+            # both codes of a variable agree: unassigned, or one true and one false
+            assert all(
+                (lv[c], lv[c ^ 1]) in ((-1, -1), (1, 0), (0, 1)) for c in range(2, len(lv))
+            )
+            unassigned = {v for v in range(1, engine.nvars + 1) if lv[2 * v] == -1}
             assert unassigned <= current
             return pick()
 
