@@ -88,10 +88,6 @@ class Pfa:
                 if target is not None and not (1 <= target <= self.n):
                     raise ValueError(f"state index {target} out of range")
 
-    def step(self, q: int, a: int):
-        """Successor of state q under letter a, or None if undefined."""
-        return self.delta[a - 1][q - 1]
-
     def letter_total(self, a: int) -> bool:
         """True iff letter a is defined at every state."""
         return None not in self.delta[a - 1]

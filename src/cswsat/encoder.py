@@ -18,32 +18,28 @@ Clause groups, in emission order:
 
 The emission order is fixed so instances are byte-reproducible.
 
-More groups are left out of the plain encoding and appended in this
-order when `encode` is given their tables:
-  pair distance  for each step t < ell and each state pair p < q whose
-                 shortest merging word is longer than ell - t, forbid both
-                 states being active after t steps. The sync block is the
-                 t = ell case of the same rule. `search.min_csw` passes a
-                 `pair_distances` table to every probe.
-  set distance   one group per set size k = 3, 4, ...: for each step
-                 t < ell and each set of k states whose shortest merging
-                 word is longer than ell - t while none of its subsets one
-                 state smaller is, forbid all k being active after t
-                 steps. `search.min_csw` passes the `far_sets` list for
-                 size k to a probe when the automaton has no more sets of
-                 k states, C(n, k), than the probe's plain encoding has
-                 clauses: long-word automata, where the table is cheap
-                 beside the probe.
-All rest on one fact: the rest of a real word merges the word's whole
-image after t letters in ell - t letters, so a real word's assignment
-satisfies every clause of these groups. `check_distances` checks the
-tables by the equation that defines them.
+Distance groups are left out of the plain encoding and appended, in the
+order given, when `encode` is given their lists. One rule makes them all:
+for each step t < ell and each set of k states, k = 2, 3, 4, whose
+shortest merging word is longer than ell - t while none of its subsets one
+state smaller is, forbid all k states being active after t steps. Single
+states merge at distance 0, so every far pair is in the k = 2 group, and
+the sync block is its ell - t = 0 case. `search.min_csw` passes the pair
+list (from `far_pairs`) to every probe, and the `far_sets` list for size
+k > 2 to a probe when the automaton has no more sets of k states, C(n, k),
+than the probe's plain encoding has clauses: long-word automata, where
+the table is cheap beside the probe.
+The rule rests on one fact: the rest of a real word merges the word's
+whole image after t letters in ell - t letters, so a real word's
+assignment satisfies every clause of these groups. `check_distances`
+checks the tables by the equation that defines them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from bisect import bisect_right
 from itertools import chain, combinations, compress, product, repeat
 from operator import add, gt, itemgetter, mul, sub
 from typing import Optional, Sequence
@@ -58,8 +54,6 @@ __all__ = [
     "DimacsError",
     "encode",
     "pair_distances",
-    "pair_clause_count",
-    "pair_clauses",
     "far_pairs",
     "far_sets",
     "set_clause_count",
@@ -149,20 +143,17 @@ class DimacsError(ValueError):
     """Malformed DIMACS text."""
 
 
-def encode(pfa: Pfa, ell: int, dist: Optional[list] = None, sets: Sequence = ()) -> CnfInstance:
+def encode(pfa: Pfa, ell: int, groups: Sequence = ()) -> CnfInstance:
     """Build the instance asking for a carefully synchronizing word of
-    length exactly ell (ell >= 1), with the pair-distance group appended
-    when `dist` (from pair_distances) is given and then one set-distance
-    group for each list of `sets` (lists from far_sets), in order. Raises
-    BudgetExceeded, before building anything, when the instance would have
-    more than MAX_CLAUSES clauses."""
+    length exactly ell (ell >= 1), with one distance group appended for
+    each farthest-first list of `groups` (the pair list from far_pairs or
+    a list from far_sets), in order. Raises BudgetExceeded, before
+    building anything, when the instance would have more than MAX_CLAUSES
+    clauses."""
     if ell < 1:
         raise ValueError(f"target length must be >= 1, got {ell}")
     n, m = pfa.n, pfa.m
-    size = clause_count(n, m, ell)
-    if dist is not None:
-        size += pair_clause_count(dist, ell)
-    size += sum(set_clause_count(group, ell) for group in sets)
+    size = clause_count(n, m, ell) + sum(set_clause_count(group, ell) for group in groups)
     if size > MAX_CLAUSES:
         raise BudgetExceeded(f"length {ell} needs {size} clauses, over the {MAX_CLAUSES} budget")
     layout = VarLayout(n=n, m=m, ell=ell)
@@ -186,9 +177,7 @@ def encode(pfa: Pfa, ell: int, dist: Optional[list] = None, sets: Sequence = ())
 
     last = ell * width
     clauses.extend(combinations(range(-last - 1, -last - n - 1, -1), 2))
-    if dist is not None:
-        clauses.extend(pair_clauses(dist, layout))
-    for group in sets:
+    for group in groups:
         clauses.extend(set_clauses(group, layout))
 
     instance = CnfInstance(
@@ -245,41 +234,19 @@ def pair_distances(pfa: Pfa) -> list:
     return dist
 
 
-def pair_clause_count(dist: list, ell: int) -> int:
-    """Size of the pair-distance group at length ell:
-    sum over p < q of min(ell, dist(p,q) - 1)."""
-    return sum(min(ell, d - 1) for i, row in enumerate(dist) for d in row[i + 1 :] if d > 1)
-
-
 def far_pairs(dist: list) -> list:
-    """Every state pair p < q as (dist(p,q), p, q), farthest first, so the
-    pairs farther apart than any bound are a prefix."""
+    """Every state pair p < q as (dist(p,q), 0, p, q), farthest first and,
+    at equal distance, in lexicographic order: the far_sets format for
+    sets of two states, whose single states merge at distance 0."""
     return sorted(
         (
-            (d, p, q)
+            (d, 0, p, q)
             for p, row in enumerate(dist, start=1)
             for q, d in enumerate(row[p:], start=p + 1)
         ),
         key=itemgetter(0),
         reverse=True,
     )
-
-
-def pair_clauses(dist: list, layout: VarLayout) -> list:
-    """The pair-distance group: (-x[p,t], -x[q,t]) for every step t < ell
-    and every pair p < q with dist(p,q) > ell - t, step by step and, within
-    a step, from the farthest pairs down."""
-    ell = layout.ell
-    width = layout.m + layout.n
-    far = far_pairs(dist)
-    clauses = []
-    for t in range(ell):
-        base = t * width
-        for d, p, q in far:
-            if d <= ell - t:
-                break
-            clauses.append((-base - p, -base - q))
-    return clauses
 
 
 def far_sets(pfa: Pfa, dist: list, k: int) -> list:
@@ -421,26 +388,51 @@ def _primes(count: int) -> list:
 
 
 def set_clause_count(sets: list, ell: int) -> int:
-    """Size of one set-distance group at length ell: for each set of
-    `sets`, the number of s = ell - t in 1..ell with inner <= s < D."""
-    return sum(max(0, min(ell, D - 1) - inner + 1) for D, inner, *_ in sets)
+    """Size of one distance group at length ell: for each entry of `sets`,
+    the number of s = ell - t in 1..ell with inner <= s < D. The entries
+    come farthest first, so the count stops at the first D <= 1."""
+    count = 0
+    for entry in sets:
+        D = entry[0]
+        if D <= 1:
+            break
+        inner = entry[1]
+        if inner <= ell:
+            # s runs from max(inner, 1) to min(ell, D - 1)
+            count += (ell if D > ell else D - 1) - (inner - 1 if inner else 0)
+    return count
 
 
 def set_clauses(sets: list, layout: VarLayout) -> list:
-    """One set-distance group: (-x[q1,t] v ... v -x[qk,t]) for every step
-    t < ell and every set of `sets` (one list from far_sets) with
-    inner <= ell - t < D, so that no subset inside it is forbidden at that
-    step already; step by step and, within a step, farthest first."""
-    ell = layout.ell
-    width = layout.m + layout.n
+    """One distance group: (-x[q1,t] v ... v -x[qk,t]) for every step
+    t < ell and every entry of `sets` (the pair list from far_pairs or one
+    list from far_sets) with inner <= ell - t < D, so that no subset inside
+    it is forbidden at that step already; step by step and, within a step,
+    farthest first.
+
+    The entries with D > ell - t are a prefix of `sets`. A step where none
+    of them has inner > ell - t, which is every step of the pair list,
+    takes the whole prefix, built column by column."""
     clauses = []
-    for t in range(ell):
-        left = ell - t
-        for entry in sets:
-            if entry[0] <= left:
-                break
-            if entry[1] <= left:
-                clauses.append(tuple(map(sub, repeat(-t * width), entry[2:])))
+    if not sets:
+        return clauses
+    width = layout.m + layout.n
+    reach, inners, *columns = zip(*sets)
+    rising = reach[::-1]
+    widest = max(inners)
+    for t in range(layout.ell):
+        left = layout.ell - t
+        # the first k entries have D > left
+        k = len(rising) - bisect_right(rising, left)
+        if not k:
+            continue
+        base = -t * width
+        if widest <= left or max(inners[:k]) <= left:
+            clauses.extend(zip(*[map(sub, repeat(base), column[:k]) for column in columns]))
+        else:
+            for entry in sets[:k]:
+                if entry[1] <= left:
+                    clauses.append(tuple(map(sub, repeat(base), entry[2:])))
     return clauses
 
 

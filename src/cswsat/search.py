@@ -16,16 +16,16 @@ width-1024 beam. Without either, min_csw gallops
 bracketed interval. Either way the probe record doubles as a minimality
 certificate, holding an unsatisfiable probe one below the answer.
 
-Every probe also carries the encoder's pair-distance clauses: states p and
-q may not both be active after t steps when no word of length ell - t
-merges them. A probe whose plain encoding has at least C(n, k) clauses,
-which on these automata means a long word, carries the set-distance
-clauses for sets of k states as well, k = 3 and 4: the same rule for k
-states none of whose subsets is forbidden yet. A real word makes x[q,t]
-true exactly on its image after t letters, and the rest of that word
-merges the whole image, so the clauses remove no real word and no length's
-answer changes. Each distance table is checked by its defining equation
-before a probe uses it.
+Every probe also carries the encoder's distance groups. For k = 2, states
+p and q may not both be active after t steps when no word of length
+ell - t merges them. A probe whose plain encoding has at least C(n, k)
+clauses, which on these automata means a long word, carries the group for
+sets of k states as well, k = 3 and 4: the same rule for k states none of
+whose subsets is forbidden yet. A real word makes x[q,t] true exactly on
+its image after t letters, and the rest of that word merges the whole
+image, so the clauses remove no real word and no length's answer changes.
+Each distance table is checked by its defining equation before a probe
+uses it.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .encoder import (
     clause_count,
     decode_word,
     encode,
+    far_pairs,
     far_sets,
     pair_distances,
 )
@@ -121,16 +122,12 @@ def min_csw(
     `SearchOutcome.upper_bound_source` names where the first length came
     from.
 
-    Each probe appends the pair-distance group, from a table built once on
-    the first probe that fits the size budget. For k = 3 and 4, a probe
-    whose plain encoding has at least C(n, k) clauses also appends the
-    group for sets of k states, from `far_sets` tables built on the first
-    probe that admits a larger set size than those built so far; so no
-    table is larger than the probe, nor than MAX_CLAUSES. The image after
-    t letters of a real word holds only sets that its remaining ell - t
-    letters merge. So the word's own assignment satisfies every group, and
-    every length keeps its answer. Each table is checked once, by its
-    defining equation (`encoder.check_distances`), before a probe uses it.
+    Each probe appends the distance groups of the module docstring. The
+    pair table and its farthest-first list are built once, on the first
+    probe that fits the size budget; the `far_sets` lists, on the first
+    probe that admits a larger set size than those built so far. So no
+    table is larger than the probe, nor than MAX_CLAUSES, and each is
+    checked once (`encoder.check_distances`) before a probe uses it.
 
     Raises ModelVerificationError when a table fails that check. Raises
     BudgetExceeded (with a `probes` attribute holding the partial
@@ -166,15 +163,16 @@ def min_csw(
     probes = []
     words = {}
     dist = None
-    # sets[i]: the far_sets list for sets of i + 3 states
-    sets = []
+    # the pair list from far_pairs, then the far_sets lists for sets of
+    # 3, 4, ... states
+    groups = []
 
     def probe(length: int) -> str:
-        nonlocal dist, sets
+        nonlocal dist
         try:
             # the tables are built for a probe under the size budget, each
             # checked once. A probe carries the groups of the set sizes k
-            # with C(n, k) <= its plain clause count: 3..top, since
+            # with C(n, k) <= its plain clause count: 2..top, since
             # C(n, 3) <= C(n, 4) from n = 7 on and every plain encoding of
             # fewer states has more than C(n, 3) clauses.
             plain = clause_count(pfa.n, pfa.m, length)
@@ -185,10 +183,12 @@ def min_csw(
                 if dist is None:
                     dist = pair_distances(pfa)
                     check_distances(pfa, dist)
-                if len(sets) < top - 2:
+                    groups.append(far_pairs(dist))
+                if len(groups) < top - 1:
                     sets = far_sets(pfa, dist, top)
                     check_distances(pfa, dist, sets)
-            instance = encode(pfa, length, dist, sets[: top - 2])
+                    groups[1:] = sets
+            instance = encode(pfa, length, groups[: top - 1])
             start = time.perf_counter()
             result = backend.run(instance)
         except BudgetExceeded as exc:

@@ -26,8 +26,8 @@ from cswsat.cli import (
 )
 from cswsat.encoder import (
     clause_count,
+    far_pairs,
     far_sets,
-    pair_clause_count,
     pair_distances,
     parse_dimacs,
     set_clause_count,
@@ -299,11 +299,10 @@ class TestCommandSurface:
         # set-distance groups; with one triple, every probe passes both
         # set sizes' gates
         dist = pair_distances(pfa)
-        sets = far_sets(pfa, dist, 4)
+        groups = [far_pairs(dist), *far_sets(pfa, dist, 4)]
         assert [p.clauses for p in probes_made] == [
             clause_count(pfa.n, pfa.m, p.length)
-            + pair_clause_count(dist, p.length)
-            + sum(set_clause_count(group, p.length) for group in sets)
+            + sum(set_clause_count(group, p.length) for group in groups)
             for p in probes_made
         ]
 
@@ -354,6 +353,17 @@ class TestCommandSurface:
     def test_oracle_budget(self, tmp_path, capsys):
         path = self._pfa_file(tmp_path, serialize_pfa(pn(8)))
         assert main(["oracle", path, "--max-visited", "5"]) == 2
+
+    def test_oracle_budget_below_one_is_refused(self, tmp_path, capsys):
+        path = self._pfa_file(tmp_path, serialize_pfa(pn(6)))
+        assert main(["oracle", path, "--max-visited", "0"]) == 1
+        assert "max_visited must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_bench_budget_below_one_is_refused(self, capsys):
+        # not a false "no synchronizing instance" after 1000 overrun draws
+        argv = ["bench", "curve", "--engine", "oracle", "--n-list", "6", "--samples", "1"]
+        assert main([*argv, "--max-visited", "0"]) == 1
+        assert "max_visited must be >= 1, got 0" in capsys.readouterr().err
 
     def test_oracle_budget_names_the_beam_bound(self, tmp_path, capsys, monkeypatch):
         # a trigger of 0 runs both bounding beams before the first layer
@@ -565,3 +575,23 @@ class TestMemoryBounds:
         proc = self._run(tmp_path, random_pfa(GenConfig(n=20000, seed=0)), command)
         assert proc.returncode == 2
         assert "budget" in proc.stderr
+
+
+class TestScripts:
+    def test_pn_regression(self):
+        root = Path(__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "scripts/pn_regression.py", "--n-list", "4-6", "--check-sat-to", "6"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+        assert [(r["n"], r["min_length"], r["agree"]) for r in rows] == [
+            ("4", "7", "true"),
+            ("5", "15", "true"),
+            ("6", "26", "true"),
+        ]

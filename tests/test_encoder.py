@@ -20,8 +20,6 @@ from cswsat.encoder import (
     far_pairs,
     far_sets,
     layout_comment,
-    pair_clause_count,
-    pair_clauses,
     pair_distances,
     parse_dimacs,
     set_clause_count,
@@ -125,9 +123,7 @@ class TestEncode:
         """Digests of two instances with thousands of clauses and every
         group: a change to the encoder's variable arithmetic or emission
         order moves them."""
-        dist = pair_distances(pfa)
-        sets = far_sets(pfa, dist, k) if k > 2 else ()
-        text = to_dimacs(encode(pfa, ell, dist, sets))
+        text = to_dimacs(encode(pfa, ell, _groups(pfa, k)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @given(pfas(max_n=8, max_m=8), st.integers(1, 6))
@@ -226,7 +222,72 @@ def _words_of_length(m, ell):
             yield prefix + (a,)
 
 
-class TestPairDistances:
+# each pair merges under one letter, but no letter is defined on all three
+PAIRWISE = Pfa(n=3, m=3, delta=((1, 1, None), (None, 2, 2), (1, None, 1)))
+
+# each triple merges under one letter, but no letter is defined on all
+# four states
+TRIPLEWISE = Pfa(
+    n=4, m=4, delta=((1, 1, 1, None), (1, 1, None, 1), (1, None, 1, 1), (None, 2, 2, 2))
+)
+
+
+def _set_table(pfa, size):
+    """Brute force: {states: (D, inner)} over every set of `size` states."""
+    table = {}
+    for states in combinations(range(1, pfa.n + 1), size):
+        inner = max(merge_distance(pfa.delta, *sub) for sub in combinations(states, size - 1))
+        table[states] = (merge_distance(pfa.delta, *states), inner)
+    return table
+
+
+def _groups(pfa, size):
+    """The distance lists for sets of 2..size states: the pair list, then
+    far_sets' lists."""
+    dist = pair_distances(pfa)
+    return [far_pairs(dist), *(far_sets(pfa, dist, size) if size > 2 else ())]
+
+
+class _SetDistanceChecks:
+    """The distance list and group for sets of SIZE states, against a
+    forward search over plain sets."""
+
+    SIZE = 3
+
+    def _check_table(self, pfa):
+        far = _groups(pfa, self.SIZE)[-1]
+        assert [D for D, *_ in far] == sorted((D for D, *_ in far), reverse=True)
+        kept = {tuple(states): (D, inner) for D, inner, *states in far}
+        assert len(kept) == len(far)
+        for states, (D, inner) in _set_table(pfa, self.SIZE).items():
+            # merging a set merges each subset inside
+            assert D >= inner
+            if D > inner:
+                assert kept[states] == (D, inner)
+            else:
+                assert states not in kept
+
+    def _check_group(self, pfa, ell, table):
+        groups = _groups(pfa, self.SIZE)
+        lay = VarLayout(n=pfa.n, m=pfa.m, ell=ell)
+        group = set_clauses(groups[-1], lay)
+        expected = {
+            tuple(-lay.state_var(j, t) for j in states)
+            for t in range(ell)
+            for states, (D, inner) in table.items()
+            if inner <= ell - t < D
+        }
+        assert set(group) == expected
+        assert len(group) == len(expected) == set_clause_count(groups[-1], ell)
+        inst = encode(pfa, ell, groups)
+        # appended after the smaller sets' groups, which come after the
+        # plain encoding
+        assert inst.clauses == encode(pfa, ell, groups[:-1]).clauses + tuple(group)
+
+
+class TestPairDistances(_SetDistanceChecks):
+    SIZE = 2
+
     @given(pfas(max_n=7, max_m=3))
     @settings(max_examples=150)
     # a hole stops the only letter that would merge 1 and 2
@@ -253,108 +314,29 @@ class TestPairDistances:
         dist = pair_distances(random_pfa(GenConfig(n=30, seed=3)))
         assert sum(1 for p in range(30) for q in range(p + 1, 30) if dist[p][q] == math.inf) == 20
 
-    @given(pfas(max_n=6, max_m=3), st.integers(1, 8))
-    @settings(max_examples=80)
-    def test_group_count_matches_closed_form(self, pfa, ell):
-        dist = pair_distances(pfa)
-        group = pair_clauses(dist, VarLayout(n=pfa.n, m=pfa.m, ell=ell))
-        closed = sum(
-            min(ell, merge_distance(pfa.delta, p, q) - 1)
-            for p in range(1, pfa.n + 1)
-            for q in range(p + 1, pfa.n + 1)
-        )
-        assert len(group) == pair_clause_count(dist, ell) == closed
-        assert len(set(group)) == len(group)
-        inst = encode(pfa, ell, dist)
-        assert inst.clause_count == clause_count(pfa.n, pfa.m, ell) + len(group)
-        # the plain encoding comes first, unchanged
-        assert inst.clauses == encode(pfa, ell).clauses + tuple(group)
-
-    @given(pfas(max_n=6, max_m=3), st.integers(1, 8))
-    @settings(max_examples=60)
-    def test_group_forbids_exactly_the_far_pairs(self, pfa, ell):
-        dist = pair_distances(pfa)
-        lay = VarLayout(n=pfa.n, m=pfa.m, ell=ell)
-        expected = {
-            (-lay.state_var(p, t), -lay.state_var(q, t))
-            for t in range(ell)
-            for p in range(1, pfa.n + 1)
-            for q in range(p + 1, pfa.n + 1)
-            if merge_distance(pfa.delta, p, q) > ell - t
-        }
-        assert set(pair_clauses(dist, lay)) == expected
-
     @given(pfas(max_n=6, max_m=3))
     @settings(max_examples=40)
     def test_far_pairs_lists_every_pair_farthest_first(self, pfa):
         dist = pair_distances(pfa)
         far = far_pairs(dist)
-        assert sorted((p, q) for _, p, q in far) == list(combinations(range(1, pfa.n + 1), 2))
-        assert all(d == dist[p - 1][q - 1] for d, p, q in far)
-        assert [d for d, _, _ in far] == sorted((d for d, _, _ in far), reverse=True)
+        assert sorted((p, q) for _, _, p, q in far) == list(combinations(range(1, pfa.n + 1), 2))
+        # single states merge at distance 0
+        assert all(d == dist[p - 1][q - 1] and inner == 0 for d, inner, p, q in far)
+        assert [d for d, *_ in far] == sorted((d for d, *_ in far), reverse=True)
+
+    @given(pfas(max_n=6, max_m=3), st.integers(1, 30))
+    @settings(max_examples=80, deadline=None)
+    @example(Pfa(n=3, m=2, delta=((2, 2, None), (2, 3, 1))), 5)
+    @example(pn(6), 26)
+    def test_group_matches_closed_form(self, pfa, ell):
+        self._check_group(pfa, ell, _set_table(pfa, 2))
 
     def test_group_counts_toward_the_budget(self):
         # 20 pairs never merge: 16384 * 20 more clauses push length 16384 over
         pfa = random_pfa(GenConfig(n=30, seed=3))
         assert clause_count(30, pfa.m, 16384) <= MAX_CLAUSES
         with pytest.raises(BudgetExceeded, match="length 16384 needs 1345026 clauses"):
-            encode(pfa, 16384, pair_distances(pfa))
-
-
-# each pair merges under one letter, but no letter is defined on all three
-PAIRWISE = Pfa(n=3, m=3, delta=((1, 1, None), (None, 2, 2), (1, None, 1)))
-
-
-def _set_table(pfa, size):
-    """Brute force: {states: (D, inner)} over every set of `size` states."""
-    table = {}
-    for states in combinations(range(1, pfa.n + 1), size):
-        inner = max(merge_distance(pfa.delta, *sub) for sub in combinations(states, size - 1))
-        table[states] = (merge_distance(pfa.delta, *states), inner)
-    return table
-
-
-def _far(pfa, dist, size):
-    """far_sets' list for sets of `size` states."""
-    return far_sets(pfa, dist, size)[size - 3]
-
-
-class _SetDistanceChecks:
-    """far_sets and the set-distance group for sets of SIZE states, against
-    a forward search over plain sets."""
-
-    SIZE = 3
-
-    def _check_table(self, pfa):
-        far = _far(pfa, pair_distances(pfa), self.SIZE)
-        assert [D for D, *_ in far] == sorted((D for D, *_ in far), reverse=True)
-        kept = {tuple(states): (D, inner) for D, inner, *states in far}
-        assert len(kept) == len(far)
-        for states, (D, inner) in _set_table(pfa, self.SIZE).items():
-            # merging a set merges each subset inside
-            assert D >= inner
-            if D > inner:
-                assert kept[states] == (D, inner)
-            else:
-                assert states not in kept
-
-    def _check_group(self, pfa, ell, table):
-        dist = pair_distances(pfa)
-        sets = far_sets(pfa, dist, self.SIZE)
-        lay = VarLayout(n=pfa.n, m=pfa.m, ell=ell)
-        group = set_clauses(sets[-1], lay)
-        expected = {
-            tuple(-lay.state_var(j, t) for j in states)
-            for t in range(ell)
-            for states, (D, inner) in table.items()
-            if inner <= ell - t < D
-        }
-        assert set(group) == expected
-        assert len(group) == len(expected) == set_clause_count(sets[-1], ell)
-        inst = encode(pfa, ell, dist, sets)
-        # appended after the smaller sets' groups, which come after the pair
-        # group and the plain encoding
-        assert inst.clauses == encode(pfa, ell, dist, sets[:-1]).clauses + tuple(group)
+            encode(pfa, 16384, [far_pairs(pair_distances(pfa))])
 
 
 class TestTripleDistances(_SetDistanceChecks):
@@ -371,7 +353,7 @@ class TestTripleDistances(_SetDistanceChecks):
             self._check_table(pfa)
 
     def test_pairwise_merging_triple_is_infinite(self):
-        triples = _far(PAIRWISE, pair_distances(PAIRWISE), 3)
+        triples = _groups(PAIRWISE, 3)[-1]
         assert triples == [(math.inf, 1, 1, 2, 3)]
         lay = VarLayout(n=3, m=3, ell=4)
         assert set_clauses(triples, lay) == [
@@ -392,28 +374,19 @@ class TestTripleDistances(_SetDistanceChecks):
                 self._check_group(pfa, ell, table)
 
     def test_group_counts_toward_the_budget(self, monkeypatch):
-        dist = pair_distances(PAIRWISE)
-        triples = _far(PAIRWISE, dist, 3)
+        pairs, triples = _groups(PAIRWISE, 3)
         ell = 1000
-        size = clause_count(3, 3, ell) + pair_clause_count(dist, ell)
+        size = clause_count(3, 3, ell) + set_clause_count(pairs, ell)
         monkeypatch.setattr("cswsat.encoder.MAX_CLAUSES", size)
-        encode(PAIRWISE, ell, dist)
+        encode(PAIRWISE, ell, [pairs])
         with pytest.raises(BudgetExceeded, match=f"needs {size + ell} clauses"):
-            encode(PAIRWISE, ell, dist, [triples])
+            encode(PAIRWISE, ell, [pairs, triples])
 
     def test_miscount_is_a_fault(self, monkeypatch):
-        dist = pair_distances(PAIRWISE)
-        triples = _far(PAIRWISE, dist, 3)
+        groups = _groups(PAIRWISE, 3)
         monkeypatch.setattr("cswsat.encoder.set_clause_count", lambda sets, ell: 0)
         with pytest.raises(ModelVerificationError, match="closed form"):
-            encode(PAIRWISE, 3, dist, [triples])
-
-
-# each triple merges under one letter, but no letter is defined on all
-# four states
-TRIPLEWISE = Pfa(
-    n=4, m=4, delta=((1, 1, 1, None), (1, 1, None, 1), (1, None, 1, 1), (None, 2, 2, 2))
-)
+            encode(PAIRWISE, 3, groups)
 
 
 class TestFourSetDistances(_SetDistanceChecks):
@@ -436,10 +409,10 @@ class TestFourSetDistances(_SetDistanceChecks):
             assert far_sets(pfa, dist, 4)[0] == far_sets(pfa, dist, 3)[0]
 
     def test_triplewise_merging_set_is_infinite(self):
-        dist = pair_distances(TRIPLEWISE)
-        assert _far(TRIPLEWISE, dist, 4) == [(math.inf, 1, 1, 2, 3, 4)]
+        quads = _groups(TRIPLEWISE, 4)[-1]
+        assert quads == [(math.inf, 1, 1, 2, 3, 4)]
         lay = VarLayout(n=4, m=4, ell=3)
-        assert set_clauses(_far(TRIPLEWISE, dist, 4), lay) == [
+        assert set_clauses(quads, lay) == [
             tuple(-lay.state_var(j, t) for j in (1, 2, 3, 4)) for t in range(3)
         ]
 

@@ -94,6 +94,11 @@ class TestBudgetAndCap:
             power_bfs(pn(8), max_visited=5)
         assert exc.value.visited > 5
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_is_refused(self, budget):
+        with pytest.raises(ValueError, match=f"max_visited must be >= 1, got {budget}"):
+            power_bfs(pn(6), max_visited=budget)
+
     def test_wide_masks_count_double(self):
         # above 64 states each stored subset costs two words of the budget
         for n, stored in ((64, 100), (100, 50)):

@@ -19,8 +19,8 @@ from cswsat.encoder import (
     clause_count,
     decode_word,
     encode,
+    far_pairs,
     far_sets,
-    pair_clause_count,
     pair_distances,
     set_clause_count,
 )
@@ -252,8 +252,9 @@ class TestPairDistanceGroup:
         if exact.status != FOUND or exact.min_length == 0:
             return
         dist = pair_distances(pfa)
+        pairs = far_pairs(dist)
         for sets in ((), far_sets(pfa, dist, 3), far_sets(pfa, dist, 4)):
-            instance = encode(pfa, exact.min_length, dist, sets)
+            instance = encode(pfa, exact.min_length, [pairs, *sets])
             assert satisfies(instance, _word_model(pfa, exact.witness, instance.layout))
 
     # from two states on, a word of length min_length + k exists for all k
@@ -273,11 +274,11 @@ class TestPairDistanceGroup:
         exact = power_bfs(pfa)
         top = exact.min_length + 2 if exact.status == FOUND else 8
         dist = pair_distances(pfa)
-        triples, quads = far_sets(pfa, dist, 4)
+        groups = [far_pairs(dist), *far_sets(pfa, dist, 4)]
         found = sync_lengths(pfa.n, pfa.delta, pfa.m, top)
         for ell in range(1, top + 1):
-            for sets in ((), [triples], [triples, quads]):
-                instance = encode(pfa, ell, dist, sets)
+            for size in (2, 3, 4):
+                instance = encode(pfa, ell, groups[: size - 1])
                 result = solve(instance)
                 assert (result.status == SAT) == (ell in found)
                 assert (result.status == SAT) == (
@@ -290,10 +291,10 @@ class TestPairDistanceGroup:
 
 def _probe_sizes(pfa, out, sets=()):
     """Each probe's expected clause count: plain, pair and set groups."""
-    dist = pair_distances(pfa)
+    pairs = far_pairs(pair_distances(pfa))
     return [
         clause_count(pfa.n, pfa.m, p.length)
-        + pair_clause_count(dist, p.length)
+        + set_clause_count(pairs, p.length)
         + sum(set_clause_count(group, p.length) for group in sets)
         for p in out.probes
     ]
@@ -339,6 +340,18 @@ class TestTripleGate:
         out = min_csw(pn(5), precheck=False)
         assert len(out.probes) > 2
         assert calls == [4]
+
+    def test_pair_list_is_built_once(self, monkeypatch):
+        calls = []
+
+        def counted(dist):
+            calls.append(len(dist))
+            return far_pairs(dist)
+
+        monkeypatch.setattr("cswsat.search.far_pairs", counted)
+        out = min_csw(random_pfa(GenConfig(n=60, seed=0)))
+        assert len(out.probes) == 2
+        assert calls == [60]
 
     def test_gate_is_per_probe(self):
         # galloping from length 1: the triple group waits for the first
