@@ -331,6 +331,36 @@ class TestPairDistances(_SetDistanceChecks):
     def test_group_matches_closed_form(self, pfa, ell):
         self._check_group(pfa, ell, _set_table(pfa, 2))
 
+    @given(pfas(max_n=6, max_m=3), st.integers(1, 8))
+    @settings(max_examples=80)
+    def test_group_count_matches_closed_form(self, pfa, ell):
+        pairs = far_pairs(pair_distances(pfa))
+        group = set_clauses(pairs, VarLayout(n=pfa.n, m=pfa.m, ell=ell))
+        closed = sum(
+            min(ell, merge_distance(pfa.delta, p, q) - 1)
+            for p in range(1, pfa.n + 1)
+            for q in range(p + 1, pfa.n + 1)
+        )
+        assert len(group) == set_clause_count(pairs, ell) == closed
+        assert len(set(group)) == len(group)
+        inst = encode(pfa, ell, [pairs])
+        assert inst.clause_count == clause_count(pfa.n, pfa.m, ell) + len(group)
+        # the plain encoding comes first, unchanged
+        assert inst.clauses == encode(pfa, ell).clauses + tuple(group)
+
+    @given(pfas(max_n=6, max_m=3), st.integers(1, 8))
+    @settings(max_examples=60)
+    def test_group_forbids_exactly_the_far_pairs(self, pfa, ell):
+        lay = VarLayout(n=pfa.n, m=pfa.m, ell=ell)
+        expected = {
+            (-lay.state_var(p, t), -lay.state_var(q, t))
+            for t in range(ell)
+            for p in range(1, pfa.n + 1)
+            for q in range(p + 1, pfa.n + 1)
+            if merge_distance(pfa.delta, p, q) > ell - t
+        }
+        assert set(set_clauses(far_pairs(pair_distances(pfa)), lay)) == expected
+
     def test_group_counts_toward_the_budget(self):
         # 20 pairs never merge: 16384 * 20 more clauses push length 16384 over
         pfa = random_pfa(GenConfig(n=30, seed=3))
