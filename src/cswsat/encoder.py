@@ -24,15 +24,16 @@ for each step t < ell and each set of k states, k = 2, 3, 4, whose
 shortest merging word is longer than ell - t while none of its subsets one
 state smaller is, forbid all k states being active after t steps. Single
 states merge at distance 0, so every far pair is in the k = 2 group, and
-the sync block is its ell - t = 0 case. `search.min_csw` passes the pair
-list (from `far_pairs`) to every probe, and the `far_sets` list for size
-k > 2 to a probe when the automaton has no more sets of k states, C(n, k),
-than the probe's plain encoding has clauses: long-word automata, where
-the table is cheap beside the probe.
+the sync block is its ell - t = 0 case. The lists come from one
+`DistanceTables` per automaton, which checks each once by the equation
+that defines it. `search.min_csw` passes the pair list to every probe and
+to its `power_bfs` pre-check's bound, and the list for size k > 2 to a
+probe when the automaton has no more sets of k states, C(n, k), than the
+probe's plain encoding has clauses: long-word automata, where the table
+is cheap beside the probe.
 The rule rests on one fact: the rest of a real word merges the word's
 whole image after t letters in ell - t letters, so a real word's
-assignment satisfies every clause of these groups. `check_distances`
-checks the tables by the equation that defines them.
+assignment satisfies every clause of these groups.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ __all__ = [
     "DecodeError",
     "DimacsError",
     "encode",
+    "DistanceTables",
     "pair_distances",
     "far_pairs",
-    "far_sets",
     "set_clause_count",
     "set_clauses",
     "check_distances",
@@ -146,10 +147,9 @@ class DimacsError(ValueError):
 def encode(pfa: Pfa, ell: int, groups: Sequence = ()) -> CnfInstance:
     """Build the instance asking for a carefully synchronizing word of
     length exactly ell (ell >= 1), with one distance group appended for
-    each farthest-first list of `groups` (the pair list from far_pairs or
-    a list from far_sets), in order. Raises BudgetExceeded, before
-    building anything, when the instance would have more than MAX_CLAUSES
-    clauses."""
+    each farthest-first list of `groups` (from DistanceTables.far), in
+    order. Raises BudgetExceeded, before building anything, when the
+    instance would have more than MAX_CLAUSES clauses."""
     if ell < 1:
         raise ValueError(f"target length must be >= 1, got {ell}")
     n, m = pfa.n, pfa.m
@@ -236,8 +236,8 @@ def pair_distances(pfa: Pfa) -> list:
 
 def far_pairs(dist: list) -> list:
     """Every state pair p < q as (dist(p,q), 0, p, q), farthest first and,
-    at equal distance, in lexicographic order: the far_sets format for
-    sets of two states, whose single states merge at distance 0."""
+    at equal distance, in lexicographic order: DistanceTables.far's format
+    for sets of two states, whose single states merge at distance 0."""
     return sorted(
         (
             (d, 0, p, q)
@@ -249,116 +249,173 @@ def far_pairs(dist: list) -> list:
     )
 
 
-def far_sets(pfa: Pfa, dist: list, k: int) -> list:
-    """The state sets of 3..k states that take longer to merge than any of
-    their subsets one state smaller, one list per size: element i lists
-    the sets of i + 3 states as (D, inner, q1, ..., q_{i+3}), states
-    ascending, farthest first and, at equal D, in lexicographic order. D is
-    the length of the shortest word that merges the set and is defined on
-    it at every step (math.inf when none does), inner the largest D among
-    its subsets one state smaller, pairs read from `dist` (from
-    pair_distances). D >= inner always, since a word that merges a set
-    merges each subset, so the other sets add nothing to the smaller sets'
-    clauses.
+class DistanceTables:
+    """The distance lists of one automaton for a whole `search.min_csw` run,
+    each built on first request and checked once by its defining equation.
+
+    far(2) is far_pairs' list. For k > 2, far(k) lists the sets of k
+    states that take longer to merge than any of their subsets one state
+    smaller, as (D, inner, q1, ..., qk), states ascending, farthest first
+    and, at equal D, in lexicographic order. D is the length of the
+    shortest word that merges the set and is defined on it at every step
+    (math.inf when none does), inner the largest D among its subsets one
+    state smaller. D >= inner always, since a word that merges a set
+    merges each subset, so the other sets add nothing to the smaller
+    sets' clauses.
 
     D(S) = 1 + min over letters a defined on S of D(S.a). A backward
-    breadth-first search settles it level by level: single states sit at
-    level 0 and the pairs at distance d in `dist` at level d, and each
-    level's sets send every set of 3..k states that some letter maps onto
-    them to the next level. A letter's preimage of a set takes a nonempty
-    part of the letter's preimage of each of its states, from per-letter
-    lists of those parts, so each (set, letter) is met once, as a preimage
-    of its own image: O(C(n, k) m) time.
+    breadth-first search settles it level by level, one set size at a
+    time: the sets of fewer states settled so far keep their levels, and
+    each level's sets send every set of k states that some letter maps
+    onto them to the next level. A letter's preimage of a set takes a
+    nonempty part of the letter's preimage of each of its states, so each
+    (set, letter) is met once, as a preimage of its own image: O(C(n, k) m)
+    time per size, and O(C(n, k) k m) for its check.
     """
-    n = pfa.n
-    inf = math.inf
-    # A set's key is the product of its states' primes, one prime per
-    # state: unique factorization makes it one key per set, and it stays a
-    # small int. (CPython hashes an int modulo 2**61 - 1, so the bit masks
-    # of sets over more than 61 states collide in a dict: states p and
-    # p + 61 hash alike.)
-    primes = _primes(n)
-    # per letter a + 1, by the prime of each state r: pre[r], the primes
-    # of the states the letter sends to r; parts[r], the nonempty subsets
-    # of at most k of those; and the states it sends nothing to
-    letters = []
-    for groups in _preimages(pfa):
-        pre = {primes[r]: tuple(primes[p] for p in group) for r, group in enumerate(groups)}
-        parts = {
-            r: [
-                combo
-                for size in range(1, min(k, len(group)) + 1)
-                for combo in combinations(group, size)
-            ]
-            for r, group in pre.items()
-        }
-        missing = {r for r, group in pre.items() if not group}
-        letters.append((missing, pre.__getitem__, parts))
-    # D of each set settled so far, by key: single states, finite pairs,
-    # then the sets of 3..k states as the search reaches them
-    settled = dict.fromkeys(primes, 0)
-    pair_levels = {}
-    for p, q in combinations(range(n), 2):
-        d = dist[p][q]
-        if d != inf:
-            settled[primes[p] * primes[q]] = d
-            pair_levels.setdefault(d, []).append((primes[p], primes[q]))
-    top = max(pair_levels, default=0)
 
-    # level d's sets of 3..k states, each as its states' primes in any order
-    level = [(r,) for r in primes]
-    d = 0
-    while level or d <= top:
-        full = [image for image in level if len(image) == k]
-        smaller = [image for image in level if len(image) < k] + pair_levels.get(d, [])
+    def __init__(self, pfa: Pfa):
+        self.pfa = pfa
+        # far(2), far(3), ... as built so far
+        self._far = []
+
+    def far(self, k: int) -> list:
+        """The farthest-first list for sets of k >= 2 states, with those of
+        the sizes below it built and checked first."""
+        while len(self._far) < k - 1:
+            size = len(self._far) + 2
+            if size == 2:
+                dist = pair_distances(self.pfa)
+                check_distances(self.pfa, dist)
+                far = far_pairs(dist)
+            else:
+                far = self._search(size)
+                self._check(size, far)
+            self._far.append(far)
+        return self._far[k - 2]
+
+    def _search(self, k: int) -> list:
+        """far(k), k > 2, resuming the backward search of the smaller sizes."""
+        n = self.pfa.n
+        inf = math.inf
+        # A set's key is the product of its states' primes, one small int
+        # per set. (Bit masks of sets over 61 states collide in a dict, as
+        # CPython hashes an int modulo 2**61 - 1.)
+        primes = _primes(n)
+        if k == 3:
+            # D of each set settled so far, by key, and those sets, each as
+            # its states' primes, by D: single states, then finite pairs
+            self._settled = dict.fromkeys(primes, 0)
+            self._levels = {0: [(r,) for r in primes]}
+            for D, _, p, q in self._far[0]:
+                if D != inf:
+                    self._settled[primes[p - 1] * primes[q - 1]] = D
+                    self._levels.setdefault(D, []).append((primes[p - 1], primes[q - 1]))
+        settled, levels = self._settled, self._levels
+        # per letter a + 1, by the prime of each state r: pre[r], the primes
+        # of the states the letter sends to r, size[r], their number, and
+        # parts[r], their nonempty subsets of at most k
+        letters = []
+        for groups in _preimages(self.pfa):
+            pre = {primes[r]: tuple(primes[p] for p in group) for r, group in enumerate(groups)}
+            parts = {
+                r: [combo for i in range(1, k + 1) for combo in combinations(group, i)]
+                for r, group in pre.items()
+            }
+            size = {r: len(group) for r, group in pre.items()}.__getitem__
+            letters.append((pre.__getitem__, size, parts))
+
+        top = max(levels)
+        # the sets of k states at level d, as their states' primes
         reached = []
-        for missing, pre, parts in letters:
-            defined = missing.isdisjoint
-            # the preimages of a set of k states take one state per part
-            preimages = [product(*map(pre, image)) for image in full if defined(image)]
-            preimages += [_joined_parts(parts, image, k) for image in smaller if defined(image)]
-            for states in chain.from_iterable(preimages):
+        d = 0
+        while reached or d <= top:
+            smaller = levels.get(d, ())
+            images = []
+            for pre, size, parts in letters:
+                # a preimage of a set s of k states takes one state per part,
+                # one of k states from a smaller s takes k among its parts
+                images += [product(*map(pre, s)) for s in reached if all(map(size, s))]
+                images += [_joined_parts(parts, s, k) for s in smaller if sum(map(size, s)) >= k]
+            if reached:
+                levels.setdefault(d, []).extend(reached)
+            reached = []
+            for states in chain.from_iterable(images):
                 key = math.prod(states)
                 if key not in settled:
                     settled[key] = d + 1
                     reached.append(states)
-        d += 1
-        level = reached
+            d += 1
 
-    # A set of `size` states is a set P of size - 1 states plus a state r
-    # above P's, and its subsets one state smaller are P and each P - x + r.
-    # So with rows[Q][r] = D(Q + r) for the sets Q of size - 2, the inner
-    # distances of all of P's extensions are one elementwise max over
-    # P's rows, and D(P + r) is the row of P for the next size.
-    get = settled.get
-    rows = {primes[p]: dist[p] for p in range(n)}
-    far = []
-    for size in range(3, k + 1):
-        kept = []
-        next_rows = {}
-        for prefix in combinations(range(n), size - 1):
+        # A set of k states is a set P of k - 1 states plus a state r above
+        # P's, and its subsets one state smaller are P and each P - x + r.
+        # So with rows[Q][r] = D(Q + r) for the sets Q of k - 2 states, read
+        # only above Q's largest state, the inner distances of all of P's
+        # extensions are one elementwise max over P's rows.
+        get = settled.get
+
+        def row(key: int, after: int) -> list:
+            return list(map(get, map(mul, primes[after:], repeat(key)), repeat(inf)))
+
+        rows = {}
+        for sub in combinations(range(n), k - 2):
+            key = math.prod([primes[p] for p in sub])
+            rows[key] = [inf] * (sub[-1] + 1) + row(key, sub[-1] + 1)
+        far = []
+        for prefix in combinations(range(n), k - 1):
             key = math.prod([primes[p] for p in prefix])
             after = prefix[-1] + 1
-            row = list(map(get, map(mul, primes[after:], repeat(key)), repeat(inf)))
-            if size < k:
-                # read only above the largest state of a set holding P
-                next_rows[key] = [inf] * after + row
+            D = row(key, after)
             inners = list(
                 map(max, repeat(get(key, inf)), *(rows[key // primes[x]][after:] for x in prefix))
             )
-            entries = zip(
-                row, inners, *(repeat(p + 1) for p in prefix), range(after + 1, n + 1)
-            )
-            kept.extend(compress(entries, map(gt, row, inners)))
-        rows = next_rows
-        kept.sort(key=itemgetter(0), reverse=True)
-        far.append(kept)
-    return far
+            entries = zip(D, inners, *(repeat(p + 1) for p in prefix), range(after + 1, n + 1))
+            far.extend(compress(entries, map(gt, D, inners)))
+        far.sort(key=itemgetter(0), reverse=True)
+        return far
+
+    def _check(self, k: int, far: list) -> None:
+        """Check far(k), k > 2, by the defining equation, reading smaller
+        sets from the tables already checked; a set missing from the list
+        has D = inner. Only one table solves the equation, so a list that
+        passes is true. ModelVerificationError at the first failing entry."""
+        n = self.pfa.n
+        inf = math.inf
+        if k == 3:
+            # D by ascending 0-based states, of each set of the sizes checked
+            self._table = {(p,): 0 for p in range(n)}
+            self._table.update(((p - 1, q - 1), D) for D, _, p, q in self._far[0])
+        table = self._table
+        listed = {tuple(q - 1 for q in entry[2:]): entry[:2] for entry in far}
+        if len(listed) != len(far):
+            raise ModelVerificationError(f"set list for {k} states repeats a set")
+        for states in combinations(range(n), k):
+            inner = max(table[sub] for sub in combinations(states, k - 1))
+            entry = listed.pop(states, None)
+            if entry is not None and (entry[1] != inner or entry[0] <= inner):
+                raise ModelVerificationError(
+                    f"set list entry for states {tuple(q + 1 for q in states)} is "
+                    f"{entry}, but its subsets' largest distance is {inner}"
+                )
+            # a set left out takes as long as its farthest subset
+            table[states] = inner if entry is None else entry[0]
+        if listed:
+            raise ModelVerificationError(f"set list for {k} states holds {min(listed)}")
+        # images[a][q]: the 0-based state letter a + 1 sends q to, n where
+        # the letter is undefined
+        images = [[n if t is None else t - 1 for t in row] for row in self.pfa.delta]
+        for states in combinations(range(n), k):
+            best = inf
+            for image in images:
+                targets = {image[q] for q in states}
+                if n not in targets:
+                    best = min(best, 1 + table[tuple(sorted(targets))])
+            if table[states] != best:
+                _equation_fault(states, table[states], best)
 
 
 def _joined_parts(parts: dict, image: tuple, k: int) -> list:
-    """The sets of 3..k states that one letter sends onto `image`: one
-    part from parts[r] for each state prime r of the image, joined."""
+    """The sets of k states that one letter sends onto `image`: one part
+    from parts[r] for each state prime r of the image, joined."""
     joined = [()]
     left = len(image)
     for r in image:
@@ -369,7 +426,7 @@ def _joined_parts(parts: dict, image: tuple, k: int) -> list:
             for part in parts[r]
             if len(states) + len(part) + left <= k
         ]
-    return [states for states in joined if len(states) >= 3]
+    return [states for states in joined if len(states) == k]
 
 
 def _primes(count: int) -> list:
@@ -405,10 +462,9 @@ def set_clause_count(sets: list, ell: int) -> int:
 
 def set_clauses(sets: list, layout: VarLayout) -> list:
     """One distance group: (-x[q1,t] v ... v -x[qk,t]) for every step
-    t < ell and every entry of `sets` (the pair list from far_pairs or one
-    list from far_sets) with inner <= ell - t < D, so that no subset inside
-    it is forbidden at that step already; step by step and, within a step,
-    farthest first.
+    t < ell and every entry of `sets` (one list from DistanceTables.far)
+    with inner <= ell - t < D, so that no subset inside it is forbidden at
+    that step already; step by step and, within a step, farthest first.
 
     The entries with D > ell - t are a prefix of `sets`. A step where none
     of them has inner > ell - t, which is every step of the pair list,
@@ -436,18 +492,12 @@ def set_clauses(sets: list, layout: VarLayout) -> list:
     return clauses
 
 
-def check_distances(pfa: Pfa, dist: list, sets: Sequence = ()) -> None:
-    """Check `dist` (from pair_distances) and the lists of `sets` (from
-    far_sets, for sets of 3, 4, ... states in order) against the equation
-    that defines them: D = 0 on single states and, for every set S of two
-    or more states, D(S) = 1 + min over letters a defined on S of D(S.a),
-    math.inf when no letter is. A set missing from its list has D = inner,
-    the largest D among its subsets one state smaller. Only one table
-    solves the equation, so tables that pass are the true distances.
-
-    Takes O(n^2 m) time for the pairs and O(C(n, k) k m) for the sets of k
-    states. Raises ModelVerificationError at the first entry that fails.
-    """
+def check_distances(pfa: Pfa, dist: list) -> None:
+    """Check `dist` (from pair_distances) by the equation that defines it,
+    row by row in O(n^2 m) time: D = 0 on single states, D(p, q) = 1 + min
+    over letters a defined on both of D(p.a, q.a), math.inf when none is.
+    Only one table solves it, so a table that passes is true. Raises
+    ModelVerificationError at the first entry that fails."""
     n = pfa.n
     inf = math.inf
     if [list(column) for column in zip(*dist)] != dist:
@@ -463,36 +513,6 @@ def check_distances(pfa: Pfa, dist: list, sets: Sequence = ()) -> None:
         if dist[p][p:] != best:
             q = next(q for q in range(p, n) if dist[p][q] != best[q - p])
             _equation_fault((p, q), dist[p][q], best[q - p])
-    if not sets:
-        return
-
-    # D by ascending 0-based states, for sets of 1..k states
-    table = {(p,): 0 for p in range(n)}
-    table.update(((p, q), dist[p][q]) for p, q in combinations(range(n), 2))
-    for size, group in enumerate(sets, start=3):
-        listed = {tuple(q - 1 for q in entry[2:]): entry[:2] for entry in group}
-        if len(listed) != len(group):
-            raise ModelVerificationError(f"set list for {size} states repeats a set")
-        for states in combinations(range(n), size):
-            inner = max(table[sub] for sub in combinations(states, size - 1))
-            entry = listed.pop(states, None)
-            if entry is not None and (entry[1] != inner or entry[0] <= inner):
-                raise ModelVerificationError(
-                    f"set list entry for states {tuple(q + 1 for q in states)} is "
-                    f"{entry}, but its subsets' largest distance is {inner}"
-                )
-            # a set left out takes as long as its farthest subset
-            table[states] = inner if entry is None else entry[0]
-        if listed:
-            raise ModelVerificationError(f"set list for {size} states holds {min(listed)}")
-        for states in combinations(range(n), size):
-            best = inf
-            for image in images:
-                targets = {image[q] for q in states}
-                if n not in targets:
-                    best = min(best, 1 + table[tuple(sorted(targets))])
-            if table[states] != best:
-                _equation_fault(states, table[states], best)
 
 
 def _equation_fault(states: tuple, D, best) -> None:

@@ -10,8 +10,9 @@ subset misses the letter's undefined states, which is one mask test.
 Once its layers grow wide, the breadth-first search bounds itself: a
 narrow beam, and later a wide one, give a word of some length U, and an
 image at depth d holding two states that no U - d letters merge (by the
-encoder's pair-distance table) is dropped. No subset on a shortest word is
-ever dropped, so the answer and the witness are those of the full search.
+checked pair list of an `encoder.DistanceTables`) is dropped. No subset
+on a shortest word is ever dropped, so the answer and the witness are
+those of the full search.
 The test is one more byte-table image: the union, over the subset's
 states, of the states too far from each. A search that still runs out of
 budget raises with the shortest word its beams have found.
@@ -31,7 +32,7 @@ from .automaton import (
     SearchOutcome,
     is_carefully_synchronizing,
 )
-from .encoder import far_pairs, pair_distances
+from .encoder import DistanceTables
 
 __all__ = [
     "BOUND_STAGES",
@@ -102,33 +103,28 @@ class _PairBound:
 
     far[q] is the mask of states p with dist(p, q) > radius, so a subset
     S holds such a pair exactly when S & (union of far[q] over q in S) is
-    nonzero: one more byte-table image. The pairs wait in the encoder's
-    farthest-first list, reversed, and as the radius falls each pair
-    farther apart than it pops off the end into far, so the whole test
-    takes O(n^2) memory. That table and list are charged to
-    MAX_TABLE_WORDS, and no beam runs where they would exceed it.
+    nonzero: one more byte-table image. As the radius falls, the next pairs
+    of the checked farthest-first list `distances.far(2)` go into far, so
+    the whole test takes O(n^2) memory. That list and its table are charged
+    to MAX_TABLE_WORDS, and no beam runs where they would exceed it.
     """
 
-    def __init__(self, pfa: Pfa, actions: list):
+    def __init__(self, pfa: Pfa, actions: list, distances: DistanceTables):
         self.pfa = pfa
         self.actions = actions
         self.word = None
-        self.pairs = []
-        # the pair table and the far-pair list peak at 7.3-8.6 words per
-        # state pair under tracemalloc on random automata at n = 64..1000,
-        # and at up to 10.7 on the chain family
-        if 9 * pfa.n * pfa.n <= MAX_TABLE_WORDS:
-            dist = pair_distances(pfa)
-            # a word merges every pair, so where some pair never merges no
-            # beam can find one
-            if all(math.inf not in row for row in dist):
-                self.pairs = far_pairs(dist)
-                self.pairs.reverse()
-        # nor where a word, at least as long as the farthest pair's distance,
-        # is longer than a beam can store subsets: one per layer
+        # the pair table, its check's copies and the far-pair list peak at
+        # 7.3-8.7 words per state pair under tracemalloc on random automata
+        # at n = 64..1000, and at up to 10.7 on the chain family
+        self.pairs = distances.far(2) if 11 * pfa.n * pfa.n <= MAX_TABLE_WORDS else []
+        # A word merges every pair, at least as late as the farthest one, so
+        # no beam runs where that pair never merges or is farther apart than
+        # a beam can store subsets: one per layer.
         storable = DEFAULT_MAX_VISITED // -(-pfa.n // 64)
-        self.stages = sorted(BOUND_STAGES) if self.pairs and self.pairs[-1][0] <= storable else []
+        self.stages = sorted(BOUND_STAGES) if self.pairs and self.pairs[0][0] <= storable else []
         self.far = [0] * pfa.n
+        # pairs[:taken] are in far
+        self.taken = 0
 
     def next_trigger(self) -> float:
         """Layer size past which the next bounding beam runs."""
@@ -149,10 +145,12 @@ class _PairBound:
         `depth` letters, one farther apart than U - depth; None while no
         pair is."""
         radius = len(self.word) - depth
-        while self.pairs and self.pairs[-1][0] > radius:
-            _, _, p, q = self.pairs.pop()
+        pairs = self.pairs
+        while self.taken < len(pairs) and pairs[self.taken][0] > radius:
+            _, _, p, q = pairs[self.taken]
             self.far[p - 1] |= 1 << (q - 1)
             self.far[q - 1] |= 1 << (p - 1)
+            self.taken += 1
         return _byte_tables(self.far) if any(self.far) else None
 
 
@@ -167,7 +165,9 @@ def _trace_back(parent: dict, full: int, mask: int, last_letter: int) -> tuple:
     return tuple(word)
 
 
-def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome:
+def power_bfs(
+    pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED, *, distances: Optional[DistanceTables] = None
+) -> SearchOutcome:
     """Shortest carefully synchronizing word by breadth-first search from
     the full state set, expanding every letter defined on the current
     subset. The first singleton reached gives the minimal length; letters
@@ -175,15 +175,16 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
     least among the shortest.
 
     Once a layer holds more subsets than a trigger in BOUND_STAGES, a beam
-    search of that stage's width runs once; the shortest word any beam has found,
-    of length U, bounds the search. No beam runs when the pair table would
-    exceed MAX_TABLE_WORDS, when some pair never merges, or when the
+    search of that stage's width runs once; the shortest word any beam has
+    found, of length U, bounds the search. No beam runs when the pair table
+    would exceed MAX_TABLE_WORDS, when some pair never merges, or when the
     farthest pair is farther apart than the subsets a beam may store: a
     word is at least that long, and a beam stores one subset per layer.
-    From then on a new image at depth d is
-    neither stored nor expanded when it holds two states whose pair
-    distance (`encoder.pair_distances`) exceeds U - d. The answer and
-    witness stay those of the unbounded search: a word of length L <= U
+    From then on a new image at depth d is neither stored nor expanded when
+    it holds two states whose pair distance exceeds U - d. The distances
+    come from `distances` (an `encoder.DistanceTables`, made here when not
+    given), which checks its pair table before the bound reads it. The
+    answer and witness stay those of the unbounded search: a word of length L <= U
     merges every pair of its image after d letters within its last L - d
     letters, so no subset on such a word is pruned. Such a subset's first
     discoverer lies on such a word too, so among these subsets the
@@ -192,7 +193,8 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
 
     Exhausting all reachable subsets without a singleton proves there is no
     such word; it raises ModelVerificationError when pruning was on, since
-    the beam's verified word contradicts it. Raises BudgetExceeded when the
+    the beam's verified word contradicts it, and when the pair table fails
+    its check. Raises BudgetExceeded when the
     stored subsets, at ceil(n/64) words each, would exceed max_visited
     words; it carries `visited` and `word`, the shortest word the beams
     run so far have found, or None when none has run or found one. Raises
@@ -218,7 +220,7 @@ def power_bfs(pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED) -> SearchOutcome
     while frontier:
         if len(frontier) > trigger:
             if bound is None:
-                bound = _PairBound(pfa, actions)
+                bound = _PairBound(pfa, actions, distances or DistanceTables(pfa))
             bound.tighten(len(frontier))
             trigger = bound.next_trigger()
         depth += 1

@@ -24,8 +24,8 @@ sets of k states as well, k = 3 and 4: the same rule for k states none of
 whose subsets is forbidden yet. A real word makes x[q,t] true exactly on
 its image after t letters, and the rest of that word merges the whole
 image, so the clauses remove no real word and no length's answer changes.
-Each distance table is checked by its defining equation before a probe
-uses it.
+The tables come from one `encoder.DistanceTables` per run, shared with
+the pre-check's bound and checked once before anything uses them.
 """
 
 from __future__ import annotations
@@ -45,16 +45,7 @@ from .automaton import (
     full_state_set,
     is_carefully_synchronizing,
 )
-from .encoder import (
-    MAX_CLAUSES,
-    check_distances,
-    clause_count,
-    decode_word,
-    encode,
-    far_pairs,
-    far_sets,
-    pair_distances,
-)
+from .encoder import MAX_CLAUSES, DistanceTables, clause_count, decode_word, encode
 from .oracle import _beam, _letter_actions, power_bfs
 from .solver import SAT, UNSAT, Backend, BudgetExceeded, ModelVerificationError, SolveStats
 
@@ -122,14 +113,13 @@ def min_csw(
     `SearchOutcome.upper_bound_source` names where the first length came
     from.
 
-    Each probe appends the distance groups of the module docstring. The
-    pair table and its farthest-first list are built once, on the first
-    probe that fits the size budget; the `far_sets` lists, on the first
-    probe that admits a larger set size than those built so far. So no
-    table is larger than the probe, nor than MAX_CLAUSES, and each is
-    checked once (`encoder.check_distances`) before a probe uses it.
+    Each probe appends the distance groups of the module docstring, from
+    one `encoder.DistanceTables` that the `power_bfs` pre-check's bound
+    shares. A table is built on the first probe under the size budget that
+    admits its set size, unless that bound has built the pair table. So no
+    set table is larger than the probe, nor than MAX_CLAUSES.
 
-    Raises ModelVerificationError when a table fails that check. Raises
+    Raises ModelVerificationError when a table fails its check. Raises
     BudgetExceeded (with a `probes` attribute holding the partial
     record) when the backend gives out or a probe would exceed the
     encoder's MAX_CLAUSES.
@@ -142,9 +132,10 @@ def min_csw(
         return SearchOutcome(status=NOT_SYNCHRONIZING)
     exact = None
     upper = source = None
+    distances = DistanceTables(pfa)
     if precheck:
         try:
-            exact = power_bfs(pfa)
+            exact = power_bfs(pfa, distances=distances)
         except BudgetExceeded as exc:
             word = getattr(exc, "word", None)
             if word is None:
@@ -162,33 +153,19 @@ def min_csw(
     backend = backend or Backend()
     probes = []
     words = {}
-    dist = None
-    # the pair list from far_pairs, then the far_sets lists for sets of
-    # 3, 4, ... states
-    groups = []
 
     def probe(length: int) -> str:
-        nonlocal dist
         try:
-            # the tables are built for a probe under the size budget, each
-            # checked once. A probe carries the groups of the set sizes k
-            # with C(n, k) <= its plain clause count: 2..top, since
+            # A probe under the size budget carries the groups of the set
+            # sizes k with C(n, k) <= its plain clause count: 2..top, since
             # C(n, 3) <= C(n, 4) from n = 7 on and every plain encoding of
             # fewer states has more than C(n, 3) clauses.
             plain = clause_count(pfa.n, pfa.m, length)
             top = 2
             while top < MAX_SET_SIZE and math.comb(pfa.n, top + 1) <= plain:
                 top += 1
-            if plain <= MAX_CLAUSES:
-                if dist is None:
-                    dist = pair_distances(pfa)
-                    check_distances(pfa, dist)
-                    groups.append(far_pairs(dist))
-                if len(groups) < top - 1:
-                    sets = far_sets(pfa, dist, top)
-                    check_distances(pfa, dist, sets)
-                    groups[1:] = sets
-            instance = encode(pfa, length, groups[: top - 1])
+            groups = [distances.far(k) for k in range(2, top + 1)] if plain <= MAX_CLAUSES else ()
+            instance = encode(pfa, length, groups)
             start = time.perf_counter()
             result = backend.run(instance)
         except BudgetExceeded as exc:

@@ -24,14 +24,7 @@ from cswsat.cli import (
     run_experiment,
     write_gnuplot,
 )
-from cswsat.encoder import (
-    clause_count,
-    far_pairs,
-    far_sets,
-    pair_distances,
-    parse_dimacs,
-    set_clause_count,
-)
+from cswsat.encoder import DistanceTables, clause_count, parse_dimacs, set_clause_count
 from cswsat.generators import GenConfig, pn, random_pfa
 from cswsat.search import min_csw
 
@@ -298,8 +291,7 @@ class TestCommandSurface:
         # the probe instance's size: the encoding plus the pair- and
         # set-distance groups; with one triple, every probe passes both
         # set sizes' gates
-        dist = pair_distances(pfa)
-        groups = [far_pairs(dist), *far_sets(pfa, dist, 4)]
+        groups = [DistanceTables(pfa).far(k) for k in (2, 3, 4)]
         assert [p.clauses for p in probes_made] == [
             clause_count(pfa.n, pfa.m, p.length)
             + sum(set_clause_count(group, p.length) for group in groups)
@@ -379,7 +371,7 @@ class TestCommandSurface:
             raise AssertionError("overrun went past the budget")
 
         monkeypatch.setattr("cswsat.oracle._beam", refuse)
-        monkeypatch.setattr("cswsat.oracle.pair_distances", refuse)
+        monkeypatch.setattr("cswsat.encoder.pair_distances", refuse)
         path = self._pfa_file(tmp_path, serialize_pfa(pn(400)))
         assert main(["oracle", path, "--max-visited", "50"]) == 2
         assert "subset budget 50 words exceeded" in capsys.readouterr().err

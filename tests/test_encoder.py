@@ -12,13 +12,13 @@ from cswsat.encoder import (
     CnfInstance,
     DecodeError,
     DimacsError,
+    DistanceTables,
     VarLayout,
     check_distances,
     clause_count,
     decode_word,
     encode,
     far_pairs,
-    far_sets,
     layout_comment,
     pair_distances,
     parse_dimacs,
@@ -242,10 +242,9 @@ def _set_table(pfa, size):
 
 
 def _groups(pfa, size):
-    """The distance lists for sets of 2..size states: the pair list, then
-    far_sets' lists."""
-    dist = pair_distances(pfa)
-    return [far_pairs(dist), *(far_sets(pfa, dist, size) if size > 2 else ())]
+    """The distance lists for sets of 2..size states."""
+    distances = DistanceTables(pfa)
+    return [distances.far(k) for k in range(2, size + 1)]
 
 
 class _SetDistanceChecks:
@@ -434,9 +433,13 @@ class TestFourSetDistances(_SetDistanceChecks):
             self._check_table(pfa)
 
     def test_triple_list_is_the_same_at_every_size(self):
+        # the 4-set search resumes from the triples' levels and leaves
+        # their list as it was
         for pfa in (pn(6), PAIRWISE, TRIPLEWISE, random_pfa(GenConfig(n=12, seed=2))):
-            dist = pair_distances(pfa)
-            assert far_sets(pfa, dist, 4)[0] == far_sets(pfa, dist, 3)[0]
+            distances = DistanceTables(pfa)
+            triples = list(distances.far(3))
+            distances.far(4)
+            assert distances.far(3) == triples == DistanceTables(pfa).far(3)
 
     def test_triplewise_merging_set_is_infinite(self):
         quads = _groups(TRIPLEWISE, 4)[-1]
@@ -466,8 +469,8 @@ class TestCheckDistances:
     @example(PAIRWISE)
     @example(TRIPLEWISE)
     def test_true_tables_pass(self, pfa):
-        dist = pair_distances(pfa)
-        check_distances(pfa, dist, far_sets(pfa, dist, 4))
+        # far checks each list it builds
+        DistanceTables(pfa).far(4)
 
     def test_every_corrupt_pair_entry_fails(self):
         pfa = pn(5)
@@ -484,30 +487,37 @@ class TestCheckDistances:
         with pytest.raises(ModelVerificationError, match="symmetric"):
             check_distances(pn(5), dist)
 
+    @staticmethod
+    def _check(pfa, k, far):
+        """Check `far` as the list for sets of k states, the smaller sizes'
+        lists built and checked first."""
+        distances = DistanceTables(pfa)
+        distances.far(k - 1)
+        distances._check(k, far)
+
     def test_every_corrupt_set_entry_fails(self):
         pfa = pn(6)
-        dist = pair_distances(pfa)
-        sets = far_sets(pfa, dist, 4)
-        for size, group in enumerate(sets):
-            for i, (D, inner, *states) in enumerate(group):
+        for k in (3, 4):
+            far = DistanceTables(pfa).far(k)
+            for i, (D, inner, *states) in enumerate(far):
                 for wrong in ((D + 1, inner), (D - 1, inner), (D, inner + 1)):
-                    bad = [list(g) for g in sets]
-                    bad[size][i] = (*wrong, *states)
+                    bad = list(far)
+                    bad[i] = (*wrong, *states)
                     with pytest.raises(ModelVerificationError):
-                        check_distances(pfa, dist, bad)
+                        self._check(pfa, k, bad)
 
     def test_dropped_and_foreign_set_entries_fail(self):
         pfa = pn(6)
-        dist = pair_distances(pfa)
-        triples, quads = far_sets(pfa, dist, 4)
+        distances = DistanceTables(pfa)
+        triples, quads = distances.far(3), distances.far(4)
         with pytest.raises(ModelVerificationError):
-            check_distances(pfa, dist, [triples[1:], quads])
+            self._check(pfa, 3, triples[1:])
         with pytest.raises(ModelVerificationError, match="equation"):
-            check_distances(pfa, dist, [triples, quads[1:]])
+            self._check(pfa, 4, quads[1:])
         with pytest.raises(ModelVerificationError, match="holds"):
-            check_distances(pfa, dist, [triples, quads + [(99, 1, 4, 3, 2, 1)]])
+            self._check(pfa, 4, quads + [(99, 1, 4, 3, 2, 1)])
         with pytest.raises(ModelVerificationError, match="repeats"):
-            check_distances(pfa, dist, [triples + triples[:1], quads])
+            self._check(pfa, 3, triples + triples[:1])
 
 
 class TestDecode:

@@ -13,7 +13,7 @@ from cswsat.automaton import (
     word_from_letters,
 )
 from cswsat.cli import EXIT_FAULT, main
-from cswsat.encoder import pair_distances
+from cswsat.encoder import DistanceTables, pair_distances
 from cswsat.generators import GenConfig, pn, random_pfa
 from cswsat.oracle import (
     BOUND_STAGES,
@@ -27,6 +27,7 @@ from cswsat.search import FOUND, NOT_SYNCHRONIZING
 from cswsat.solver import BudgetExceeded, ModelVerificationError
 
 from helpers import explicit_power_length, pfas, shortest_sync_word
+from test_search import bindings, log_calls
 
 
 def _identity(n, m=1):
@@ -284,7 +285,7 @@ class TestBeam:
             raise AssertionError("overrun ran a beam")
 
         monkeypatch.setattr("cswsat.oracle._beam", refuse)
-        monkeypatch.setattr("cswsat.oracle.pair_distances", refuse)
+        monkeypatch.setattr("cswsat.encoder.pair_distances", refuse)
         with pytest.raises(BudgetExceeded) as info:
             power_bfs(pn(8), max_visited=50)
         assert info.value.word is None
@@ -375,7 +376,7 @@ class TestPairBound:
     @pytest.mark.parametrize("pfa", [pn(12), random_pfa(GenConfig(n=40, seed=1))])
     def test_far_masks_follow_the_radius(self, pfa):
         dist = pair_distances(pfa)
-        bound = _PairBound(pfa, _letter_actions(pfa))
+        bound = _PairBound(pfa, _letter_actions(pfa), DistanceTables(pfa))
         bound.word = (1,) * max(map(max, dist))
         rng = random.Random(pfa.n)
         subsets = [(1 << pfa.n) - 1] + [rng.getrandbits(pfa.n) or 1 for _ in range(100)]
@@ -407,7 +408,7 @@ class TestPairBound:
         actions = _letter_actions(pfa)
         tracemalloc.start()
         try:
-            _PairBound(pfa, actions)
+            _PairBound(pfa, actions, DistanceTables(pfa))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -419,41 +420,68 @@ class TestPairBound:
         # that long; a beam stores one subset per layer
         pfa = pn(8)
         assert max(map(max, pair_distances(pfa))) == 27
+        actions = _letter_actions(pfa)
         monkeypatch.setattr("cswsat.oracle.DEFAULT_MAX_VISITED", 27)
-        assert _PairBound(pfa, _letter_actions(pfa)).stages == sorted(BOUND_STAGES)
+        assert _PairBound(pfa, actions, DistanceTables(pfa)).stages == sorted(BOUND_STAGES)
         monkeypatch.setattr("cswsat.oracle.DEFAULT_MAX_VISITED", 26)
-        assert _PairBound(pfa, _letter_actions(pfa)).stages == []
+        assert _PairBound(pfa, actions, DistanceTables(pfa)).stages == []
 
     def test_pair_table_is_held_to_the_table_ceiling(self, monkeypatch):
-        # the pair table costs 9 words per state pair: pn(8)'s fits 576 words
+        # the pair table costs 11 words per state pair: pn(8)'s fits 704 words
         pfa = pn(8)
         actions = _letter_actions(pfa)
-        with mock.patch("cswsat.oracle.pair_distances", wraps=pair_distances) as dist:
-            monkeypatch.setattr("cswsat.oracle.MAX_TABLE_WORDS", 575)
-            assert _PairBound(pfa, actions).stages == []
+        with mock.patch("cswsat.encoder.pair_distances", wraps=pair_distances) as dist:
+            monkeypatch.setattr("cswsat.oracle.MAX_TABLE_WORDS", 703)
+            assert _PairBound(pfa, actions, DistanceTables(pfa)).stages == []
             dist.assert_not_called()
-            monkeypatch.setattr("cswsat.oracle.MAX_TABLE_WORDS", 576)
-            assert _PairBound(pfa, actions).stages == sorted(BOUND_STAGES)
+            monkeypatch.setattr("cswsat.oracle.MAX_TABLE_WORDS", 704)
+            assert _PairBound(pfa, actions, DistanceTables(pfa)).stages == sorted(BOUND_STAGES)
             dist.assert_called_once()
-        # at the default ceiling, 1365 states fit and 1366 do not
-        assert 9 * 1365**2 <= MAX_TABLE_WORDS < 9 * 1366**2
-        with mock.patch("cswsat.oracle.pair_distances") as dist:
-            assert _PairBound(_identity(1366), []).stages == []
+        # at the default ceiling, 1234 states fit and 1235 do not
+        assert 11 * 1234**2 <= MAX_TABLE_WORDS < 11 * 1235**2
+        with mock.patch("cswsat.encoder.pair_distances") as dist:
+            assert _PairBound(_identity(1235), [], DistanceTables(_identity(1235))).stages == []
         dist.assert_not_called()
 
     def test_a_search_past_the_pair_ceiling_is_unbounded(self, monkeypatch):
         # random n=60 seed 5 settles within 2^14 words only when bounded; its
-        # letter tables take 20,480 words and its pair table 32,400
+        # letter tables take 20,480 words and its pair table 39,600
         pfa = random_pfa(GenConfig(n=60, seed=5))
-        monkeypatch.setattr("cswsat.oracle.MAX_TABLE_WORDS", 32400)
+        monkeypatch.setattr("cswsat.oracle.MAX_TABLE_WORDS", 39600)
         out = power_bfs(pfa, max_visited=2**14)
         assert (out.status, out.min_length) == (FOUND, 21)
-        monkeypatch.setattr("cswsat.oracle.MAX_TABLE_WORDS", 32399)
-        with mock.patch("cswsat.oracle.pair_distances") as dist:
+        monkeypatch.setattr("cswsat.oracle.MAX_TABLE_WORDS", 39599)
+        with mock.patch("cswsat.encoder.pair_distances") as dist:
             with pytest.raises(BudgetExceeded) as info:
                 power_bfs(pfa, max_visited=2**14)
         dist.assert_not_called()
         assert info.value.word is None
+
+    def test_table_is_checked_once_before_it_prunes(self, monkeypatch):
+        events = []
+        log_calls(monkeypatch, events, lambda *args: "check", "check_distances")
+        log_calls(monkeypatch, events, lambda *args: "prune", "far_map_at", _PairBound)
+        monkeypatch.setattr("cswsat.oracle.BOUND_STAGES", FIRST_LAYER_STAGES)
+        assert power_bfs(pn(8)).min_length == 55
+        assert events[:2] == ["check", "prune"]
+        assert events.count("check") == 1
+
+    def test_a_wrong_table_in_the_bound_is_a_fault(self, monkeypatch, tmp_path, capsys):
+        # both beams run before the first layer, so the bound reads the
+        # pair table at once
+        def corrupt(pfa):
+            dist = pair_distances(pfa)
+            dist[0][1] = dist[1][0] = dist[0][1] + 1
+            return dist
+
+        for module in bindings("pair_distances"):
+            monkeypatch.setattr(module, "pair_distances", corrupt)
+        monkeypatch.setattr("cswsat.oracle.BOUND_STAGES", FIRST_LAYER_STAGES)
+        path = tmp_path / "pn8.txt"
+        path.write_text(serialize_pfa(pn(8)))
+        for command in ("oracle", "min"):
+            assert main([command, str(path)]) == EXIT_FAULT
+            assert "distance of states (1, 2)" in capsys.readouterr().err
 
     def test_long_chain_runs_no_beam(self):
         # pn(800)'s farthest pair is 319,599 letters apart, against 80,659

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from unittest import mock
 
 import pytest
@@ -15,17 +16,15 @@ from cswsat.automaton import (
 )
 from cswsat.cli import EXIT_FAULT, main
 from cswsat.encoder import (
-    check_distances,
+    DistanceTables,
     clause_count,
     decode_word,
     encode,
-    far_pairs,
-    far_sets,
     pair_distances,
     set_clause_count,
 )
 from cswsat.generators import GenConfig, pn, random_pfa
-from cswsat import oracle
+from cswsat import oracle, search
 from cswsat.oracle import _beam, power_bfs
 from cswsat.search import (
     BEAM,
@@ -172,10 +171,28 @@ class TestSearchIdentity:
                 [(54, UNSAT, 1710, 170, 486, 3812, 1), (55, SAT, 1728, 188, 589, 5217, 1)],
                 "aababaababaababaabbabbabbaabbbabbabaabbbbabbaabbbbbabaa",
             ),
+            # galloping: the triple group joins at length 4, the 4-set
+            # group at 8
+            (
+                (random_pfa(GenConfig(n=10, seed=1)), False),
+                [
+                    (1, UNSAT, 110, 0, 0, 0, 0),
+                    (2, UNSAT, 157, 0, 0, 0, 0),
+                    (4, UNSAT, 248, 0, 0, 0, 0),
+                    (8, UNSAT, 383, 0, 0, 0, 0),
+                    (16, SAT, 559, 0, 102, 90, 0),
+                    (12, SAT, 471, 0, 56, 88, 0),
+                    (10, SAT, 427, 0, 34, 86, 0),
+                    (9, SAT, 405, 0, 29, 79, 0),
+                ],
+                "ababababa",
+            ),
         ],
     )
     def test_probe_counts_are_pinned(self, pfa, probes, witness):
-        out = min_csw(pfa)
+        # an input given as (automaton, False) runs without the pre-check
+        pfa, precheck = pfa if isinstance(pfa, tuple) else (pfa, True)
+        out = min_csw(pfa, precheck=precheck)
         assert [
             (
                 p.length,
@@ -211,7 +228,7 @@ class TestBudgets:
         def refuse(pfa):
             raise AssertionError("pair table built for an oversized probe")
 
-        monkeypatch.setattr("cswsat.search.pair_distances", refuse)
+        monkeypatch.setattr("cswsat.encoder.pair_distances", refuse)
         identity = Pfa(n=1500, m=1, delta=(tuple(range(1, 1501)),))
         with pytest.raises(BudgetExceeded, match="clauses"):
             min_csw(identity, precheck=False)
@@ -251,10 +268,10 @@ class TestPairDistanceGroup:
         exact = power_bfs(pfa)
         if exact.status != FOUND or exact.min_length == 0:
             return
-        dist = pair_distances(pfa)
-        pairs = far_pairs(dist)
-        for sets in ((), far_sets(pfa, dist, 3), far_sets(pfa, dist, 4)):
-            instance = encode(pfa, exact.min_length, [pairs, *sets])
+        distances = DistanceTables(pfa)
+        for top in (2, 3, 4):
+            groups = [distances.far(k) for k in range(2, top + 1)]
+            instance = encode(pfa, exact.min_length, groups)
             assert satisfies(instance, _word_model(pfa, exact.witness, instance.layout))
 
     # from two states on, a word of length min_length + k exists for all k
@@ -273,8 +290,7 @@ class TestPairDistanceGroup:
     def _check_every_length(pfa):
         exact = power_bfs(pfa)
         top = exact.min_length + 2 if exact.status == FOUND else 8
-        dist = pair_distances(pfa)
-        groups = [far_pairs(dist), *far_sets(pfa, dist, 4)]
+        groups = [DistanceTables(pfa).far(k) for k in (2, 3, 4)]
         found = sync_lengths(pfa.n, pfa.delta, pfa.m, top)
         for ell in range(1, top + 1):
             for size in (2, 3, 4):
@@ -289,9 +305,28 @@ class TestPairDistanceGroup:
                     assert is_carefully_synchronizing(pfa, word)
 
 
+def bindings(name):
+    """Every cswsat module that binds `name`: patching them all reaches a
+    module's own import too."""
+    return [m for k, m in sys.modules.items() if k.startswith("cswsat") and name in vars(m)]
+
+
+def log_calls(monkeypatch, log, entry, name, *owners):
+    """Wrap `name` on each of `owners`, or on all its bindings given none,
+    so that each call first appends entry(*args) to `log`."""
+    for owner in owners or bindings(name):
+        original = getattr(owner, name)
+
+        def logged(*args, original=original):
+            log.append(entry(*args))
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, logged)
+
+
 def _probe_sizes(pfa, out, sets=()):
     """Each probe's expected clause count: plain, pair and set groups."""
-    pairs = far_pairs(pair_distances(pfa))
+    pairs = DistanceTables(pfa).far(2)
     return [
         clause_count(pfa.n, pfa.m, p.length)
         + set_clause_count(pairs, p.length)
@@ -305,10 +340,10 @@ class TestTripleGate:
     C(n, k) is at most its plain clause count."""
 
     def test_short_words_on_wide_automata_keep_the_pair_encoding(self, monkeypatch):
-        def refuse(pfa, dist, k):
+        def refuse(self, k):
             raise AssertionError("set table built for a short probe")
 
-        monkeypatch.setattr("cswsat.search.far_sets", refuse)
+        monkeypatch.setattr(DistanceTables, "_search", refuse)
         pfa = random_pfa(GenConfig(n=30, seed=1))
         out = min_csw(pfa)
         assert out.status == FOUND
@@ -319,36 +354,29 @@ class TestTripleGate:
     def test_long_words_carry_the_triple_group(self):
         pfa = pn(6)
         out = min_csw(pfa)
-        sets = far_sets(pfa, pair_distances(pfa), 4)
+        distances = DistanceTables(pfa)
+        sets = [distances.far(3), distances.far(4)]
         assert all(set_clause_count(sets[0], p.length) > 0 for p in out.probes)
         assert [p.clauses for p in out.probes] == _probe_sizes(pfa, out, sets)
 
     def test_long_words_carry_the_four_set_group(self):
         pfa = pn(6)
         out = min_csw(pfa)
-        quads = far_sets(pfa, pair_distances(pfa), 4)[1]
+        quads = DistanceTables(pfa).far(4)
         assert all(set_clause_count(quads, p.length) > 0 for p in out.probes)
 
     def test_table_is_built_once(self, monkeypatch):
+        # one search per set size, the triples' included, over all probes
         calls = []
-
-        def counted(pfa, dist, k):
-            calls.append(k)
-            return far_sets(pfa, dist, k)
-
-        monkeypatch.setattr("cswsat.search.far_sets", counted)
+        log_calls(monkeypatch, calls, lambda self, k: k, "_search", DistanceTables)
         out = min_csw(pn(5), precheck=False)
         assert len(out.probes) > 2
-        assert calls == [4]
+        assert calls == [3, 4]
 
     def test_pair_list_is_built_once(self, monkeypatch):
+        # the pre-check bounds itself, and its bound's list is the probes'
         calls = []
-
-        def counted(dist):
-            calls.append(len(dist))
-            return far_pairs(dist)
-
-        monkeypatch.setattr("cswsat.search.far_pairs", counted)
+        log_calls(monkeypatch, calls, len, "far_pairs")
         out = min_csw(random_pfa(GenConfig(n=60, seed=0)))
         assert len(out.probes) == 2
         assert calls == [60]
@@ -359,7 +387,8 @@ class TestTripleGate:
         # the 4-set group for one with at least C(10, 4) = 210
         pfa = random_pfa(GenConfig(n=10, seed=1))
         out = min_csw(pfa, precheck=False)
-        triples, quads = far_sets(pfa, pair_distances(pfa), 4)
+        distances = DistanceTables(pfa)
+        triples, quads = distances.far(3), distances.far(4)
         plain = [clause_count(10, pfa.m, p.length) for p in out.probes]
         assert plain[0] < 120 <= plain[-1]
         assert any(120 <= count < 210 for count in plain) and plain[-1] >= 210
@@ -371,15 +400,14 @@ class TestTripleGate:
         ]
 
     def test_tables_grow_with_the_gate(self, monkeypatch):
-        calls = []
-
-        def counted(pfa, dist, k):
-            calls.append(k)
-            return far_sets(pfa, dist, k)
-
-        monkeypatch.setattr("cswsat.search.far_sets", counted)
+        # the probe at 4 builds the triple list, the one at 8 the 4-set
+        # list by resuming that search: the triples are searched once
+        events = []
+        log_calls(monkeypatch, events, lambda self, k: k, "_search", DistanceTables)
+        log_calls(monkeypatch, events, lambda pfa, length, groups: f"probe {length}", "encode", search)
         min_csw(random_pfa(GenConfig(n=10, seed=1)), precheck=False)
-        assert calls == [3, 4]
+        assert events[:6] == ["probe 1", "probe 2", 3, "probe 4", 4, "probe 8"]
+        assert all(isinstance(event, str) for event in events[6:])
 
 
 class TestBeyondSixtyFourStates:
@@ -469,7 +497,8 @@ class TestProbeSchedule:
         monkeypatch.setattr("cswsat.oracle._beam", counted)
         monkeypatch.setattr("cswsat.search._beam", counted)
         monkeypatch.setattr(
-            "cswsat.search.power_bfs", lambda pfa: power_bfs(pfa, max_visited=50)
+            "cswsat.search.power_bfs",
+            lambda pfa, **kwargs: power_bfs(pfa, max_visited=50, **kwargs),
         )
         out = min_csw(pn(8))
         assert (out.upper_bound_source, out.min_length) == (BEAM, 55)
@@ -501,8 +530,9 @@ class TestProbeSchedule:
 
 
 class TestDistanceTableCheck:
-    """min_csw checks each distance table by its defining equation before a
-    probe uses it; a wrong entry is a fault (exit 3)."""
+    """min_csw's distance tables are each checked once by their defining
+    equation before a probe or the pre-check's bound uses them; a wrong
+    entry is a fault (exit 3)."""
 
     @staticmethod
     def _run_cli(tmp_path, capsys, pfa):
@@ -517,34 +547,45 @@ class TestDistanceTableCheck:
             dist[0][1] = dist[1][0] = dist[0][1] + 1
             return dist
 
-        monkeypatch.setattr("cswsat.search.pair_distances", corrupt)
+        monkeypatch.setattr("cswsat.encoder.pair_distances", corrupt)
         code, err = self._run_cli(tmp_path, capsys, pn(6))
         assert code == EXIT_FAULT
         assert "distance of states (1, 2)" in err
 
     @pytest.mark.parametrize("size", [3, 4])
     def test_corrupt_set_entry_is_a_fault(self, monkeypatch, tmp_path, capsys, size):
-        def corrupt(pfa, dist, k):
-            sets = far_sets(pfa, dist, k)
-            D, inner, *states = sets[size - 3][0]
-            sets[size - 3][0] = (D + 1, inner, *states)
-            return sets
+        def corrupt(self, k):
+            far = search_sets(self, k)
+            if k == size:
+                D, inner, *states = far[0]
+                far[0] = (D + 1, inner, *states)
+            return far
 
-        monkeypatch.setattr("cswsat.search.far_sets", corrupt)
+        search_sets = DistanceTables._search
+        monkeypatch.setattr(DistanceTables, "_search", corrupt)
         code, err = self._run_cli(tmp_path, capsys, pn(6))
         assert code == EXIT_FAULT
         assert "distance" in err
 
     def test_each_table_is_checked_once(self, monkeypatch):
+        # pairs, triples and 4-sets, each once over the whole gallop
         calls = []
-
-        def counted(pfa, dist, sets=()):
-            calls.append(len(sets))
-            return check_distances(pfa, dist, sets)
-
-        monkeypatch.setattr("cswsat.search.check_distances", counted)
+        log_calls(monkeypatch, calls, lambda pfa, dist: 2, "check_distances")
+        log_calls(monkeypatch, calls, lambda self, k, far: k, "_check", DistanceTables)
         min_csw(random_pfa(GenConfig(n=10, seed=1)), precheck=False)
-        assert calls == [0, 1, 2]
+        assert calls == [2, 3, 4]
+
+    def test_precheck_table_is_the_probes_table(self, monkeypatch):
+        # the pre-check bounds itself on this draw: its bound and the
+        # probes read one pair table, built once and checked once
+        builds, checks = [], []
+        log_calls(monkeypatch, builds, lambda pfa: pfa.n, "pair_distances")
+        log_calls(monkeypatch, checks, lambda pfa, *tables: pfa.n, "check_distances")
+        bounds = []
+        log_calls(monkeypatch, bounds, lambda *args: "bound", "__init__", oracle._PairBound)
+        out = min_csw(random_pfa(GenConfig(n=60, seed=0)))
+        assert (bounds, len(out.probes)) == (["bound"], 2)
+        assert builds == checks == [60]
 
 
 class TestExternalBackend:
