@@ -34,6 +34,9 @@ is cheap beside the probe.
 The rule rests on one fact: the rest of a real word merges the word's
 whole image after t letters in ell - t letters, so a real word's
 assignment satisfies every clause of these groups.
+
+`shorter_clauses` gives what the encoding at a shorter length adds to the
+one at ell under the same groups, for the search to add to a kept engine.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .automaton import BudgetExceeded, ModelVerificationError, Pfa
 
 __all__ = [
     "MAX_CLAUSES",
+    "MAX_SET_SIZE",
     "VarLayout",
     "CnfInstance",
     "DecodeError",
@@ -59,6 +63,7 @@ __all__ = [
     "far_pairs",
     "set_clause_count",
     "set_clauses",
+    "shorter_clauses",
     "check_distances",
     "decode_word",
     "to_dimacs",
@@ -249,6 +254,13 @@ def far_pairs(dist: list) -> list:
     )
 
 
+# Largest state sets with a distance list. Larger sets cut the chain
+# family's probes further, but at n states the group alone refutes
+# min - 1 by unit propagation: the certificate would then be the table,
+# not the solver's search.
+MAX_SET_SIZE = 4
+
+
 class DistanceTables:
     """The distance lists of one automaton for a whole `search.min_csw` run,
     each built on first request and checked once by its defining equation.
@@ -270,17 +282,25 @@ class DistanceTables:
     onto them to the next level. A letter's preimage of a set takes a
     nonempty part of the letter's preimage of each of its states, so each
     (set, letter) is met once, as a preimage of its own image: O(C(n, k) m)
-    time per size, and O(C(n, k) k m) for its check.
+    time per size, and O(C(n, k) k m) for its check. Sizes stop at
+    MAX_SET_SIZE: once that list is built, the search's levels and the
+    check's table, which only a larger size would read, are dropped.
     """
 
     def __init__(self, pfa: Pfa):
         self.pfa = pfa
         # far(2), far(3), ... as built so far
         self._far = []
+        # the search's and the check's state, which sizes 4 and up resume
+        # and which goes once far(MAX_SET_SIZE) is built
+        self._settled = self._levels = self._table = None
 
     def far(self, k: int) -> list:
-        """The farthest-first list for sets of k >= 2 states, with those of
-        the sizes below it built and checked first."""
+        """The farthest-first list for sets of k states, 2 <= k <=
+        MAX_SET_SIZE, with those of the sizes below it built and checked
+        first."""
+        if not 2 <= k <= MAX_SET_SIZE:
+            raise ValueError(f"set size must be in 2..{MAX_SET_SIZE}, got {k}")
         while len(self._far) < k - 1:
             size = len(self._far) + 2
             if size == 2:
@@ -291,6 +311,8 @@ class DistanceTables:
                 far = self._search(size)
                 self._check(size, far)
             self._far.append(far)
+            if size == MAX_SET_SIZE:
+                self._settled = self._levels = self._table = None
         return self._far[k - 2]
 
     def _search(self, k: int) -> list:
@@ -489,6 +511,36 @@ def set_clauses(sets: list, layout: VarLayout) -> list:
             for entry in sets[:k]:
                 if entry[1] <= left:
                     clauses.append(tuple(map(sub, repeat(base), entry[2:])))
+    return clauses
+
+
+def shorter_clauses(groups: Sequence, layout: VarLayout, lo: int) -> list:
+    """The clauses that encode(pfa, lo, groups) has and encode(pfa,
+    layout.ell, groups) lacks, for 1 <= lo < layout.ell: per group, and per
+    step t <= lo farthest first, each entry with inner <= lo - t < D <=
+    layout.ell - t. At t = lo they are the pairs of lo's sync block that
+    merge within layout.ell - lo letters, the rest of that block being in
+    the longer encoding's pair group. So the longer encoding plus these
+    clauses holds the shorter one; and a real word of length lo, extended
+    to layout.ell letters by a letter defined everywhere, satisfies them
+    all."""
+    if not 1 <= lo < layout.ell:
+        raise ValueError(f"need 1 <= lo < {layout.ell}, got {lo}")
+    clauses = []
+    width = layout.m + layout.n
+    for sets in groups:
+        rising = [entry[0] for entry in reversed(sets)]
+        for t in range(lo + 1):
+            left = lo - t
+            # entries first to last: D > ell - t, then the ones wanted, then D <= left
+            first = len(rising) - bisect_right(rising, layout.ell - t)
+            last = len(rising) - bisect_right(rising, left)
+            base = -t * width
+            clauses.extend(
+                tuple(map(sub, repeat(base), entry[2:]))
+                for entry in sets[first:last]
+                if entry[1] <= left
+            )
     return clauses
 
 

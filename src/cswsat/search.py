@@ -5,16 +5,29 @@ yields another one, so "a word of length exactly ell exists" is monotone in
 ell once true. Only two answers certify the minimum: unsatisfiable one below
 it and satisfiable at it.
 
-When a word of some length U is already known, min_csw descends from it:
-it probes U - 1, and each satisfiable probe's word, cut at its first
-singleton image, lowers U, until the first unsatisfiable probe proves U
-minimal. The known word comes from the pre-check: `power_bfs` gives the
-exact length, so the run makes two probes; past its budget, a beam word
-gives an upper bound: the one its BudgetExceeded carries, else one from a
-width-1024 beam. Without either, min_csw gallops
+When a word of some length U is already known, min_csw descends from it.
+It probes U on a fresh engine, then asks for U - 1 on that same engine,
+and each word found, cut at its first singleton image, lowers U, until
+the first unsatisfiable answer proves U minimal. The known word comes
+from the pre-check: `power_bfs` gives the exact length, so the run makes
+two probes, satisfiable at U and then unsatisfiable at U - 1; past its
+budget, a beam word gives an upper bound: the one its BudgetExceeded
+carries, else one from a width-1024 beam. Without either, min_csw gallops
 (1, 2, 4, ...) to the first satisfiable length and binary-searches the
 bracketed interval. Either way the probe record doubles as a minimality
 certificate, holding an unsatisfiable probe one below the answer.
+
+The engine answers a shorter length lo by taking, at level 0 and with
+what it has learned, the clauses `encoder.shorter_clauses` gives: CNF(lo)
+minus CNF(hi) under the hi probe's groups. The union holds CNF(lo), and
+any real word of length lo, extended by a letter defined everywhere
+(which min_csw requires before it probes), satisfies all of it. So the
+two are equisatisfiable, and refuting the union certifies that no word of
+length lo exists. Its models only lower the bound: the returned word
+always comes from a fresh probe at the answer, made last when the descent
+has not made one, so the exact, beam and gallop paths return one word. A
+backend other than `solver.Backend`, or an external solver, keeps no
+engine and gets CNF(lo), with lo's own groups, as a probe of its own.
 
 Every probe also carries the encoder's distance groups. For k = 2, states
 p and q may not both be active after t steps when no word of length
@@ -45,7 +58,16 @@ from .automaton import (
     full_state_set,
     is_carefully_synchronizing,
 )
-from .encoder import MAX_CLAUSES, DistanceTables, clause_count, decode_word, encode
+from .encoder import (
+    MAX_CLAUSES,
+    MAX_SET_SIZE,
+    DistanceTables,
+    VarLayout,
+    clause_count,
+    decode_word,
+    encode,
+    shorter_clauses,
+)
 from .oracle import _beam, _letter_actions, power_bfs
 from .solver import SAT, UNSAT, Backend, BudgetExceeded, ModelVerificationError, SolveStats
 
@@ -62,12 +84,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_LENGTH = 1 << 20
-
-# Largest state sets whose distance group a probe carries. Larger sets cut
-# the chain family's probes further, but at n states the group alone
-# refutes min - 1 by unit propagation: the certificate would then be the
-# table, not the solver's search.
-MAX_SET_SIZE = 4
 
 # SearchOutcome.upper_bound_source values: where the first probe length came from
 POWER_BFS = "power_bfs"
@@ -101,17 +117,20 @@ def min_csw(
     at any state count, since unbounded non-existence can never be
     concluded from length probes alone.
 
-    With `precheck` on, a positive answer sets the first probe length: one
-    below `power_bfs`'s exact length, or, when the exact search runs out of
-    budget, one below the length of a beam word: the one its BudgetExceeded
-    carries, else one from a width-1024 beam run here. The probes then
-    descend from there, and a minimum that differs from `power_bfs`'s
-    raises ModelVerificationError. When the known length exceeds
-    `max_length`, the first probe is at `max_length`. With `precheck` off,
-    or when no beam finds a word, the probes gallop from length 1 and
-    binary-search. Either way the answer rests on the probes, and
+    With `precheck` on, a positive answer sets the first probe length:
+    `power_bfs`'s exact length, or, when the exact search runs out of
+    budget, the length of a beam word: the one its BudgetExceeded carries,
+    else one from a width-1024 beam run here; `max_length` when the known
+    length exceeds it. The probes descend from there as the module
+    docstring says, so an exact bound's record is (min, SAT) and then
+    (min - 1, UNSAT) on the same engine, and the witness always comes from
+    a fresh probe at the answer. A minimum that differs from `power_bfs`'s
+    raises ModelVerificationError. With `precheck` off, or when no beam
+    finds a word, the probes gallop from length 1 and binary-search, each
+    on a fresh engine. Either way the answer rests on the probes, and
     `SearchOutcome.upper_bound_source` names where the first length came
-    from.
+    from. A probe's stats and the backend's limits count that probe alone;
+    its `clauses`, like MAX_CLAUSES, counts all the engine holds.
 
     Each probe appends the distance groups of the module docstring, from
     one `encoder.DistanceTables` that the `power_bfs` pre-check's bound
@@ -153,42 +172,72 @@ def min_csw(
     backend = backend or Backend()
     probes = []
     words = {}
+    # the built-in engine of the last probe: its Session, that probe's
+    # groups, the length its clauses now stand for and their count
+    kept = None
 
     def probe(length: int) -> str:
+        nonlocal kept
+        kept = None
         try:
-            # A probe under the size budget carries the groups of the set
-            # sizes k with C(n, k) <= its plain clause count: 2..top, since
-            # C(n, 3) <= C(n, 4) from n = 7 on and every plain encoding of
-            # fewer states has more than C(n, 3) clauses.
-            plain = clause_count(pfa.n, pfa.m, length)
-            top = 2
-            while top < MAX_SET_SIZE and math.comb(pfa.n, top + 1) <= plain:
-                top += 1
-            groups = [distances.far(k) for k in range(2, top + 1)] if plain <= MAX_CLAUSES else ()
+            groups = _probe_groups(pfa, distances, length)
             instance = encode(pfa, length, groups)
             start = time.perf_counter()
-            result = backend.run(instance)
+            session = backend.start(instance) if isinstance(backend, Backend) else None
+            result = session.solve() if session else backend.run(instance)
         except BudgetExceeded as exc:
             exc.probes = tuple(probes)
             raise
-        elapsed = time.perf_counter() - start
-        probes.append(
-            Probe(
-                length=length,
-                status=result.status,
-                seconds=elapsed,
-                stats=result.stats,
-                clauses=instance.clause_count,
-            )
-        )
+        record(length, start, result, instance.clause_count)
+        if session:
+            kept = (session, groups, length, instance.clause_count)
         if result.status == SAT:
             words[length] = decode_word(result.model, instance.layout)
         return result.status
 
+    def below(length: int) -> Optional[tuple]:
+        """A word of `length`, shorter than the last probe's, or None when
+        there is none: by extending the kept engine with the clauses
+        that take its CNF down to `length`, else by a probe."""
+        nonlocal kept
+        if kept is None:
+            return words[length] if probe(length) == SAT else None
+        session, groups, ell, size = kept
+        try:
+            layout = VarLayout(n=pfa.n, m=pfa.m, ell=ell)
+            delta = shorter_clauses(groups, layout, length)
+            size += len(delta)
+            if size > MAX_CLAUSES:
+                raise BudgetExceeded(
+                    f"length {length} needs {size} clauses, over the {MAX_CLAUSES} budget"
+                )
+            start = time.perf_counter()
+            session.extend(delta)
+            result = session.solve()
+        except BudgetExceeded as exc:
+            exc.probes = tuple(probes)
+            raise
+        record(length, start, result, size)
+        kept = (session, groups, length, size)
+        if result.status == UNSAT:
+            return None
+        return decode_word(result.model, layout)[:length]
+
+    def record(length: int, start: float, result, clauses: int) -> None:
+        probes.append(
+            Probe(
+                length=length,
+                status=result.status,
+                seconds=time.perf_counter() - start,
+                stats=result.stats,
+                clauses=clauses,
+            )
+        )
+
     if upper is None:
         hi = _gallop_and_bisect(probe, max_length)
     else:
-        hi = _descend(pfa, probe, words, upper, max_length)
+        hi = _descend(pfa, probe, below, words, upper, max_length)
     if hi is None:
         return SearchOutcome(
             status=UNKNOWN_UP_TO_BOUND,
@@ -216,6 +265,20 @@ def min_csw(
     )
 
 
+def _probe_groups(pfa: Pfa, distances: DistanceTables, length: int) -> list:
+    """The distance lists a probe of `length` carries. A probe under the
+    size budget carries the groups of the set sizes k with C(n, k) <= its
+    plain clause count: 2..top, since C(n, 3) <= C(n, 4) from n = 7 on and
+    every plain encoding of fewer states has more than C(n, 3) clauses."""
+    plain = clause_count(pfa.n, pfa.m, length)
+    if plain > MAX_CLAUSES:
+        return []
+    top = 2
+    while top < MAX_SET_SIZE and math.comb(pfa.n, top + 1) <= plain:
+        top += 1
+    return [distances.far(k) for k in range(2, top + 1)]
+
+
 def _gallop_and_bisect(probe, max_length: int) -> Optional[int]:
     """The least satisfiable length by probing 1, 2, 4, ... up to
     `max_length` and binary-searching the bracket; None when `max_length`
@@ -238,25 +301,40 @@ def _gallop_and_bisect(probe, max_length: int) -> Optional[int]:
     return hi
 
 
-def _descend(pfa: Pfa, probe, words: dict, upper: int, max_length: int) -> Optional[int]:
+def _descend(pfa: Pfa, probe, below, words: dict, upper: int, max_length: int) -> Optional[int]:
     """The least satisfiable length, probing down from `upper`, the length
     of a known word; None when `max_length` is below it and unsatisfiable.
 
-    Each satisfiable probe's word, cut at its first singleton image, lowers
-    the bound; the first unsatisfiable probe proves it minimal. `words`
-    maps each satisfiable probe's length to its decoded word.
+    The first probe is at `upper`, or at `max_length` below it. Then
+    `below(upper - 1)` asks for a shorter word: each one found, cut at its
+    first singleton image, lowers the bound, and the first None proves it
+    minimal. `words` maps each probe's length to its decoded word; the
+    answer's word comes from a probe at the answer, made last when the
+    descent has not made it.
     """
     if upper > max_length:
         if probe(max_length) == UNSAT:
             return None
         upper = _singleton_prefix_length(pfa, words[max_length])
-    while upper > 1 and probe(upper - 1) == SAT:
-        upper = _singleton_prefix_length(pfa, words[upper - 1])
-    if upper not in words and probe(upper) == UNSAT:
-        raise ModelVerificationError(
-            f"probes find no word of length {upper}, the length of a known word"
-        )
+    else:
+        _probe_known(probe, upper)
+    while upper > 1:
+        word = below(upper - 1)
+        if word is None:
+            break
+        upper = _singleton_prefix_length(pfa, word)
+    if upper not in words:
+        _probe_known(probe, upper)
     return upper
+
+
+def _probe_known(probe, length: int) -> None:
+    """Probe the length of a known word; ModelVerificationError when the
+    probe finds none."""
+    if probe(length) == UNSAT:
+        raise ModelVerificationError(
+            f"probes find no word of length {length}, the length of a known word"
+        )
 
 
 def _singleton_prefix_length(pfa: Pfa, word: tuple) -> int:

@@ -21,9 +21,18 @@ variables whose flag is clear. Once stale entries make the heap longer than
 2 * nvars after a backtrack, it is rebuilt from the unassigned variables.
 None of this changes which variable is picked.
 
+A `Session` keeps the engine after a solve, so that more clauses can be
+added and the result decided again. `extend` goes back to level 0, takes
+the clauses in as the build does, and rewinds the propagation queue to
+the start of the trail: the next solve propagates the level-0 assignments
+again, which moves any new watch that sits on a literal they falsify.
+Learned clauses, activities, saved phases and the learned-clause ceiling
+carry over; stats, limits and the restart schedule start afresh with each
+solve.
+
 Every model, from either backend, is re-checked against the original clauses
-by the separate `satisfies` evaluator before being returned; the solver's
-own bookkeeping is never trusted.
+(and a Session's added ones) by the separate `satisfies` evaluator before
+being returned; the solver's own bookkeeping is never trusted.
 """
 
 from __future__ import annotations
@@ -53,6 +62,7 @@ __all__ = [
     "satisfies",
     "solve",
     "solve_external",
+    "Session",
     "Backend",
     "backend_from_spec",
 ]
@@ -138,6 +148,7 @@ class _Engine:
         self.trail_lim = []
         self.qhead = 0
         self.var_inc = 1.0
+        self.max_learned = 2000
         self.deadline = None
 
         if seed:
@@ -150,10 +161,17 @@ class _Engine:
         self._rebuild_heap()
 
         # code[lit] for either sign: -v indexes from the end of the table
-        code = [*map(_code, range(nv + 1)), *map(_code, range(-nv, 0))].__getitem__
+        self.code_of = [*map(_code, range(nv + 1)), *map(_code, range(-nv, 0))].__getitem__
+        self._ingest(instance.clauses)
+
+    def _ingest(self, new_clauses):
+        """Watch each clause on its two smallest codes and enqueue each unit
+        at the current level, 0; clear `ok` at an empty clause or a unit
+        that contradicts the trail."""
+        code = self.code_of
         clauses = self.clauses
         watches = self.watches
-        for clause in instance.clauses:
+        for clause in new_clauses:
             lits = sorted(set(map(code, clause)))
             size = len(lits)
             if size > 1:
@@ -168,6 +186,16 @@ class _Engine:
             elif not lits or not self._enqueue(lits[0], -1):
                 self.ok = False
                 return
+
+    def extend(self, new_clauses):
+        """Add clauses over the same variables, keeping the learned clauses,
+        activities and saved phases: back to level 0, ingest as at build,
+        and propagate the whole level-0 trail again on the next run, which
+        moves any watch that sits on a literal false at level 0."""
+        if self.trail_lim:
+            self._backtrack(0)
+        self._ingest(new_clauses)
+        self.qhead = 0
 
     def _enqueue(self, code: int, reason: int) -> bool:
         lv = self.lv
@@ -401,14 +429,15 @@ class _Engine:
         )
 
     def run(self) -> tuple:
-        """Returns (status, model dict or None)."""
+        """Returns (status, model dict or None). Stats, limits and the
+        restart schedule start afresh on each call."""
+        self.stats = SolveStats()
         if self.limits.max_seconds is not None:
             self.deadline = time.perf_counter() + self.limits.max_seconds
         if not self.ok or self._propagate() != -1:
             return UNSAT, None
 
         limited = self._limited
-        max_learned = 2000
         restart_u = restart_v = 1
         while True:
             conflicts_left = 100 * restart_v
@@ -435,9 +464,9 @@ class _Engine:
                     if limited:
                         self._check_budget()
                     continue
-                if len(self.learned) > max_learned:
+                if len(self.learned) > self.max_learned:
                     self._reduce_db()
-                    max_learned += 500
+                    self.max_learned += 500
                 code = self._pick_branch()
                 if code == -1:
                     model = {v: self.lv[v << 1] == 1 for v in range(1, self.nvars + 1)}
@@ -459,6 +488,42 @@ class _Engine:
             self._check_budget()
 
 
+class Session:
+    """A built-in engine kept after its solve, so that clauses added at
+    level 0 are decided with the learned clauses, activities and saved
+    phases of the solves before. Each solve's stats and limits count that
+    solve alone, and its elapsed time runs from the build or the last
+    `extend`. A model must satisfy the instance and every added clause."""
+
+    def __init__(
+        self,
+        instance: CnfInstance,
+        limits: Optional[SolverLimits] = None,
+        seed: int = 0,
+    ):
+        self._start = time.perf_counter()
+        self._engine = _Engine(instance, limits or SolverLimits(), seed)
+        self._parts = [instance]
+
+    def extend(self, clauses) -> None:
+        """Add `clauses`, over the instance's variables, before the next solve."""
+        self._start = time.perf_counter()
+        added = CnfInstance(var_count=self._engine.nvars, clauses=tuple(clauses))
+        self._engine.extend(added.clauses)
+        self._parts.append(added)
+
+    def solve(self) -> SolveResult:
+        """Decide the instance and the clauses added so far; see `solve`."""
+        engine = self._engine
+        try:
+            status, model = engine.run()
+        finally:
+            engine.stats.elapsed_s = time.perf_counter() - self._start
+        if status == SAT and not all(satisfies(part, model) for part in self._parts):
+            raise ModelVerificationError("model verification failed for built-in solver")
+        return SolveResult(status=status, model=model, stats=engine.stats)
+
+
 def solve(
     instance: CnfInstance,
     limits: Optional[SolverLimits] = None,
@@ -469,18 +534,7 @@ def solve(
     Returns a SolveResult whose model (when SAT) has passed the independent
     evaluator. Raises BudgetExceeded when a limit from `limits` is hit.
     """
-    start = time.perf_counter()
-    engine = _Engine(instance, limits or SolverLimits(), seed)
-    try:
-        status, model = engine.run()
-    except BudgetExceeded:
-        engine.stats.elapsed_s = time.perf_counter() - start
-        raise
-    stats = engine.stats
-    stats.elapsed_s = time.perf_counter() - start
-    if status == SAT and not satisfies(instance, model):
-        raise ModelVerificationError("model verification failed for built-in solver")
-    return SolveResult(status=status, model=model, stats=stats)
+    return Session(instance, limits, seed).solve()
 
 
 def _parse_result_lines(lines):
@@ -599,6 +653,13 @@ class Backend:
         if self.kind == "builtin":
             return solve(instance, limits=self.limits, seed=self.seed)
         return solve_external(instance, self.command, timeout=self.limits.max_seconds)
+
+    def start(self, instance: CnfInstance) -> Optional[Session]:
+        """An engine for `instance` to solve and then extend, or None for an
+        external solver, which keeps nothing between runs."""
+        if self.kind == "builtin":
+            return Session(instance, limits=self.limits, seed=self.seed)
+        return None
 
 
 def backend_from_spec(spec: str, seed: int = 0, limits: Optional[SolverLimits] = None) -> Backend:

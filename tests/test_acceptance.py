@@ -158,8 +158,9 @@ def test_criterion_4_chain_family_regression():
 @needs_extended
 def test_criterion_4_extended_chain_record_builtin():
     """The eleven-state chain needs exactly 116 letters, certified by an
-    UNSAT probe at 115, with the built-in solver: 9.7 s of CPU on a 2-core
-    x86-64 VM (Python 3.11), 7.8 s of it in that probe."""
+    UNSAT probe at 115, with the built-in solver: 1.75 s of CPU on a 2-core
+    x86-64 VM (Python 3.11), 0.6 s of it in that probe, which runs on the
+    engine of the SAT probe at 116."""
     start = time.perf_counter()
     outcome = min_csw(pn(11))
     elapsed = time.perf_counter() - start

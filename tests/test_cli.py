@@ -24,7 +24,13 @@ from cswsat.cli import (
     run_experiment,
     write_gnuplot,
 )
-from cswsat.encoder import DistanceTables, clause_count, parse_dimacs, set_clause_count
+from cswsat.encoder import (
+    DistanceTables,
+    clause_count,
+    encode,
+    parse_dimacs,
+    set_clause_count,
+)
 from cswsat.generators import GenConfig, pn, random_pfa
 from cswsat.search import min_csw
 
@@ -288,15 +294,17 @@ class TestCommandSurface:
             for p in probes_made
         ]
         assert got == [tuple(map(str, e)) for e in expected]
-        # the probe instance's size: the encoding plus the pair- and
-        # set-distance groups; with one triple, every probe passes both
-        # set sizes' gates
+        # the SAT probe's size: the encoding plus the pair- and
+        # set-distance groups, since with one triple every probe passes
+        # both set sizes' gates; the UNSAT probe one below runs on the
+        # same engine, which holds that CNF plus what the shorter CNF adds
         groups = [DistanceTables(pfa).far(k) for k in (2, 3, 4)]
-        assert [p.clauses for p in probes_made] == [
-            clause_count(pfa.n, pfa.m, p.length)
-            + sum(set_clause_count(group, p.length) for group in groups)
-            for p in probes_made
-        ]
+        sat, unsat = probes_made
+        assert sat.clauses == clause_count(pfa.n, pfa.m, sat.length) + sum(
+            set_clause_count(group, sat.length) for group in groups
+        )
+        hi, lo = (set(encode(pfa, p.length, groups).clauses) for p in probes_made)
+        assert unsat.clauses == sat.clauses + len(lo - hi)
 
     def test_min_bound_exhausted(self, tmp_path, capsys):
         assert main(["min", self._pfa_file(tmp_path, C3_TEXT), "--max-length", "3"]) == 2

@@ -24,11 +24,13 @@ from cswsat.encoder import (
     parse_dimacs,
     set_clause_count,
     set_clauses,
+    shorter_clauses,
     to_dimacs,
     variable_count,
 )
 from cswsat.generators import GenConfig, pn, random_pfa
-from cswsat.solver import BudgetExceeded, ModelVerificationError
+from cswsat.search import _probe_groups
+from cswsat.solver import BudgetExceeded, ModelVerificationError, Session, solve
 
 from helpers import (
     brute_force_models,
@@ -461,6 +463,85 @@ class TestFourSetDistances(_SetDistanceChecks):
             table = _set_table(pfa, 4)
             for ell in range(1, 9):
                 self._check_group(pfa, ell, table)
+
+
+class TestDistanceTablesState:
+    def test_search_state_goes_with_the_largest_size(self):
+        for pfa in (pn(6), TRIPLEWISE, random_pfa(GenConfig(n=12, seed=2))):
+            distances = DistanceTables(pfa)
+            before = [list(distances.far(k)) for k in (2, 3)]
+            assert distances._settled is not None and distances._table is not None
+            distances.far(4)
+            assert (distances._settled, distances._levels, distances._table) == (None,) * 3
+            # a fresh object that goes straight to the largest size agrees
+            fresh = DistanceTables(pfa)
+            assert fresh.far(4) == distances.far(4)
+            assert [distances.far(k) for k in (2, 3)] == before == [fresh.far(k) for k in (2, 3)]
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_sizes_outside_the_range_are_refused(self, k):
+        with pytest.raises(ValueError, match="set size"):
+            DistanceTables(pn(5)).far(k)
+
+
+class TestShorterClauses:
+    """shorter_clauses(groups, layout, lo) is what the encoding at lo adds
+    to the one at layout.ell, under the same groups."""
+
+    @given(pfas(max_n=6, max_m=3))
+    @settings(max_examples=100, deadline=None)
+    @example(pn(6))
+    @example(TRIPLEWISE)
+    def test_is_the_set_difference_of_the_encodings(self, pfa):
+        distances = DistanceTables(pfa)
+        for hi in range(2, 13):
+            groups = _probe_groups(pfa, distances, hi)
+            top = encode(pfa, hi, groups)
+            upper = set(top.clauses)
+            for lo in range(1, hi):
+                delta = shorter_clauses(groups, top.layout, lo)
+                lower = set(encode(pfa, lo, groups).clauses)
+                assert len(delta) == len(set(delta))
+                assert set(delta) == lower - upper
+
+    @given(pfas(max_n=5, max_m=3))
+    @settings(max_examples=40, deadline=None)
+    @example(pn(5))
+    def test_longer_encoding_plus_clauses_decides_the_shorter(self, pfa):
+        groups = _groups(pfa, 4)
+        for hi in range(2, 9):
+            top = encode(pfa, hi, groups)
+            # the same engine, taken down one length at a time
+            session = Session(top)
+            assert session.solve().status == solve(top).status
+            for lo in range(hi - 1, 0, -1):
+                delta = shorter_clauses(groups, top.layout, lo)
+                union = CnfInstance(var_count=top.var_count, clauses=top.clauses + tuple(delta))
+                expected = solve(encode(pfa, lo, groups)).status
+                assert solve(union).status == expected
+                session.extend(shorter_clauses(groups, VarLayout(pfa.n, pfa.m, lo + 1), lo))
+                assert session.solve().status == expected
+
+    def test_one_step_adds_one_clause_per_entry_that_merges_in_time(self):
+        # from hi = lo + 1, each entry with D <= hi appears once, at step hi - D
+        pfa = pn(6)
+        groups = _groups(pfa, 4)
+        layout = VarLayout(n=6, m=2, ell=20)
+        delta = shorter_clauses(groups, layout, 19)
+        width = layout.m + layout.n
+        assert delta == [
+            tuple(-((20 - D) * width + q) for q in states)
+            for group in groups
+            for t in range(20)
+            for D, inner, *states in group
+            if D == 20 - t and inner <= 19 - t
+        ]
+
+    def test_rejects_a_length_not_below(self):
+        layout = VarLayout(n=2, m=2, ell=3)
+        for lo in (0, 3):
+            with pytest.raises(ValueError):
+                shorter_clauses([], layout, lo)
 
 
 class TestCheckDistances:

@@ -120,7 +120,7 @@ class TestProbeRecord:
     def test_exact_bound_needs_two_probes(self):
         out = min_csw(pn(6))
         assert out.upper_bound_source == POWER_BFS
-        assert [(p.length, p.status) for p in out.probes] == [(25, UNSAT), (26, SAT)]
+        assert [(p.length, p.status) for p in out.probes] == [(26, SAT), (25, UNSAT)]
 
     def test_deterministic_replay(self):
         a = min_csw(pn(6))
@@ -153,22 +153,22 @@ class TestSearchIdentity:
         [
             (
                 random_pfa(GenConfig(n=30, seed=9)),
-                [(16, UNSAT, 2993, 406, 907, 27550, 3), (17, SAT, 3055, 312, 1137, 19423, 2)],
+                [(17, SAT, 3055, 312, 1137, 19423, 2), (16, UNSAT, 3490, 256, 361, 19233, 2)],
                 "abbbbaababbbbabbb",
             ),
             (
                 random_pfa(GenConfig(n=60, seed=1)),
-                [(11, UNSAT, 8174, 21, 380, 1199, 0), (12, SAT, 8296, 25, 624, 2345, 0)],
+                [(12, SAT, 8296, 25, 624, 2345, 0), (11, UNSAT, 10066, 34, 87, 2792, 0)],
                 "aabaaaaaabab",
             ),
             (
                 pn(7),
-                [(38, UNSAT, 995, 47, 122, 710, 0), (39, SAT, 1011, 41, 145, 969, 0)],
+                [(39, SAT, 1011, 41, 145, 969, 0), (38, UNSAT, 1081, 18, 34, 279, 0)],
                 "aababaabababaabbabbabaabbbabbaabbbbabaa",
             ),
             (
                 pn(8),
-                [(54, UNSAT, 1710, 170, 486, 3812, 1), (55, SAT, 1728, 188, 589, 5217, 1)],
+                [(55, SAT, 1728, 188, 589, 5217, 1), (54, UNSAT, 1856, 101, 218, 3494, 1)],
                 "aababaababaababaabbabbabbaabbbabbabaabbbbabbaabbbbbabaa",
             ),
             # galloping: the triple group joins at length 4, the 4-set
@@ -215,6 +215,29 @@ class TestBudgets:
             min_csw(C3, backend=backend, precheck=False)
         # pair distances refute lengths 1 and 2 without a decision; 4 needs one
         assert [(p.length, p.status) for p in exc.value.probes] == [(1, UNSAT), (2, UNSAT)]
+
+    def test_limits_count_per_probe(self):
+        # pn(7)'s probes need 41 and 18 conflicts on one engine: a limit
+        # of 45 covers each probe but not their sum
+        out = min_csw(pn(7), backend=Backend(limits=SolverLimits(max_conflicts=45)))
+        assert [(p.length, p.status, p.stats.conflicts) for p in out.probes] == [
+            (39, SAT, 41),
+            (38, UNSAT, 18),
+        ]
+
+    def test_overrun_below_keeps_the_sat_probe(self):
+        # random n=60 seed 1: 25 conflicts at 12, then 34 at 11
+        backend = Backend(limits=SolverLimits(max_conflicts=30))
+        with pytest.raises(BudgetExceeded) as exc:
+            min_csw(random_pfa(GenConfig(n=60, seed=1)), backend=backend)
+        assert [(p.length, p.status) for p in exc.value.probes] == [(12, SAT)]
+
+    def test_clause_budget_counts_the_added_clauses(self, monkeypatch):
+        # pn(7) holds 1,011 clauses at 39 and 1,081 once taken down to 38
+        monkeypatch.setattr("cswsat.search.MAX_CLAUSES", 1050)
+        with pytest.raises(BudgetExceeded, match="length 38 needs 1081 clauses") as exc:
+            min_csw(pn(7))
+        assert [(p.length, p.status, p.clauses) for p in exc.value.probes] == [(39, SAT, 1011)]
 
     def test_oversized_probe_is_refused(self):
         # the final at-most-one block alone is 1500*1499/2 clauses
@@ -335,6 +358,14 @@ def _probe_sizes(pfa, out, sets=()):
     ]
 
 
+def _descent_sizes(pfa, out, sets=()):
+    """The clause counts of an exact bound's two probes: the CNF at the
+    minimum, then that CNF plus what the CNF one shorter adds to it."""
+    groups = [DistanceTables(pfa).far(2), *sets]
+    hi, lo = (encode(pfa, p.length, groups).clauses for p in out.probes)
+    return [len(hi), len(hi) + len(set(lo) - set(hi))]
+
+
 class TestTripleGate:
     """A probe carries the group of sets of k states, k = 3 and 4, when
     C(n, k) is at most its plain clause count."""
@@ -349,7 +380,7 @@ class TestTripleGate:
         assert out.status == FOUND
         # 4060 triples against at most 1457 plain clauses
         assert all(clause_count(30, pfa.m, p.length) < math.comb(30, 3) for p in out.probes)
-        assert [p.clauses for p in out.probes] == _probe_sizes(pfa, out)
+        assert [p.clauses for p in out.probes] == _descent_sizes(pfa, out)
 
     def test_long_words_carry_the_triple_group(self):
         pfa = pn(6)
@@ -357,7 +388,7 @@ class TestTripleGate:
         distances = DistanceTables(pfa)
         sets = [distances.far(3), distances.far(4)]
         assert all(set_clause_count(sets[0], p.length) > 0 for p in out.probes)
-        assert [p.clauses for p in out.probes] == _probe_sizes(pfa, out, sets)
+        assert [p.clauses for p in out.probes] == _descent_sizes(pfa, out, sets)
 
     def test_long_words_carry_the_four_set_group(self):
         pfa = pn(6)
@@ -474,7 +505,7 @@ class TestProbeSchedule:
         out = min_csw(pn(6))
         assert out.upper_bound_source == BEAM
         assert (out.status, out.min_length) == (FOUND, 26)
-        assert [(p.length, p.status) for p in out.probes] == [(25, UNSAT), (26, SAT)]
+        assert [(p.length, p.status) for p in out.probes] == [(26, SAT), (25, UNSAT)]
 
     @pytest.mark.parametrize(
         "stages, widths",
@@ -502,7 +533,7 @@ class TestProbeSchedule:
         )
         out = min_csw(pn(8))
         assert (out.upper_bound_source, out.min_length) == (BEAM, 55)
-        assert [(p.length, p.status) for p in out.probes] == [(54, UNSAT), (55, SAT)]
+        assert [(p.length, p.status) for p in out.probes] == [(55, SAT), (54, UNSAT)]
         assert ran == widths
 
     def test_no_precheck_skips_both_bounds(self, monkeypatch):
@@ -588,6 +619,23 @@ class TestDistanceTableCheck:
         assert builds == checks == [60]
 
 
+class RunOnly:
+    """A backend with nothing but `run`: it solves each CNF it is handed
+    with the built-in solver and keeps it."""
+
+    def __init__(self):
+        self.instances = []
+
+    def run(self, instance):
+        self.instances.append(instance)
+        return solve(instance)
+
+
+def _own_cnf(pfa, length):
+    """The CNF a probe of `length` builds: the encoding with its length's groups."""
+    return encode(pfa, length, search._probe_groups(pfa, DistanceTables(pfa), length))
+
+
 class TestExternalBackend:
     def test_external_solver_drives_search(self, tmp_path):
         cmd = shim_command(tmp_path, SHIM_STDIN, "stdin_solver")
@@ -595,3 +643,28 @@ class TestExternalBackend:
         out = min_csw(pn(5), backend=backend)
         assert out.min_length == min_csw(pn(5)).min_length
         assert is_carefully_synchronizing(pn(5), out.witness)
+        # an external solver keeps no engine: the probe below is its own CNF
+        assert [(p.length, p.status, p.clauses) for p in out.probes] == [
+            (15, SAT, _own_cnf(pn(5), 15).clause_count),
+            (14, UNSAT, _own_cnf(pn(5), 14).clause_count),
+        ]
+
+    @pytest.mark.parametrize(
+        "pfa", [pn(6), random_pfa(GenConfig(n=30, seed=9)), random_pfa(GenConfig(n=60, seed=1))]
+    )
+    def test_run_only_backend_gets_each_length_its_own_cnf(self, pfa):
+        backend = RunOnly()
+        out = min_csw(pfa, backend=backend)
+        builtin = min_csw(pfa)
+        assert (out.status, out.min_length, out.witness) == (
+            builtin.status,
+            builtin.min_length,
+            builtin.witness,
+        )
+        assert [instance.clauses for instance in backend.instances] == [
+            _own_cnf(pfa, length).clauses for length in (out.min_length, out.min_length - 1)
+        ]
+        assert [(p.length, p.status) for p in out.probes] == [
+            (out.min_length, SAT),
+            (out.min_length - 1, UNSAT),
+        ]

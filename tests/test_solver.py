@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import cswsat
 from cswsat.automaton import Pfa, is_carefully_synchronizing
-from cswsat.encoder import CnfInstance, decode_word, encode
+from cswsat.encoder import CnfInstance, DistanceTables, decode_word, encode, shorter_clauses
 from cswsat.generators import pn
 from cswsat.solver import (
     SAT,
@@ -17,6 +17,7 @@ from cswsat.solver import (
     BudgetExceeded,
     ExternalSolverError,
     ModelVerificationError,
+    Session,
     SolverLimits,
     SolverOutputError,
     _Engine,
@@ -244,6 +245,76 @@ class TestDecisionHeap:
         engine, status, _ = self.run_checked(encode(pn(6), 25), var_inc=1e99)
         assert engine.var_inc < 1e99
         assert status == UNSAT
+
+
+class TestSession:
+    """Clauses added at level 0 to an engine that has solved."""
+
+    @given(cnf_instances(max_vars=6), cnf_instances(max_vars=6))
+    @settings(max_examples=200)
+    def test_extended_engine_decides_the_union(self, first, second):
+        nvars = max(first.var_count, second.var_count)
+        base = CnfInstance(var_count=nvars, clauses=first.clauses)
+        session = Session(base)
+        assert (session.solve().status == SAT) == brute_force_satisfiable(nvars, base.clauses)
+        session.extend(second.clauses)
+        union = first.clauses + second.clauses
+        # a SAT model has passed `satisfies` on both parts inside solve
+        assert (session.solve().status == SAT) == brute_force_satisfiable(nvars, union)
+
+    def test_clause_on_level_zero_false_literals_propagates(self):
+        # x1 and x2 are units, so the new clause watches two codes false
+        # at level 0 and only a rerun of the level-0 trail finds it unit
+        session = Session(inst(3, [1], [2]))
+        assert session.solve().status == SAT
+        session.extend([(-1, -2, 3)])
+        result = session.solve()
+        assert result.status == SAT and result.model[3]
+        session.extend([(-3,)])
+        assert session.solve().status == UNSAT
+
+    def test_each_solve_counts_alone(self):
+        pfa = pn(7)
+        distances = DistanceTables(pfa)
+        groups = [distances.far(k) for k in (2, 3, 4)]
+        top = encode(pfa, 39, groups)
+        session = Session(top)
+        first = session.solve()
+        counts = (first.stats.conflicts, first.stats.decisions, first.stats.propagations)
+        fresh = solve(top).stats
+        assert counts == (fresh.conflicts, fresh.decisions, fresh.propagations)
+        session.extend(shorter_clauses(groups, top.layout, 38))
+        second = session.solve()
+        assert second.status == UNSAT
+        assert second.stats is not first.stats
+        assert (first.stats.conflicts, first.stats.decisions, first.stats.propagations) == counts
+        # the kept learned clauses make the refutation cheaper than the SAT solve
+        assert 0 < second.stats.conflicts < first.stats.conflicts
+
+    def test_limits_apply_to_each_solve(self):
+        pfa = pn(7)
+        distances = DistanceTables(pfa)
+        groups = [distances.far(k) for k in (2, 3, 4)]
+        top = encode(pfa, 39, groups)
+        session = Session(top, SolverLimits(max_conflicts=45))
+        first = session.solve()
+        session.extend(shorter_clauses(groups, top.layout, 38))
+        second = session.solve()
+        assert first.stats.conflicts + second.stats.conflicts > 45
+        assert second.status == UNSAT
+
+    def test_model_is_checked_against_the_added_clauses(self):
+        session = Session(inst(2, [1]))
+        assert session.solve().status == SAT
+        session.extend([(2,)])
+        # an engine fault that forgets the added clause
+        session._engine.run = lambda: (SAT, {1: True, 2: False})
+        with pytest.raises(ModelVerificationError):
+            session.solve()
+
+    def test_only_the_builtin_backend_keeps_an_engine(self):
+        assert isinstance(Backend().start(inst(1, [1])), Session)
+        assert Backend(kind="external", command="true").start(inst(1, [1])) is None
 
 
 class TestBudgets:
