@@ -10,7 +10,8 @@ restarts, and periodic forgetting of high-glue learned clauses. Runs are
 deterministic for a fixed seed. The assignment is stored per literal, as in
 MiniSat: each literal's value has its own slot, written for both
 polarities when a variable is assigned, so the watch loop tests a literal
-with one lookup.
+with one lookup. Backtracking clears both slots and leaves the variable's
+reason stale, since a reason is read only while its variable is assigned.
 
 Decisions come from a lazy binary heap of (-activity, variable) entries.
 Bumping a variable makes its old entry stale instead of removing it, and a
@@ -37,12 +38,12 @@ being returned; the solver's own bookkeeping is never trusted.
 
 from __future__ import annotations
 
-import heapq
 import shlex
 import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from pathlib import Path
 from typing import Optional
 
@@ -123,10 +124,6 @@ def satisfies(instance: CnfInstance, model) -> bool:
 # backtracking clears both, so a literal's truth is one lookup.
 
 
-def _code(lit: int) -> int:
-    return lit << 1 if lit > 0 else (-lit << 1) | 1
-
-
 class _Engine:
     def __init__(self, instance: CnfInstance, limits: SolverLimits, seed: int):
         self.nvars = instance.var_count
@@ -160,8 +157,8 @@ class _Engine:
 
         self._rebuild_heap()
 
-        # code[lit] for either sign: -v indexes from the end of the table
-        self.code_of = [*map(_code, range(nv + 1)), *map(_code, range(-nv, 0))].__getitem__
+        # code_of(lit) for either sign: 2v at index v, 2v + 1 at index -v
+        self.code_of = [*range(0, 2 * nv + 2, 2), *range(2 * nv + 1, 1, -2)].__getitem__
         self._ingest(instance.clauses)
 
     def _ingest(self, new_clauses):
@@ -172,13 +169,27 @@ class _Engine:
         clauses = self.clauses
         watches = self.watches
         for clause in new_clauses:
-            lits = sorted(set(map(code, clause)))
-            size = len(lits)
-            if size > 1:
-                # a tautology has fewer variables than codes: for two
-                # codes, they are 2v and 2v + 1
-                if lits[0] ^ 1 == lits[1] or size > 2 and size > len(set(map(abs, clause))):
-                    continue  # always satisfied
+            # codes 2v and 2v + 1 sort side by side, so a variable that
+            # occurs twice shows as two neighbouring codes of one variable
+            if len(clause) == 2:
+                first, second = map(code, clause)
+                lits = [first, second] if first < second else [second, first]
+                shared = first >> 1 == second >> 1
+            else:
+                # sorted over a tuple allocates the list at its exact size
+                lits = sorted(tuple(map(code, clause)))
+                shared = False
+                prev = 0
+                for c in lits:
+                    if c >> 1 == prev:
+                        shared = True
+                        break
+                    prev = c >> 1
+            if shared:
+                lits = sorted(set(lits))
+                if len(lits) > len({c >> 1 for c in lits}):
+                    continue  # a tautology, always satisfied
+            if len(lits) > 1:
                 ci = len(clauses)
                 watches[lits[0]].append(ci)
                 watches[lits[1]].append(ci)
@@ -214,12 +225,15 @@ class _Engine:
         watches = self.watches
         clauses = self.clauses
         lv = self.lv
+        level = self.level
+        reason = self.reason
         trail = self.trail
+        cur = len(self.trail_lim)  # the decision level, fixed within a call
+        qhead = self.qhead
         props = 0
-        while self.qhead < len(trail):
-            p = trail[self.qhead]
-            self.qhead += 1
-            falsified = p ^ 1
+        while qhead < len(trail):
+            falsified = trail[qhead] ^ 1
+            qhead += 1
             wl = watches[falsified]
             i = j = 0
             end = len(wl)
@@ -227,10 +241,10 @@ class _Engine:
                 ci = wl[i]
                 i += 1
                 lits = clauses[ci]
-                if lits[0] == falsified:
-                    lits[0] = lits[1]
-                    lits[1] = falsified
                 first = lits[0]
+                if first == falsified:
+                    first = lits[0] = lits[1]
+                    lits[1] = falsified
                 if lv[first] == 1:
                     wl[j] = ci
                     j += 1
@@ -248,11 +262,7 @@ class _Engine:
                     j += 1
                     if lv[first] == 0:
                         # conflict: keep the rest of the watch list intact
-                        while i < end:
-                            wl[j] = wl[i]
-                            j += 1
-                            i += 1
-                        del wl[j:]
+                        del wl[j:i]
                         self.qhead = len(trail)
                         self.stats.propagations += props
                         return ci
@@ -260,28 +270,21 @@ class _Engine:
                     lv[first] = 1
                     lv[first ^ 1] = 0
                     v = first >> 1
-                    self.level[v] = len(self.trail_lim)
-                    self.reason[v] = ci
+                    level[v] = cur
+                    reason[v] = ci
                     trail.append(first)
             del wl[j:]
+        self.qhead = qhead
         self.stats.propagations += props
         return -1
 
-    def _bump(self, v: int):
-        act = self.activity[v] + self.var_inc
-        self.activity[v] = act
-        if act > 1e100:
-            scale = 1e-100
-            for u in range(1, self.nvars + 1):
-                self.activity[u] *= scale
-            self.var_inc *= scale
-            self._rebuild_heap()
-        elif self.lv[v << 1] == -1:
-            heapq.heappush(self.heap, (-act, v))
-            self.in_heap[v] = 1
-        else:
-            # the old entry is stale now; _backtrack pushes a current one
-            self.in_heap[v] = 0
+    def _rescale(self):
+        """Scale activities and increment by 1e-100; rebuilds the heap."""
+        activity = self.activity
+        for u in range(1, self.nvars + 1):
+            activity[u] *= 1e-100
+        self.var_inc *= 1e-100
+        self._rebuild_heap()
 
     def _rebuild_heap(self):
         """One current entry per unassigned variable and nothing else;
@@ -289,7 +292,7 @@ class _Engine:
         val = self.lv[::2]  # the value of each variable's positive code
         activity = self.activity
         self.heap = [(-activity[v], v) for v in range(1, self.nvars + 1) if val[v] == -1]
-        heapq.heapify(self.heap)
+        heapify(self.heap)
         self.in_heap = bytearray(val[v] == -1 for v in range(self.nvars + 1))
 
     def _analyze(self, confl: int):
@@ -297,21 +300,39 @@ class _Engine:
         conflict. Returns (learnt literal codes, backjump level, glue)."""
         seen = self.seen
         level = self.level
+        reason = self.reason
         trail = self.trail
+        clauses = self.clauses
+        lv = self.lv
+        activity = self.activity
+        var_inc = self.var_inc
+        heap, in_heap = self.heap, self.in_heap
         cur = len(self.trail_lim)
         learnt = [0]
         counter = 0
         p = -1
         idx = len(trail) - 1
         while True:
-            lits = self.clauses[confl]
+            lits = clauses[confl]
             for k in range(0 if p == -1 else 1, len(lits)):
                 q = lits[k]
                 vq = q >> 1
                 lq = level[vq]
                 if not seen[vq] and lq > 0:
                     seen[vq] = 1
-                    self._bump(vq)
+                    # bump the activity, keeping one current heap entry
+                    act = activity[vq] + var_inc
+                    activity[vq] = act
+                    if act > 1e100:
+                        self._rescale()
+                        var_inc = self.var_inc
+                        heap, in_heap = self.heap, self.in_heap
+                    elif lv[vq << 1] == -1:
+                        heappush(heap, (-act, vq))
+                        in_heap[vq] = 1
+                    else:
+                        # the old entry is stale now; _backtrack pushes a current one
+                        in_heap[vq] = 0
                     if lq >= cur:
                         counter += 1
                     else:
@@ -326,16 +347,16 @@ class _Engine:
             if counter == 0:
                 learnt[0] = p ^ 1
                 break
-            confl = self.reason[vp]
+            confl = reason[vp]
 
         # local minimization: drop literals implied by the rest of the clause
         kept = [learnt[0]]
         for q in learnt[1:]:
-            r = self.reason[q >> 1]
+            r = reason[q >> 1]
             if r == -1:
                 kept.append(q)
                 continue
-            for other in self.clauses[r]:
+            for other in clauses[r]:
                 ov = other >> 1
                 if other != q ^ 1 and not seen[ov] and level[ov] > 0:
                     kept.append(q)
@@ -360,15 +381,15 @@ class _Engine:
         lv = self.lv
         heap = self.heap
         in_heap = self.in_heap
+        polarity = self.polarity
+        activity = self.activity
         limit = self.trail_lim[target]
-        for idx in range(len(trail) - 1, limit - 1, -1):
-            code = trail[idx]  # the literal the assignment made true
+        for code in trail[limit:]:  # each literal an assignment made true
             v = code >> 1
-            self.polarity[v] = not code & 1
+            polarity[v] = not code & 1
             lv[code] = lv[code ^ 1] = -1
-            self.reason[v] = -1
             if not in_heap[v]:
-                heapq.heappush(heap, (-self.activity[v], v))
+                heappush(heap, (-activity[v], v))
                 in_heap[v] = 1
         del trail[limit:]
         del self.trail_lim[target:]
@@ -381,7 +402,7 @@ class _Engine:
         lv = self.lv
         activity = self.activity
         while heap:
-            negact, v = heapq.heappop(heap)
+            negact, v = heappop(heap)
             if -negact == activity[v]:
                 self.in_heap[v] = 0
                 if lv[v << 1] == -1:
@@ -419,15 +440,6 @@ class _Engine:
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise BudgetExceeded(f"time limit {lim.max_seconds}s exceeded", st)
 
-    @property
-    def _limited(self) -> bool:
-        lim = self.limits
-        return (
-            lim.max_conflicts is not None
-            or lim.max_decisions is not None
-            or lim.max_seconds is not None
-        )
-
     def run(self) -> tuple:
         """Returns (status, model dict or None). Stats, limits and the
         restart schedule start afresh on each call."""
@@ -437,7 +449,12 @@ class _Engine:
         if not self.ok or self._propagate() != -1:
             return UNSAT, None
 
-        limited = self._limited
+        limited = self.limits != SolverLimits()
+        lv = self.lv
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        trail_lim = self.trail_lim
         restart_u = restart_v = 1
         while True:
             conflicts_left = 100 * restart_v
@@ -446,7 +463,7 @@ class _Engine:
                 if confl != -1:
                     self.stats.conflicts += 1
                     conflicts_left -= 1
-                    if not self.trail_lim:
+                    if not trail_lim:
                         return UNSAT, None
                     learnt, back, glue = self._analyze(confl)
                     self._backtrack(back)
@@ -469,16 +486,22 @@ class _Engine:
                     self.max_learned += 500
                 code = self._pick_branch()
                 if code == -1:
-                    model = {v: self.lv[v << 1] == 1 for v in range(1, self.nvars + 1)}
+                    model = {v: lv[v << 1] == 1 for v in range(1, self.nvars + 1)}
                     return SAT, model
                 self.stats.decisions += 1
                 if limited:
                     self._check_budget()
-                self.trail_lim.append(len(self.trail))
-                self._enqueue(code, -1)
+                # a new level, decided on an unassigned code
+                trail_lim.append(len(trail))
+                lv[code] = 1
+                lv[code ^ 1] = 0
+                v = code >> 1
+                level[v] = len(trail_lim)
+                reason[v] = -1
+                trail.append(code)
             # restart: reluctant doubling schedule
             self.stats.restarts += 1
-            if self.trail_lim:
+            if trail_lim:
                 self._backtrack(0)
             if restart_u & -restart_u == restart_v:
                 restart_u += 1

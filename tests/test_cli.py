@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import os
 import resource
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cswsat.automaton import Pfa, parse_pfa, serialize_pfa
+from cswsat.automaton import Pfa, parse_pfa, serialize_pfa, word_from_letters
 from cswsat.cli import (
     REFERENCE_CURVE,
     ComparisonRow,
@@ -578,10 +579,10 @@ class TestMemoryBounds:
 
 
 class TestScripts:
-    def test_pn_regression(self):
+    def run_script(self, *argv):
         root = Path(__file__).parents[1]
         proc = subprocess.run(
-            [sys.executable, "scripts/pn_regression.py", "--n-list", "4-6", "--check-sat-to", "6"],
+            [sys.executable, *argv],
             capture_output=True,
             text=True,
             timeout=120,
@@ -589,9 +590,33 @@ class TestScripts:
             env={**os.environ, "PYTHONPATH": str(root / "src")},
         )
         assert proc.returncode == 0, proc.stderr
-        rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+        return proc.stdout
+
+    def test_pn_regression(self):
+        out = self.run_script("scripts/pn_regression.py", "--n-list", "4-6", "--check-sat-to", "6")
+        rows = list(csv.DictReader(io.StringIO(out)))
         assert [(r["n"], r["min_length"], r["agree"]) for r in rows] == [
             ("4", "7", "true"),
             ("5", "15", "true"),
             ("6", "26", "true"),
+        ]
+
+    def test_search_identity(self):
+        # lines follow perfbench/expected.json's order, not --only's
+        out = self.run_script("scripts/search_identity.py", "--only", "pn-5,random-n30-s7")
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert [(d["id"], d["status"], d["min_length"]) for d in lines] == [
+            ("random-n30-s7", "FOUND", 6),
+            ("pn-5", "FOUND", 15),
+        ]
+        assert lines[1]["witness"] == list(word_from_letters("aabababaabbabaa"))
+        probes = lines[1]["probes"]
+        assert [p[:7] for p in probes] == [
+            [15, "SAT", 257, 3, 14, 107, 0],
+            [14, "UNSAT", 275, 0, 0, 0, 0],
+        ]
+        # the UNSAT probe's digest covers the SAT probe's CNF and the added clauses
+        assert [p[7] for p in probes] == [
+            "f7d4f8edde75284525e93183f0380bfdce920c93c6848771c9c2d9949d6119c3",
+            "2417f877f841464a79bd6c4f5cf219ffea5f18d285af9b9636d96f62cb057d68",
         ]

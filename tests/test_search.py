@@ -187,6 +187,12 @@ class TestSearchIdentity:
                 ],
                 "ababababa",
             ),
+            # about half of the random-min benchmark's solver time
+            (
+                random_pfa(GenConfig(n=60, seed=0)),
+                [(18, SAT, 10332, 372, 2309, 37579, 2), (17, UNSAT, 12102, 475, 573, 53386, 3)],
+                "aaaabbbbaaabaabaab",
+            ),
         ],
     )
     def test_probe_counts_are_pinned(self, pfa, probes, witness):

@@ -133,15 +133,16 @@ class TestBuiltinSolve:
             assert satisfies(instance, res.model)
 
 
-def reference_ingest(instance):
+def reference_ingest(instance, assigned=()):
     """Clause-by-clause ingestion by the rule the engine must keep: codes
     2v / 2v + 1, each clause as sorted({code(l) for l in clause}); a
     tautology is skipped, the empty clause or a unit contradicting an
-    earlier one stops ingestion, another unit is assigned, and a longer
-    clause watches its first two codes. Returns (ok, clauses, watches,
-    trail)."""
+    earlier one or the `assigned` codes stops ingestion, another unit is
+    assigned, and a longer clause watches its first two codes. Returns
+    (ok, clauses, watches, trail), clause indices and trail counting from
+    what the instance adds."""
     code = lambda lit: 2 * abs(lit) + (lit < 0)  # noqa: E731
-    clauses, trail, value = [], [], {}
+    clauses, trail, value = [], [], {c // 2: c % 2 for c in assigned}
     watches = [[] for _ in range(2 * instance.var_count + 2)]
     for clause in instance.clauses:
         lits = sorted({code(lit) for lit in clause})
@@ -188,6 +189,27 @@ class TestIngestion:
         )
         # the units' codes are true, their negations false, the rest unset
         value = {c: 1 for c in trail} | {c ^ 1: 0 for c in trail}
+        assert engine.lv[2:] == [value.get(c, -1) for c in range(2, len(engine.lv))]
+
+    @given(raw_cnfs(), raw_cnfs())
+    @settings(max_examples=300)
+    def test_extend_matches_the_reference_from_the_level_0_trail(self, first, second):
+        # an engine that has solved takes clauses in at level 0 as the
+        # build does, its level-0 assignments counting as earlier units
+        nvars = max(first.var_count, second.var_count)
+        engine = _Engine(CnfInstance(var_count=nvars, clauses=first.clauses), SolverLimits(), 0)
+        engine.run()
+        level0 = engine.trail[: engine.trail_lim[0]] if engine.trail_lim else engine.trail[:]
+        was_ok, base = engine.ok, len(engine.clauses)
+        engine.extend(second.clauses)
+        added = CnfInstance(var_count=nvars, clauses=second.clauses)
+        ok, clauses, watches, trail = reference_ingest(added, level0)
+        assert engine.ok == (was_ok and ok)
+        assert engine.clauses[base:] == clauses
+        # ingestion appends, so each watch list ends with the new indices
+        assert [[ci - base for ci in wl if ci >= base] for wl in engine.watches] == watches
+        assert engine.trail == level0 + trail
+        value = {c: 1 for c in engine.trail} | {c ^ 1: 0 for c in engine.trail}
         assert engine.lv[2:] == [value.get(c, -1) for c in range(2, len(engine.lv))]
 
     def test_every_case_is_met(self):
