@@ -35,8 +35,8 @@ The rule rests on one fact: the rest of a real word merges the word's
 whole image after t letters in ell - t letters, so a real word's
 assignment satisfies every clause of these groups.
 
-`shorter_clauses` gives what the encoding at a shorter length adds to the
-one at ell under the same groups, for the search to add to a kept engine.
+`set_clauses` with `longer` gives what the encoding at ell adds to a longer
+one under the same lists, for the search to add to a kept engine.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ __all__ = [
     "far_pairs",
     "set_clause_count",
     "set_clauses",
-    "shorter_clauses",
     "check_distances",
     "decode_word",
     "to_dimacs",
@@ -482,15 +481,24 @@ def set_clause_count(sets: list, ell: int) -> int:
     return count
 
 
-def set_clauses(sets: list, layout: VarLayout) -> list:
+def set_clauses(sets: list, layout: VarLayout, longer: Optional[int] = None) -> list:
     """One distance group: (-x[q1,t] v ... v -x[qk,t]) for every step
     t < ell and every entry of `sets` (one list from DistanceTables.far)
     with inner <= ell - t < D, so that no subset inside it is forbidden at
     that step already; step by step and, within a step, farthest first.
 
-    The entries with D > ell - t are a prefix of `sets`. A step where none
-    of them has inner > ell - t, which is every step of the pair list,
-    takes the whole prefix, built column by column."""
+    With `longer` > ell, only what the encoding at ell adds to the one at
+    `longer`: steps t <= ell, entries with D <= longer - t as well, and at
+    t = ell the sync pairs that the longer pair group lacks. A real word of
+    length ell, extended by a letter defined everywhere, satisfies them.
+
+    The entries with D > ell - t are a prefix of `sets`, those with
+    D > longer - t a prefix of that. A step where none between has
+    inner > ell - t, as at every step of the pair list, takes them all,
+    built column by column."""
+    ell = layout.ell
+    if longer is not None and longer <= ell:
+        raise ValueError(f"longer must be above {ell}, got {longer}")
     clauses = []
     if not sets:
         return clauses
@@ -498,49 +506,23 @@ def set_clauses(sets: list, layout: VarLayout) -> list:
     reach, inners, *columns = zip(*sets)
     rising = reach[::-1]
     widest = max(inners)
-    for t in range(layout.ell):
-        left = layout.ell - t
-        # the first k entries have D > left
-        k = len(rising) - bisect_right(rising, left)
-        if not k:
+    top = math.inf if longer is None else longer
+    for t in range(ell if longer is None else ell + 1):
+        left = ell - t
+        # entries first to last: D > top - t, then the ones wanted, then D <= left
+        first = len(rising) - bisect_right(rising, top - t)
+        last = len(rising) - bisect_right(rising, left)
+        if first == last:
             continue
         base = -t * width
-        if widest <= left or max(inners[:k]) <= left:
-            clauses.extend(zip(*[map(sub, repeat(base), column[:k]) for column in columns]))
+        if widest <= left or max(inners[first:last]) <= left:
+            clauses.extend(
+                zip(*[map(sub, repeat(base), column[first:last]) for column in columns])
+            )
         else:
-            for entry in sets[:k]:
+            for entry in sets[first:last]:
                 if entry[1] <= left:
                     clauses.append(tuple(map(sub, repeat(base), entry[2:])))
-    return clauses
-
-
-def shorter_clauses(groups: Sequence, layout: VarLayout, lo: int) -> list:
-    """The clauses that encode(pfa, lo, groups) has and encode(pfa,
-    layout.ell, groups) lacks, for 1 <= lo < layout.ell: per group, and per
-    step t <= lo farthest first, each entry with inner <= lo - t < D <=
-    layout.ell - t. At t = lo they are the pairs of lo's sync block that
-    merge within layout.ell - lo letters, the rest of that block being in
-    the longer encoding's pair group. So the longer encoding plus these
-    clauses holds the shorter one; and a real word of length lo, extended
-    to layout.ell letters by a letter defined everywhere, satisfies them
-    all."""
-    if not 1 <= lo < layout.ell:
-        raise ValueError(f"need 1 <= lo < {layout.ell}, got {lo}")
-    clauses = []
-    width = layout.m + layout.n
-    for sets in groups:
-        rising = [entry[0] for entry in reversed(sets)]
-        for t in range(lo + 1):
-            left = lo - t
-            # entries first to last: D > ell - t, then the ones wanted, then D <= left
-            first = len(rising) - bisect_right(rising, layout.ell - t)
-            last = len(rising) - bisect_right(rising, left)
-            base = -t * width
-            clauses.extend(
-                tuple(map(sub, repeat(base), entry[2:]))
-                for entry in sets[first:last]
-                if entry[1] <= left
-            )
     return clauses
 
 
@@ -631,6 +613,8 @@ def parse_dimacs(text: str) -> CnfInstance:
 
     Comment lines are skipped, except that a layout comment written by the
     CLI is recovered so words can be decoded from models of the file.
+    Raises BudgetExceeded at a header declaring more than MAX_CLAUSES
+    variables, which no encodable instance has.
     """
     header = None
     layout = None
@@ -653,6 +637,10 @@ def parse_dimacs(text: str) -> CnfInstance:
                 header = (int(parts[2]), int(parts[3]))
             except ValueError:
                 raise DimacsError(f"bad header counts at line {lineno}") from None
+            if header[0] > MAX_CLAUSES:
+                raise BudgetExceeded(
+                    f"header declares {header[0]} variables, over the {MAX_CLAUSES} budget"
+                )
             continue
         for token in line.split():
             try:

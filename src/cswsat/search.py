@@ -11,19 +11,19 @@ and each word found, cut at its first singleton image, lowers U, until
 the first unsatisfiable answer proves U minimal. The known word comes
 from the pre-check: `power_bfs` gives the exact length, so the run makes
 two probes, satisfiable at U and then unsatisfiable at U - 1; past its
-budget, a beam word gives an upper bound: the one its BudgetExceeded
-carries, else one from a width-1024 beam. Without either, min_csw gallops
-(1, 2, 4, ...) to the first satisfiable length and binary-searches the
-bracketed interval. Either way the probe record doubles as a minimality
-certificate, holding an unsatisfiable probe one below the answer.
+budget, the beam word its BudgetExceeded carries, if any, gives an upper
+bound. Without either, min_csw gallops (1, 2, 4, ...) to the first
+satisfiable length and binary-searches the bracketed interval. Either way
+the probe record doubles as a minimality certificate, holding an
+unsatisfiable probe one below the answer.
 
 The engine answers a shorter length lo by taking, at level 0 and with
-what it has learned, the clauses `encoder.shorter_clauses` gives: CNF(lo)
-minus CNF(hi) under the hi probe's groups. The union holds CNF(lo), and
-any real word of length lo, extended by a letter defined everywhere
-(which min_csw requires before it probes), satisfies all of it. So the
-two are equisatisfiable, and refuting the union certifies that no word of
-length lo exists. Its models only lower the bound: the returned word
+what it has learned, the clauses `encoder.set_clauses` gives at lo with
+hi as `longer`, over the hi probe's groups: CNF(lo) minus CNF(hi). The
+union holds CNF(lo), and any real word of length lo, extended by a letter
+defined everywhere (which min_csw requires before it probes), satisfies
+all of it. So the two are equisatisfiable, and refuting the union
+certifies that no word of length lo exists. Its models only lower the bound: the returned word
 always comes from a fresh probe at the answer, made last when the descent
 has not made one, so the exact, beam and gallop paths return one word. A
 backend other than `solver.Backend`, or an external solver, keeps no
@@ -66,9 +66,9 @@ from .encoder import (
     clause_count,
     decode_word,
     encode,
-    shorter_clauses,
+    set_clauses,
 )
-from .oracle import _beam, _letter_actions, power_bfs
+from .oracle import power_bfs
 from .solver import SAT, UNSAT, Backend, BudgetExceeded, ModelVerificationError, SolveStats
 
 __all__ = [
@@ -119,14 +119,13 @@ def min_csw(
 
     With `precheck` on, a positive answer sets the first probe length:
     `power_bfs`'s exact length, or, when the exact search runs out of
-    budget, the length of a beam word: the one its BudgetExceeded carries,
-    else one from a width-1024 beam run here; `max_length` when the known
-    length exceeds it. The probes descend from there as the module
+    budget, the length of the beam word its BudgetExceeded carries;
+    `max_length` when the known length exceeds it. The probes descend from there as the module
     docstring says, so an exact bound's record is (min, SAT) and then
     (min - 1, UNSAT) on the same engine, and the witness always comes from
     a fresh probe at the answer. A minimum that differs from `power_bfs`'s
-    raises ModelVerificationError. With `precheck` off, or when no beam
-    finds a word, the probes gallop from length 1 and binary-search, each
+    raises ModelVerificationError. With `precheck` off, or when the overrun
+    carries no word, the probes gallop from length 1 and binary-search, each
     on a fresh engine. Either way the answer rests on the probes, and
     `SearchOutcome.upper_bound_source` names where the first length came
     from. A probe's stats and the backend's limits count that probe alone;
@@ -157,11 +156,6 @@ def min_csw(
             exact = power_bfs(pfa, distances=distances)
         except BudgetExceeded as exc:
             word = getattr(exc, "word", None)
-            if word is None:
-                try:
-                    word = _beam(pfa, _letter_actions(pfa), 1024)
-                except BudgetExceeded:
-                    pass
             if word is not None:
                 upper, source = len(word), BEAM
         else:
@@ -179,15 +173,11 @@ def min_csw(
     def probe(length: int) -> str:
         nonlocal kept
         kept = None
-        try:
-            groups = _probe_groups(pfa, distances, length)
-            instance = encode(pfa, length, groups)
-            start = time.perf_counter()
-            session = backend.start(instance) if isinstance(backend, Backend) else None
-            result = session.solve() if session else backend.run(instance)
-        except BudgetExceeded as exc:
-            exc.probes = tuple(probes)
-            raise
+        groups = _probe_groups(pfa, distances, length)
+        instance = encode(pfa, length, groups)
+        start = time.perf_counter()
+        session = backend.start(instance) if isinstance(backend, Backend) else None
+        result = session.solve() if session else backend.run(instance)
         record(length, start, result, instance.clause_count)
         if session:
             kept = (session, groups, length, instance.clause_count)
@@ -203,25 +193,21 @@ def min_csw(
         if kept is None:
             return words[length] if probe(length) == SAT else None
         session, groups, ell, size = kept
-        try:
-            layout = VarLayout(n=pfa.n, m=pfa.m, ell=ell)
-            delta = shorter_clauses(groups, layout, length)
-            size += len(delta)
-            if size > MAX_CLAUSES:
-                raise BudgetExceeded(
-                    f"length {length} needs {size} clauses, over the {MAX_CLAUSES} budget"
-                )
-            start = time.perf_counter()
-            session.extend(delta)
-            result = session.solve()
-        except BudgetExceeded as exc:
-            exc.probes = tuple(probes)
-            raise
+        layout = VarLayout(n=pfa.n, m=pfa.m, ell=length)
+        delta = [c for sets in groups for c in set_clauses(sets, layout, longer=ell)]
+        size += len(delta)
+        if size > MAX_CLAUSES:
+            raise BudgetExceeded(
+                f"length {length} needs {size} clauses, over the {MAX_CLAUSES} budget"
+            )
+        start = time.perf_counter()
+        session.extend(delta)
+        result = session.solve()
         record(length, start, result, size)
         kept = (session, groups, length, size)
         if result.status == UNSAT:
             return None
-        return decode_word(result.model, layout)[:length]
+        return decode_word(result.model, layout)
 
     def record(length: int, start: float, result, clauses: int) -> None:
         probes.append(
@@ -234,10 +220,14 @@ def min_csw(
             )
         )
 
-    if upper is None:
-        hi = _gallop_and_bisect(probe, max_length)
-    else:
-        hi = _descend(pfa, probe, below, words, upper, max_length)
+    try:
+        if upper is None:
+            hi = _gallop_and_bisect(probe, max_length)
+        else:
+            hi = _descend(pfa, probe, below, words, upper, max_length)
+    except BudgetExceeded as exc:
+        exc.probes = tuple(probes)
+        raise
     if hi is None:
         return SearchOutcome(
             status=UNKNOWN_UP_TO_BOUND,

@@ -95,7 +95,6 @@ class SolveStats:
     propagations: int = 0
     conflicts: int = 0
     restarts: int = 0
-    elapsed_s: float = 0.0
 
 
 @dataclass
@@ -515,8 +514,7 @@ class Session:
     """A built-in engine kept after its solve, so that clauses added at
     level 0 are decided with the learned clauses, activities and saved
     phases of the solves before. Each solve's stats and limits count that
-    solve alone, and its elapsed time runs from the build or the last
-    `extend`. A model must satisfy the instance and every added clause."""
+    solve alone. A model must satisfy the instance and every added clause."""
 
     def __init__(
         self,
@@ -524,27 +522,21 @@ class Session:
         limits: Optional[SolverLimits] = None,
         seed: int = 0,
     ):
-        self._start = time.perf_counter()
         self._engine = _Engine(instance, limits or SolverLimits(), seed)
         self._parts = [instance]
 
     def extend(self, clauses) -> None:
         """Add `clauses`, over the instance's variables, before the next solve."""
-        self._start = time.perf_counter()
         added = CnfInstance(var_count=self._engine.nvars, clauses=tuple(clauses))
         self._engine.extend(added.clauses)
         self._parts.append(added)
 
     def solve(self) -> SolveResult:
         """Decide the instance and the clauses added so far; see `solve`."""
-        engine = self._engine
-        try:
-            status, model = engine.run()
-        finally:
-            engine.stats.elapsed_s = time.perf_counter() - self._start
+        status, model = self._engine.run()
         if status == SAT and not all(satisfies(part, model) for part in self._parts):
             raise ModelVerificationError("model verification failed for built-in solver")
-        return SolveResult(status=status, model=model, stats=engine.stats)
+        return SolveResult(status=status, model=model, stats=self._engine.stats)
 
 
 def solve(
@@ -613,7 +605,6 @@ def solve_external(
 
     A SAT claim is only reported after the model passes `satisfies`.
     """
-    start = time.perf_counter()
     dimacs = to_dimacs(instance)
     tokens = shlex.split(command)
     with tempfile.TemporaryDirectory(prefix="cswsat-") as tmp:
@@ -651,7 +642,7 @@ def solve_external(
                 )
             raise SolverOutputError("no result line found in external solver output")
 
-    stats = SolveStats(elapsed_s=time.perf_counter() - start)
+    stats = SolveStats()
     if status == UNSAT:
         return SolveResult(status=UNSAT, model=None, stats=stats)
     model = {v: False for v in range(1, instance.var_count + 1)}

@@ -543,9 +543,9 @@ class TestMemoryBounds:
     """Inputs that once exhausted memory must end in exit 2, not in the
     kernel's kill (137) or a traceback, inside a 2 GiB address space."""
 
-    def _run(self, tmp_path, pfa, *argv):
+    def _run(self, tmp_path, text, *argv):
         path = tmp_path / "input.txt"
-        path.write_text(serialize_pfa(pfa))
+        path.write_text(text)
         limit = 2 << 30
         proc = subprocess.run(
             [sys.executable, "-m", "cswsat", *argv, str(path)],
@@ -560,22 +560,30 @@ class TestMemoryBounds:
 
     def test_galloping_past_the_probe_budget(self, tmp_path):
         # not synchronizing; without the pre-check only the size budget stops it
-        proc = self._run(tmp_path, random_pfa(GenConfig(n=30, seed=3)), "min", "--no-precheck")
+        pfa = random_pfa(GenConfig(n=30, seed=3))
+        proc = self._run(tmp_path, serialize_pfa(pfa), "min", "--no-precheck")
         assert proc.returncode == 2
         assert "length 16384" in proc.stderr
 
     def test_long_chain_pair_table(self, tmp_path):
         # the chain family's pair distances reach n^2 / 2; the bound on
         # subset search keeps them in one O(n^2) list
-        proc = self._run(tmp_path, pn(800), "oracle")
+        proc = self._run(tmp_path, serialize_pfa(pn(800)), "oracle")
         assert proc.returncode == 2
         assert "subset budget" in proc.stderr
 
     @pytest.mark.parametrize("command", ["min", "oracle"])
     def test_twenty_thousand_states(self, tmp_path, command):
-        proc = self._run(tmp_path, random_pfa(GenConfig(n=20000, seed=0)), command)
+        pfa = random_pfa(GenConfig(n=20000, seed=0))
+        proc = self._run(tmp_path, serialize_pfa(pfa), command)
         assert proc.returncode == 2
         assert "budget" in proc.stderr
+
+    def test_dimacs_header_with_more_variables_than_the_budget(self, tmp_path):
+        # the solver allocates per declared variable, before any clause
+        proc = self._run(tmp_path, "p cnf 300000000 1\n1 0\n", "solve")
+        assert proc.returncode == 2
+        assert "300000000 variables" in proc.stderr
 
 
 class TestScripts:

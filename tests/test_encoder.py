@@ -24,7 +24,6 @@ from cswsat.encoder import (
     parse_dimacs,
     set_clause_count,
     set_clauses,
-    shorter_clauses,
     to_dimacs,
     variable_count,
 )
@@ -484,9 +483,15 @@ class TestDistanceTablesState:
             DistanceTables(pn(5)).far(k)
 
 
+def _shorter(pfa, groups, lo, hi):
+    """set_clauses(..., longer=hi) over each group, as min_csw builds its delta."""
+    layout = VarLayout(pfa.n, pfa.m, lo)
+    return [c for sets in groups for c in set_clauses(sets, layout, longer=hi)]
+
+
 class TestShorterClauses:
-    """shorter_clauses(groups, layout, lo) is what the encoding at lo adds
-    to the one at layout.ell, under the same groups."""
+    """set_clauses(sets, layout, longer=hi) over each group is what the
+    encoding at layout.ell adds to the one at hi, under the same groups."""
 
     @given(pfas(max_n=6, max_m=3))
     @settings(max_examples=100, deadline=None)
@@ -496,10 +501,9 @@ class TestShorterClauses:
         distances = DistanceTables(pfa)
         for hi in range(2, 13):
             groups = _probe_groups(pfa, distances, hi)
-            top = encode(pfa, hi, groups)
-            upper = set(top.clauses)
+            upper = set(encode(pfa, hi, groups).clauses)
             for lo in range(1, hi):
-                delta = shorter_clauses(groups, top.layout, lo)
+                delta = _shorter(pfa, groups, lo, hi)
                 lower = set(encode(pfa, lo, groups).clauses)
                 assert len(delta) == len(set(delta))
                 assert set(delta) == lower - upper
@@ -515,20 +519,19 @@ class TestShorterClauses:
             session = Session(top)
             assert session.solve().status == solve(top).status
             for lo in range(hi - 1, 0, -1):
-                delta = shorter_clauses(groups, top.layout, lo)
+                delta = _shorter(pfa, groups, lo, hi)
                 union = CnfInstance(var_count=top.var_count, clauses=top.clauses + tuple(delta))
                 expected = solve(encode(pfa, lo, groups)).status
                 assert solve(union).status == expected
-                session.extend(shorter_clauses(groups, VarLayout(pfa.n, pfa.m, lo + 1), lo))
+                session.extend(_shorter(pfa, groups, lo, lo + 1))
                 assert session.solve().status == expected
 
     def test_one_step_adds_one_clause_per_entry_that_merges_in_time(self):
         # from hi = lo + 1, each entry with D <= hi appears once, at step hi - D
         pfa = pn(6)
         groups = _groups(pfa, 4)
-        layout = VarLayout(n=6, m=2, ell=20)
-        delta = shorter_clauses(groups, layout, 19)
-        width = layout.m + layout.n
+        delta = _shorter(pfa, groups, 19, 20)
+        width = pfa.m + pfa.n
         assert delta == [
             tuple(-((20 - D) * width + q) for q in states)
             for group in groups
@@ -538,10 +541,13 @@ class TestShorterClauses:
         ]
 
     def test_rejects_a_length_not_below(self):
-        layout = VarLayout(n=2, m=2, ell=3)
-        for lo in (0, 3):
-            with pytest.raises(ValueError):
-                shorter_clauses([], layout, lo)
+        layout = VarLayout(n=3, m=2, ell=3)
+        sets = _groups(pn(3), 2)[0]
+        for longer in (2, 3):
+            with pytest.raises(ValueError, match="longer"):
+                set_clauses(sets, layout, longer=longer)
+            with pytest.raises(ValueError, match="longer"):
+                set_clauses([], layout, longer=longer)
 
 
 class TestCheckDistances:

@@ -25,7 +25,7 @@ from cswsat.encoder import (
 )
 from cswsat.generators import GenConfig, pn, random_pfa
 from cswsat import oracle, search
-from cswsat.oracle import _beam, power_bfs
+from cswsat.oracle import _beam, _letter_actions, power_bfs
 from cswsat.search import (
     BEAM,
     FOUND,
@@ -479,6 +479,18 @@ def _exhausted(pfa, *args, **kwargs):
     raise BudgetExceeded("subset budget exceeded")
 
 
+def _exhausted_with_beam_word(pfa, *args, **kwargs):
+    exc = BudgetExceeded("subset budget exceeded")
+    exc.word = _beam(pfa, _letter_actions(pfa), 1024)
+    raise exc
+
+
+# pn(8) by gallop and bisection: 1..32 UNSAT, 64 SAT, then down to 55
+PN8_GALLOP = [(length, UNSAT) for length in (1, 2, 4, 8, 16, 32)] + [
+    (64, SAT), (48, UNSAT), (56, SAT), (52, UNSAT), (54, UNSAT), (55, SAT)
+]
+
+
 class TestProbeSchedule:
     """Three ways to the first probe length must reach the same answer."""
 
@@ -491,7 +503,7 @@ class TestProbeSchedule:
         if exact.status != FOUND:
             return
         exact_path = min_csw(pfa)
-        with mock.patch("cswsat.search.power_bfs", _exhausted):
+        with mock.patch("cswsat.search.power_bfs", _exhausted_with_beam_word):
             beam_path = min_csw(pfa)
         gallop_path = min_csw(pfa, precheck=False)
         assert exact_path.upper_bound_source == POWER_BFS
@@ -507,7 +519,7 @@ class TestProbeSchedule:
                 assert (out.min_length - 1, UNSAT) in record
 
     def test_beam_bound_when_subset_search_runs_out(self, monkeypatch):
-        monkeypatch.setattr("cswsat.search.power_bfs", _exhausted)
+        monkeypatch.setattr("cswsat.search.power_bfs", _exhausted_with_beam_word)
         out = min_csw(pn(6))
         assert out.upper_bound_source == BEAM
         assert (out.status, out.min_length) == (FOUND, 26)
@@ -519,8 +531,9 @@ class TestProbeSchedule:
             # both beams run at the first layer; the overrun's word is the
             # bound, with no third beam
             (((0, 64), (0, 1024)), [64, 1024]),
-            # pn(8)'s layers pass no default trigger; min_csw runs one beam
-            (oracle.BOUND_STAGES, [1024]),
+            # pn(8)'s layers pass no default trigger: no beam runs, and the
+            # overrun carries no word, so the probes gallop
+            (oracle.BOUND_STAGES, []),
         ],
     )
     def test_overrun_bound_runs_each_beam_once(self, monkeypatch, stages, widths):
@@ -532,22 +545,33 @@ class TestProbeSchedule:
 
         monkeypatch.setattr("cswsat.oracle.BOUND_STAGES", stages)
         monkeypatch.setattr("cswsat.oracle._beam", counted)
-        monkeypatch.setattr("cswsat.search._beam", counted)
         monkeypatch.setattr(
             "cswsat.search.power_bfs",
             lambda pfa, **kwargs: power_bfs(pfa, max_visited=50, **kwargs),
         )
         out = min_csw(pn(8))
-        assert (out.upper_bound_source, out.min_length) == (BEAM, 55)
-        assert [(p.length, p.status) for p in out.probes] == [(55, SAT), (54, UNSAT)]
+        source, schedule = (BEAM, [(55, SAT), (54, UNSAT)]) if widths else (None, PN8_GALLOP)
+        assert (out.upper_bound_source, out.min_length) == (source, 55)
+        assert [(p.length, p.status) for p in out.probes] == schedule
         assert ran == widths
+
+    def test_overrun_without_a_word_gallops(self, monkeypatch):
+        def refuse(pfa, *args, **kwargs):
+            raise AssertionError("a beam ran after the pre-check")
+
+        monkeypatch.setattr("cswsat.search.power_bfs", _exhausted)
+        monkeypatch.setattr("cswsat.oracle._beam", refuse)
+        out = min_csw(pn(8))
+        assert out.upper_bound_source is None
+        assert (out.status, out.min_length) == (FOUND, 55)
+        assert [(p.length, p.status) for p in out.probes] == PN8_GALLOP
 
     def test_no_precheck_skips_both_bounds(self, monkeypatch):
         def refuse(pfa, *args, **kwargs):
             raise AssertionError("pre-check ran with precheck=False")
 
         monkeypatch.setattr("cswsat.search.power_bfs", refuse)
-        monkeypatch.setattr("cswsat.search._beam", refuse)
+        monkeypatch.setattr("cswsat.oracle._beam", refuse)
         out = min_csw(pn(5), precheck=False)
         assert (out.min_length, out.upper_bound_source) == (15, None)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import cswsat
 from cswsat.automaton import Pfa, is_carefully_synchronizing
-from cswsat.encoder import CnfInstance, DistanceTables, decode_word, encode, shorter_clauses
+from cswsat.encoder import CnfInstance, DistanceTables, VarLayout, decode_word, encode, set_clauses
 from cswsat.generators import pn
 from cswsat.solver import (
     SAT,
@@ -305,7 +305,8 @@ class TestSession:
         counts = (first.stats.conflicts, first.stats.decisions, first.stats.propagations)
         fresh = solve(top).stats
         assert counts == (fresh.conflicts, fresh.decisions, fresh.propagations)
-        session.extend(shorter_clauses(groups, top.layout, 38))
+        lower = VarLayout(n=7, m=2, ell=38)
+        session.extend(c for sets in groups for c in set_clauses(sets, lower, longer=39))
         second = session.solve()
         assert second.status == UNSAT
         assert second.stats is not first.stats
@@ -320,7 +321,8 @@ class TestSession:
         top = encode(pfa, 39, groups)
         session = Session(top, SolverLimits(max_conflicts=45))
         first = session.solve()
-        session.extend(shorter_clauses(groups, top.layout, 38))
+        lower = VarLayout(n=7, m=2, ell=38)
+        session.extend(c for sets in groups for c in set_clauses(sets, lower, longer=39))
         second = session.solve()
         assert first.stats.conflicts + second.stats.conflicts > 45
         assert second.status == UNSAT
