@@ -5,9 +5,12 @@ For each instance of perfbench/expected.json (read only), one JSON line:
 the answer (status, min_length, witness) and each probe's (length, status,
 clauses, conflicts, decisions, propagations, restarts, sha256 of the
 DIMACS it decided). A probe on a kept engine decided its build CNF plus
-every clause batch added since, and that union is what gets hashed. A
-change that leaves the search alone leaves the dump byte for byte equal,
-so two commits compare with `cmp`:
+every clause batch added since, and that union is what gets hashed. The
+line also holds `power_bfs`'s record (status, min_length, witness, visited,
+bound) at the default budget and at max_visited=1000, where an overrun
+records ("overrun", visited, word). A change that leaves both searches
+alone leaves the dump byte for byte equal, so two commits compare with
+`cmp`:
 
     PYTHONPATH=src python scripts/search_identity.py > identity.jsonl
     PYTHONPATH=src python scripts/search_identity.py --only pn-5,random-n30-s7
@@ -19,7 +22,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from cswsat import CnfInstance, GenConfig, min_csw, pn, random_pfa
+from cswsat import BudgetExceeded, CnfInstance, GenConfig, min_csw, pn, power_bfs, random_pfa
 from cswsat.encoder import to_dimacs
 from cswsat.solver import Backend, Session
 
@@ -57,6 +60,14 @@ class HashingBackend(Backend):
         return HashingSession(instance, self.digests, limits=self.limits, seed=self.seed)
 
 
+def oracle_record(pfa, **budget) -> list:
+    try:
+        out = power_bfs(pfa, **budget)
+    except BudgetExceeded as exc:
+        return ["overrun", exc.visited, exc.word]
+    return [out.status, out.min_length, out.witness, out.visited, out.bound]
+
+
 def identity(item: dict) -> dict:
     if item["family"] == "pn":
         pfa = pn(item["n"])
@@ -83,6 +94,8 @@ def identity(item: dict) -> dict:
         "min_length": out.min_length,
         "witness": out.witness,
         "probes": probes,
+        "oracle": oracle_record(pfa),
+        "oracle_1000": oracle_record(pfa, max_visited=1000),
     }
 
 

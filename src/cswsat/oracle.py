@@ -1,11 +1,11 @@
 """Exact minimal-length computation by breadth-first search over state
 subsets, the ground truth the solver pipeline is checked against.
 
-Subsets live as bit masks (state j is bit j-1), and each letter's action on
-a whole subset is read from precomputed tables, one per byte of the mask:
-ceil(n/8) lookups and ORs per step, written inline in the search loops,
-instead of per-state work. A letter applies to a subset only when the
-subset misses the letter's undefined states, which is one mask test.
+Subsets live as bit masks (state j is bit j-1). The byte tables of up to
+LETTER_GROUP letters give all their images of a subset side by side in one
+int: ceil(n/8) lookups and ORs per group, then a shift and a mask per
+letter, inline in the search loops. An undefined transition leads to the
+full set, so a subset that meets one maps to the start, never stored again.
 
 Once its layers grow wide, the breadth-first search bounds itself: a
 narrow beam, and later a wide one, give a word of some length U, and an
@@ -46,13 +46,17 @@ DEFAULT_MAX_VISITED = 1 << 20
 
 # Largest tables `power_bfs` builds, in 64-bit words; the letter tables
 # and the pair table are each held to it. Each of the m * ceil(n/8) * 256
-# letter-table entries costs its ceil(n/64) mask words plus
+# (letter, byte) entries is charged ceil(n/64) mask words plus
 # _ENTRY_OVERHEAD_WORDS of Python object overhead (list slot, int header,
 # allocator rounding; 3-4 words measured with tracemalloc at n = 16..512).
-# At this ceiling the tables peak at 91-128 MB RSS for 2 letters at
-# n=3968, and at 139-156 MB for 1638 letters at n=64.
+# A group's int costs no more than its letters' ints would. At the ceiling
+# the tables peak at 122-140 MB RSS for 2 letters at n=3968, 52 MB for 1638
+# at n=64.
 MAX_TABLE_WORDS = 1 << 24
 _ENTRY_OVERHEAD_WORDS = 4
+
+# Letters sharing one set of byte tables (sweep: BENCH_letter_groups.json)
+LETTER_GROUP = 16
 
 # The bounding beams `power_bfs` runs, each at most once, as (layer size
 # past which the beam runs, beam width). A beam layer costs about as much as
@@ -76,23 +80,28 @@ def _byte_tables(targets: list) -> list:
 
 
 def _letter_actions(pfa: Pfa) -> list:
-    """Every letter's action on subsets, in letter order, as (letter,
-    undefined, tables): the mask of states where the letter is undefined,
-    and the byte tables of its state images. A subset's image is the union
-    of the tables' entries at its bytes, where it misses `undefined`.
-    BudgetExceeded before building anything when the tables would exceed
-    MAX_TABLE_WORDS."""
+    """Every letter's action on subsets, as (letters, tables) groups of up
+    to LETTER_GROUP letters in letter order. With `every` the union of the
+    tables' entries at a subset's bytes, the image under the group's i-th
+    letter, (letter, i * n) in `letters`, is `every >> i * n & full`: the
+    full set where the subset meets an undefined transition. BudgetExceeded
+    before building anything when the tables would exceed MAX_TABLE_WORDS."""
     words = -(-pfa.n // 64)
     table_words = pfa.m * -(-pfa.n // 8) * 256 * (words + _ENTRY_OVERHEAD_WORDS)
     if table_words > MAX_TABLE_WORDS:
         raise BudgetExceeded(
             f"{pfa.n} states need {table_words} table words, over the {MAX_TABLE_WORDS} budget"
         )
+    full = (1 << pfa.n) - 1
     actions = []
-    for a, row in enumerate(pfa.delta, 1):
-        undefined = sum(1 << q for q, t in enumerate(row) if t is None)
-        targets = [0 if t is None else 1 << (t - 1) for t in row]
-        actions.append((a, undefined, _byte_tables(targets)))
+    for first in range(0, pfa.m, LETTER_GROUP):
+        rows = pfa.delta[first : first + LETTER_GROUP]
+        targets = [
+            sum((full if t is None else 1 << (t - 1)) << i * pfa.n for i, t in enumerate(col))
+            for col in zip(*rows)
+        ]
+        letters = [(first + i + 1, i * pfa.n) for i in range(len(rows))]
+        actions.append((letters, _byte_tables(targets)))
     return actions
 
 
@@ -228,50 +237,50 @@ def power_bfs(
             far = bound.far_map_at(depth)
         next_frontier = []
         for subset in frontier:
-            for a, undefined, tables in actions:
-                if subset & undefined:
-                    continue
-                img, rest = 0, subset
+            for letters, tables in actions:
+                every, rest = 0, subset
                 for table in tables:
-                    img |= table[rest & 255]
+                    every |= table[rest & 255]
                     rest >>= 8
-                if img in parent:
-                    continue
-                if img & (img - 1) == 0:
-                    witness = _trace_back(parent, full, subset, a)
-                    if len(witness) != depth:
-                        raise ModelVerificationError(
-                            f"reconstructed word has length {len(witness)}, "
-                            f"search depth is {depth}"
-                        )
-                    if not is_carefully_synchronizing(pfa, witness):
-                        raise ModelVerificationError(
-                            f"breadth-first witness {witness!r} fails verification"
-                        )
-                    return SearchOutcome(
-                        status=FOUND,
-                        min_length=depth,
-                        witness=witness,
-                        bound=depth,
-                        visited=len(parent),
-                    )
-                if far is not None:
-                    hit, rest = 0, img
-                    for table in far:
-                        hit |= table[rest & 255]
-                        rest >>= 8
-                    if img & hit:
+                for a, shift in letters:
+                    img = every >> shift & full
+                    if img in parent:
                         continue
-                parent[img] = (subset, a)
-                if len(parent) > max_stored:
-                    word = bound.word if bound is not None else None
-                    exc = BudgetExceeded(
-                        f"subset budget {max_visited} words exceeded at depth {depth}"
-                        + (f"; a beam word of length {len(word)} bounds it" if word else "")
-                    )
-                    exc.visited, exc.word = len(parent), word
-                    raise exc
-                next_frontier.append(img)
+                    if img & (img - 1) == 0:
+                        witness = _trace_back(parent, full, subset, a)
+                        if len(witness) != depth:
+                            raise ModelVerificationError(
+                                f"reconstructed word has length {len(witness)}, "
+                                f"search depth is {depth}"
+                            )
+                        if not is_carefully_synchronizing(pfa, witness):
+                            raise ModelVerificationError(
+                                f"breadth-first witness {witness!r} fails verification"
+                            )
+                        return SearchOutcome(
+                            status=FOUND,
+                            min_length=depth,
+                            witness=witness,
+                            bound=depth,
+                            visited=len(parent),
+                        )
+                    if far is not None:
+                        hit, rest = 0, img
+                        for table in far:
+                            hit |= table[rest & 255]
+                            rest >>= 8
+                        if img & hit:
+                            continue
+                    parent[img] = (subset, a)
+                    if len(parent) > max_stored:
+                        word = bound.word if bound is not None else None
+                        exc = BudgetExceeded(
+                            f"subset budget {max_visited} words exceeded at depth {depth}"
+                            + (f"; a beam word of length {len(word)} bounds it" if word else "")
+                        )
+                        exc.visited, exc.word = len(parent), word
+                        raise exc
+                    next_frontier.append(img)
         frontier = next_frontier
 
     if bound is not None and bound.word is not None:
@@ -302,23 +311,23 @@ def _beam(pfa: Pfa, actions: list, width: int) -> Optional[tuple]:
     while layer and len(parent) < max_stored:
         images = {}
         for subset in layer:
-            for a, undefined, tables in actions:
-                if subset & undefined:
-                    continue
-                img, rest = 0, subset
+            for letters, tables in actions:
+                every, rest = 0, subset
                 for table in tables:
-                    img |= table[rest & 255]
+                    every |= table[rest & 255]
                     rest >>= 8
-                if img in parent or img in images:
-                    continue
-                if img & (img - 1) == 0:
-                    word = _trace_back(parent, full, subset, a)
-                    if not is_carefully_synchronizing(pfa, word):
-                        raise ModelVerificationError(
-                            f"beam witness {word!r} fails verification"
-                        )
-                    return word
-                images[img] = (subset, a)
+                for a, shift in letters:
+                    img = every >> shift & full
+                    if img in parent or img in images:
+                        continue
+                    if img & (img - 1) == 0:
+                        word = _trace_back(parent, full, subset, a)
+                        if not is_carefully_synchronizing(pfa, word):
+                            raise ModelVerificationError(
+                                f"beam witness {word!r} fails verification"
+                            )
+                        return word
+                    images[img] = (subset, a)
         # fewest states first, ties by mask: the sort by size is stable
         layer = sorted(sorted(images), key=int.bit_count)[:width]
         for img in layer:

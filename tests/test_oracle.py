@@ -16,7 +16,9 @@ from cswsat.cli import EXIT_FAULT, main
 from cswsat.encoder import DistanceTables, pair_distances
 from cswsat.generators import GenConfig, pn, random_pfa
 from cswsat.oracle import (
+    _ENTRY_OVERHEAD_WORDS,
     BOUND_STAGES,
+    LETTER_GROUP,
     MAX_TABLE_WORDS,
     _beam,
     _letter_actions,
@@ -44,11 +46,9 @@ FIRST_LAYER_STAGES = ((0, 64), (0, 1024))
 C3 = Pfa(n=3, m=2, delta=((2, 3, 1), (2, 2, 3)))
 
 
-def _table_image(undefined, tables, subset):
-    """A subset's image under one letter's action, as the search loops
-    compute it inline: None when the subset meets `undefined`."""
-    if subset & undefined:
-        return None
+def _table_image(tables, subset):
+    """The union of the byte tables' entries at a subset's bytes, as the
+    search loops compute it inline."""
     img, rest = 0, subset
     for table in tables:
         img |= table[rest & 255]
@@ -124,19 +124,38 @@ class TestBudgetAndCap:
             power_bfs(_identity(64, m=1639))
 
 
+def _random_letters(n, m, seed):
+    """An automaton with m random letters and about n/4 undefined
+    transitions per letter."""
+    rng = random.Random(seed)
+    delta = tuple(
+        tuple(None if rng.random() < 0.25 else rng.randint(1, n) for _ in range(n))
+        for _ in range(m)
+    )
+    return Pfa(n=n, m=m, delta=delta)
+
+
 class TestLetterTables:
-    """The byte tables' image of a subset is the set-based image."""
+    """Each letter's image of a subset, read from its group's byte tables,
+    is the set-based image, or the full set where the letter is undefined
+    on the subset."""
 
     @staticmethod
     def _check(pfa, subsets):
+        n, full = pfa.n, (1 << pfa.n) - 1
         actions = _letter_actions(pfa)
-        assert [a for a, _, _ in actions] == list(range(1, pfa.m + 1))
-        for a, undefined, tables in actions:
+        assert [[a for a, _ in letters] for letters, _ in actions] == [
+            list(range(first + 1, min(first + LETTER_GROUP, pfa.m) + 1))
+            for first in range(0, pfa.m, LETTER_GROUP)
+        ]
+        for letters, tables in actions:
+            assert [shift for _, shift in letters] == [i * n for i in range(len(letters))]
             for subset in subsets:
-                expected = apply_letter(pfa, _states(subset), a)
-                assert _table_image(undefined, tables, subset) == (
-                    None if expected is None else _mask(expected)
-                )
+                every = _table_image(tables, subset)
+                assert every >> len(letters) * n == 0
+                for a, shift in letters:
+                    expected = apply_letter(pfa, _states(subset), a)
+                    assert every >> shift & full == (full if expected is None else _mask(expected))
 
     @given(pfas(max_n=9, max_m=3))
     @settings(max_examples=100)
@@ -158,6 +177,46 @@ class TestLetterTables:
                 subset &= rng.getrandbits(n)
             subsets.append(subset or 1)
         self._check(pfa, subsets)
+
+    # one group, a full one, one letter past it, and a third group
+    @pytest.mark.parametrize("m", [1, 16, 17, 40])
+    def test_group_boundaries(self, m):
+        self._check(_random_letters(9, m, seed=m), range(1, 1 << 9))
+        rng = random.Random(m)
+        subsets = [rng.getrandbits(70) & rng.getrandbits(70) or 1 for _ in range(100)]
+        self._check(_random_letters(70, m, seed=m), [(1 << 70) - 1] + subsets)
+
+    def test_second_group_matches_plain_set_bfs(self):
+        # Cerny's seven-state automaton with its merging letter last, behind
+        # fifteen shifts that are each undefined at one state
+        n = 7
+        cycle = tuple(q % n + 1 for q in range(1, n + 1))
+        merge = (2,) + tuple(range(2, n + 1))
+        shifts = tuple(
+            tuple(None if q == i % n + 1 else (q + i - 1) % n + 1 for q in range(1, n + 1))
+            for i in range(2, 17)
+        )
+        pfa = Pfa(n=n, m=17, delta=(cycle,) + shifts + (merge,))
+        out = power_bfs(pfa)
+        assert (out.status, out.min_length) == (FOUND, 14)
+        assert out.witness == shortest_sync_word(n, pfa.delta, pfa.m, max_len=2**n)
+        assert 17 in out.witness
+
+    @pytest.mark.parametrize(
+        "pfa", [_identity(1000, m=2), _random_letters(64, 200, seed=0)], ids=["n1000", "m200"]
+    )
+    def test_tables_stay_within_their_charge(self, pfa):
+        # one int holds a group's images; it may not cost more than the
+        # mask and overhead words charged for them one letter at a time
+        charged = pfa.m * -(-pfa.n // 8) * 256 * (-(-pfa.n // 64) + _ENTRY_OVERHEAD_WORDS)
+        tracemalloc.start()
+        try:
+            actions = _letter_actions(pfa)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(actions) == -(-pfa.m // LETTER_GROUP)
+        assert peak <= 8 * charged
 
 
 class TestBeyondSixtyFourStates:
@@ -392,7 +451,7 @@ class TestPairBound:
                 continue
             for subset in subsets:
                 states = _states(subset)
-                image = _table_image(0, far_tables, subset)
+                image = _table_image(far_tables, subset)
                 assert image == _mask(
                     {p for q in states for p in range(1, pfa.n + 1) if dist[q - 1][p - 1] > radius}
                 )
