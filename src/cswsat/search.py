@@ -26,8 +26,9 @@ all of it. So the two are equisatisfiable, and refuting the union
 certifies that no word of length lo exists. Its models only lower the bound: the returned word
 always comes from a fresh probe at the answer, made last when the descent
 has not made one, so the exact, beam and gallop paths return one word. A
-backend other than `solver.Backend`, or an external solver, keeps no
-engine and gets CNF(lo), with lo's own groups, as a probe of its own.
+backend keeps an engine when it has a `start` method that returns one, as
+`solver.Backend` does for the built-in solver. Any other backend, and an
+external solver, gets CNF(lo), with lo's own groups, as a probe of its own.
 
 Every probe also carries the encoder's distance groups. For k = 2, states
 p and q may not both be active after t steps when no word of length
@@ -176,7 +177,7 @@ def min_csw(
         groups = _probe_groups(pfa, distances, length)
         instance = encode(pfa, length, groups)
         start = time.perf_counter()
-        session = backend.start(instance) if isinstance(backend, Backend) else None
+        session = backend.start(instance) if hasattr(backend, "start") else None
         result = session.solve() if session else backend.run(instance)
         record(length, start, result, instance.clause_count)
         if session:

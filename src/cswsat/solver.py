@@ -1,39 +1,40 @@
 """Complete CNF solving: a built-in conflict-driven solver plus a subprocess
 adapter for external DIMACS solvers.
 
-The built-in engine is a conflict-driven clause-learning loop: two watched
-literals per clause, first-unique-implication-point learning with local
-clause minimization, exponentially decayed variable activities breaking ties
-toward the lowest variable index, saved phases (default false, which suits
-the mostly-false models of the synchronization encoding), reluctant-doubling
-restarts, and periodic forgetting of high-glue learned clauses. Runs are
-deterministic for a fixed seed. The assignment is stored per literal, as in
-MiniSat: each literal's value has its own slot, written for both
-polarities when a variable is assigned, so the watch loop tests a literal
-with one lookup. Backtracking clears both slots and leaves the variable's
-reason stale, since a reason is read only while its variable is assigned.
+The built-in engine, `Session`, is a conflict-driven clause-learning loop:
+two watched literals per clause, first-unique-implication-point learning
+with local clause minimization, exponentially decayed variable activities
+breaking ties toward the lowest variable index, saved phases (default
+false, which suits the mostly-false models of the synchronization
+encoding), reluctant-doubling restarts, and periodic forgetting of
+high-glue learned clauses. Runs are deterministic for a fixed seed. The
+assignment is stored per literal, as in MiniSat: each literal's value has
+its own slot, written for both polarities when a variable is assigned, so
+the watch loop tests a literal with one lookup. Backtracking clears both
+slots and leaves the variable's reason stale, since a reason is read only
+while its variable is assigned.
 
 Decisions come from a lazy binary heap of (-activity, variable) entries.
 Bumping a variable makes its old entry stale instead of removing it, and a
 stale entry is dropped when popped. The `in_heap` flags keep at most one
-live entry per variable: an unassigned variable always has one, bumping an
-assigned variable only clears its flag, and backtracking pushes the
-variables whose flag is clear. Once stale entries make the heap longer than
-2 * nvars after a backtrack, it is rebuilt from the unassigned variables.
-None of this changes which variable is picked.
+live entry per variable: an unassigned variable always has one, bumping a
+variable (always an assigned one, from a conflict or reason clause) only
+clears its flag, and backtracking pushes the variables whose flag is
+clear. Once stale entries make the heap longer than 2 * nvars after a
+backtrack, it is rebuilt from the unassigned variables. None of this
+changes which variable is picked.
 
-A `Session` keeps the engine after a solve, so that more clauses can be
-added and the result decided again. `extend` goes back to level 0, takes
-the clauses in as the build does, and rewinds the propagation queue to
-the start of the trail: the next solve propagates the level-0 assignments
-again, which moves any new watch that sits on a literal they falsify.
-Learned clauses, activities, saved phases and the learned-clause ceiling
-carry over; stats, limits and the restart schedule start afresh with each
-solve.
+A `Session` outlives its solve, so that more clauses can be added and the
+result decided again. `extend` goes back to level 0, takes the clauses in
+as the build does, and rewinds the propagation queue to the start of the
+trail: the next solve propagates the level-0 assignments again, which
+moves any new watch that sits on a literal they falsify. Learned clauses,
+activities, saved phases and the learned-clause ceiling carry over; stats,
+limits and the restart schedule start afresh with each solve.
 
 Every model, from either backend, is re-checked against the original clauses
-(and a Session's added ones) by the separate `satisfies` evaluator before
-being returned; the solver's own bookkeeping is never trusted.
+(and each batch a Session has added) by the separate `satisfies` evaluator
+before being returned; the solver's own bookkeeping is never trusted.
 """
 
 from __future__ import annotations
@@ -123,12 +124,23 @@ def satisfies(instance: CnfInstance, model) -> bool:
 # backtracking clears both, so a literal's truth is one lookup.
 
 
-class _Engine:
-    def __init__(self, instance: CnfInstance, limits: SolverLimits, seed: int):
+class Session:
+    """The built-in engine. It outlives its solve, so that clauses added at
+    level 0 are decided with the learned clauses, activities and saved
+    phases of the solves before. Each solve's stats and limits count that
+    solve alone. A model must satisfy the instance and every added batch."""
+
+    def __init__(
+        self,
+        instance: CnfInstance,
+        limits: Optional[SolverLimits] = None,
+        seed: int = 0,
+    ):
         self.nvars = instance.var_count
-        self.limits = limits
+        self.limits = limits or SolverLimits()
         self.stats = SolveStats()
         self.ok = True
+        self._parts = [instance]
 
         nv = self.nvars
         self.lv = [-1] * (2 * nv + 2)
@@ -197,15 +209,15 @@ class _Engine:
                 self.ok = False
                 return
 
-    def extend(self, new_clauses):
-        """Add clauses over the same variables, keeping the learned clauses,
-        activities and saved phases: back to level 0, ingest as at build,
-        and propagate the whole level-0 trail again on the next run, which
-        moves any watch that sits on a literal false at level 0."""
+    def extend(self, clauses) -> None:
+        """Add `clauses`, over the instance's variables, before the next
+        solve; the module docstring says what carries over."""
+        added = CnfInstance(var_count=self.nvars, clauses=tuple(clauses))
         if self.trail_lim:
             self._backtrack(0)
-        self._ingest(new_clauses)
+        self._ingest(added.clauses)
         self.qhead = 0
+        self._parts.append(added)
 
     def _enqueue(self, code: int, reason: int) -> bool:
         lv = self.lv
@@ -302,10 +314,9 @@ class _Engine:
         reason = self.reason
         trail = self.trail
         clauses = self.clauses
-        lv = self.lv
         activity = self.activity
         var_inc = self.var_inc
-        heap, in_heap = self.heap, self.in_heap
+        in_heap = self.in_heap
         cur = len(self.trail_lim)
         learnt = [0]
         counter = 0
@@ -325,12 +336,10 @@ class _Engine:
                     if act > 1e100:
                         self._rescale()
                         var_inc = self.var_inc
-                        heap, in_heap = self.heap, self.in_heap
-                    elif lv[vq << 1] == -1:
-                        heappush(heap, (-act, vq))
-                        in_heap[vq] = 1
+                        in_heap = self.in_heap
                     else:
-                        # the old entry is stale now; _backtrack pushes a current one
+                        # vq is assigned, so its old entry is stale now;
+                        # _backtrack pushes a current one
                         in_heap[vq] = 0
                     if lq >= cur:
                         counter += 1
@@ -439,14 +448,15 @@ class _Engine:
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise BudgetExceeded(f"time limit {lim.max_seconds}s exceeded", st)
 
-    def run(self) -> tuple:
-        """Returns (status, model dict or None). Stats, limits and the
-        restart schedule start afresh on each call."""
-        self.stats = SolveStats()
+    def solve(self) -> SolveResult:
+        """Decide the instance and the clauses added so far; see `solve`.
+        Stats, limits and the restart schedule start afresh on each call."""
+        self.stats = stats = SolveStats()
+        unsat = SolveResult(status=UNSAT, model=None, stats=stats)
         if self.limits.max_seconds is not None:
             self.deadline = time.perf_counter() + self.limits.max_seconds
         if not self.ok or self._propagate() != -1:
-            return UNSAT, None
+            return unsat
 
         limited = self.limits != SolverLimits()
         lv = self.lv
@@ -460,15 +470,15 @@ class _Engine:
             while conflicts_left > 0:
                 confl = self._propagate()
                 if confl != -1:
-                    self.stats.conflicts += 1
+                    stats.conflicts += 1
                     conflicts_left -= 1
                     if not trail_lim:
-                        return UNSAT, None
+                        return unsat
                     learnt, back, glue = self._analyze(confl)
                     self._backtrack(back)
                     if len(learnt) == 1:
                         if not self._enqueue(learnt[0], -1):
-                            return UNSAT, None
+                            return unsat
                     else:
                         ci = len(self.clauses)
                         self.clauses.append(learnt)
@@ -486,8 +496,12 @@ class _Engine:
                 code = self._pick_branch()
                 if code == -1:
                     model = {v: lv[v << 1] == 1 for v in range(1, self.nvars + 1)}
-                    return SAT, model
-                self.stats.decisions += 1
+                    if not all(satisfies(part, model) for part in self._parts):
+                        raise ModelVerificationError(
+                            "model verification failed for built-in solver"
+                        )
+                    return SolveResult(status=SAT, model=model, stats=stats)
+                stats.decisions += 1
                 if limited:
                     self._check_budget()
                 # a new level, decided on an unassigned code
@@ -499,7 +513,7 @@ class _Engine:
                 reason[v] = -1
                 trail.append(code)
             # restart: reluctant doubling schedule
-            self.stats.restarts += 1
+            stats.restarts += 1
             if trail_lim:
                 self._backtrack(0)
             if restart_u & -restart_u == restart_v:
@@ -508,35 +522,6 @@ class _Engine:
             else:
                 restart_v <<= 1
             self._check_budget()
-
-
-class Session:
-    """A built-in engine kept after its solve, so that clauses added at
-    level 0 are decided with the learned clauses, activities and saved
-    phases of the solves before. Each solve's stats and limits count that
-    solve alone. A model must satisfy the instance and every added clause."""
-
-    def __init__(
-        self,
-        instance: CnfInstance,
-        limits: Optional[SolverLimits] = None,
-        seed: int = 0,
-    ):
-        self._engine = _Engine(instance, limits or SolverLimits(), seed)
-        self._parts = [instance]
-
-    def extend(self, clauses) -> None:
-        """Add `clauses`, over the instance's variables, before the next solve."""
-        added = CnfInstance(var_count=self._engine.nvars, clauses=tuple(clauses))
-        self._engine.extend(added.clauses)
-        self._parts.append(added)
-
-    def solve(self) -> SolveResult:
-        """Decide the instance and the clauses added so far; see `solve`."""
-        status, model = self._engine.run()
-        if status == SAT and not all(satisfies(part, model) for part in self._parts):
-            raise ModelVerificationError("model verification failed for built-in solver")
-        return SolveResult(status=status, model=model, stats=self._engine.stats)
 
 
 def solve(
@@ -656,12 +641,22 @@ def solve_external(
 
 @dataclass(frozen=True)
 class Backend:
-    """A solver choice that `search` and the CLI can pass around."""
+    """A solver choice that `search` and the CLI can pass around. An
+    external solver takes `max_seconds` alone, as its timeout."""
 
     kind: str = "builtin"
     command: Optional[str] = None
     seed: int = 0
     limits: SolverLimits = field(default_factory=SolverLimits)
+
+    def __post_init__(self):
+        for name in ("max_conflicts", "max_decisions"):
+            if self.kind != "builtin" and getattr(self.limits, name) is not None:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(
+                    f"an external solver cannot honour {name} ({flag}); "
+                    "it takes only max_seconds (--max-seconds), as its timeout"
+                )
 
     def run(self, instance: CnfInstance) -> SolveResult:
         if self.kind == "builtin":

@@ -35,7 +35,7 @@ from cswsat.encoder import (
 from cswsat.generators import GenConfig, pn, random_pfa
 from cswsat.search import min_csw
 
-from test_solver import SHIM_LIAR, shim_command
+from test_solver import SHIM_LIAR, SHIM_SLEEPER, SHIM_STDIN, shim_command
 
 A1_TEXT = "2 2\n1 2\n1 0\n"
 C3_TEXT = "3 2\n2 2\n3 2\n1 3\n"
@@ -333,6 +333,24 @@ class TestCommandSurface:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--max-conflicts", "--max-decisions"])
+    def test_external_backend_refuses_search_limits(self, tmp_path, capsys, flag):
+        path = self._pfa_file(tmp_path, serialize_pfa(pn(5)))
+        assert main([flag, "0", "min", path]) == 2
+        capsys.readouterr()
+        cmd = shim_command(tmp_path, SHIM_STDIN, "stdin_shim")
+        assert main(["--backend", f"external:{cmd}", flag, "0", "min", path]) == 1
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+
+    def test_external_backend_takes_max_seconds_as_timeout(self, tmp_path, capsys):
+        path = self._pfa_file(tmp_path, serialize_pfa(pn(5)))
+        cmd = shim_command(tmp_path, SHIM_SLEEPER, "sleeper")
+        code = main(["--backend", f"external:{cmd}", "--max-seconds", "0.3", "min", path])
+        assert code == 2
+        assert "0.3s" in capsys.readouterr().err
 
     def test_oracle(self, tmp_path, capsys):
         assert main(["oracle", self._pfa_file(tmp_path, A1_TEXT)]) == 0

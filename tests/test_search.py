@@ -525,6 +525,23 @@ class TestProbeSchedule:
         assert (out.status, out.min_length) == (FOUND, 26)
         assert [(p.length, p.status) for p in out.probes] == [(26, SAT), (25, UNSAT)]
 
+    def test_capped_entry_descends_from_max_length(self, monkeypatch):
+        # a known word longer than max_length, with max_length satisfiable:
+        # the descent starts with a probe at max_length, not at the word
+        def overrun(pfa, *args, **kwargs):
+            exc = BudgetExceeded("subset budget exceeded")
+            exc.word = power_bfs(pfa).witness + (1,) * 4  # letter 1 is total
+            raise exc
+
+        exact_path = min_csw(pn(6))
+        monkeypatch.setattr("cswsat.search.power_bfs", overrun)
+        out = min_csw(pn(6), max_length=28)
+        assert (out.status, out.min_length, out.upper_bound_source) == (FOUND, 26, BEAM)
+        assert [(p.length, p.status) for p in out.probes] == [
+            (28, SAT), (27, SAT), (26, SAT), (25, UNSAT), (26, SAT)
+        ]
+        assert out.witness == exact_path.witness
+
     @pytest.mark.parametrize(
         "stages, widths",
         [

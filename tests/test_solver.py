@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import cswsat
 from cswsat.automaton import Pfa, is_carefully_synchronizing
 from cswsat.encoder import CnfInstance, DistanceTables, VarLayout, decode_word, encode, set_clauses
-from cswsat.generators import pn
+from cswsat.generators import GenConfig, pn, random_pfa
 from cswsat.solver import (
     SAT,
     UNSAT,
@@ -20,7 +20,7 @@ from cswsat.solver import (
     Session,
     SolverLimits,
     SolverOutputError,
-    _Engine,
+    _parse_result_lines,
     backend_from_spec,
     satisfies,
     solve,
@@ -113,10 +113,14 @@ class TestBuiltinSolve:
             assert res.status == SAT
             assert satisfies(instance, res.model)
 
-    @given(cnf_instances())
+    @given(cnf_instances(), st.booleans())
     @settings(max_examples=200)
-    def test_agrees_with_exhaustive_enumeration(self, instance):
-        res = solve(instance)
+    def test_agrees_with_exhaustive_enumeration(self, instance, tiny_ceiling):
+        session = Session(instance)
+        if tiny_ceiling:
+            # forget learned clauses from the second one on
+            session.max_learned = 1
+        res = session.solve()
         expected = brute_force_satisfiable(instance.var_count, instance.clauses)
         assert (res.status == SAT) == expected
         if res.status == SAT:
@@ -179,7 +183,7 @@ class TestIngestion:
     @given(raw_cnfs())
     @settings(max_examples=300)
     def test_matches_clause_by_clause_reference(self, instance):
-        engine = _Engine(instance, SolverLimits(), 0)
+        engine = Session(instance)
         ok, clauses, watches, trail = reference_ingest(instance)
         assert (engine.ok, engine.clauses, engine.watches, engine.trail) == (
             ok,
@@ -197,8 +201,8 @@ class TestIngestion:
         # an engine that has solved takes clauses in at level 0 as the
         # build does, its level-0 assignments counting as earlier units
         nvars = max(first.var_count, second.var_count)
-        engine = _Engine(CnfInstance(var_count=nvars, clauses=first.clauses), SolverLimits(), 0)
-        engine.run()
+        engine = Session(CnfInstance(var_count=nvars, clauses=first.clauses))
+        engine.solve()
         level0 = engine.trail[: engine.trail_lim[0]] if engine.trail_lim else engine.trail[:]
         was_ok, base = engine.ok, len(engine.clauses)
         engine.extend(second.clauses)
@@ -216,13 +220,13 @@ class TestIngestion:
         # 2 and -2 give a tautology, (1, 1) a duplicated unit, (-1,) a
         # contradiction that stops ingestion before the last clause
         instance = inst(3, [2, -2, 3], [1, 1], [3, -1, 3], [-3, 2], [-1], [2, 3])
-        engine = _Engine(instance, SolverLimits(), 0)
+        engine = Session(instance)
         assert not engine.ok
         assert engine.clauses == [[3, 6], [4, 7]]
         assert engine.trail == [2]
         assert [c for c, wl in enumerate(engine.watches) if wl] == [3, 4, 6, 7]
         assert reference_ingest(instance) == (False, engine.clauses, engine.watches, [2])
-        assert not _Engine(inst(2, [1, -2], []), SolverLimits(), 0).ok
+        assert not Session(inst(2, [1, -2], [])).ok
 
 
 class TestDecisionHeap:
@@ -230,7 +234,7 @@ class TestDecisionHeap:
     variable and at most 2 * nvars entries in all."""
 
     def run_checked(self, instance, var_inc=1.0):
-        engine = _Engine(instance, SolverLimits(), 0)
+        engine = Session(instance)
         engine.var_inc = var_inc
         pick = engine._pick_branch
 
@@ -248,8 +252,8 @@ class TestDecisionHeap:
             return pick()
 
         engine._pick_branch = checked_pick
-        status, model = engine.run()
-        return engine, status, model
+        result = engine.solve()
+        return engine, result.status, result.model
 
     def test_bounded_on_unsat_chain_probe(self):
         engine, status, _ = self.run_checked(encode(pn(6), 25))
@@ -267,6 +271,57 @@ class TestDecisionHeap:
         engine, status, _ = self.run_checked(encode(pn(6), 25), var_inc=1e99)
         assert engine.var_inc < 1e99
         assert status == UNSAT
+
+
+class TestForgetting:
+    """Learned-clause forgetting, forced early by a ceiling of 20 learned
+    clauses, keeps the answers and the watch and reason bookkeeping."""
+
+    def solve_checked(self, instance):
+        session = Session(instance)
+        session.max_learned = 20
+        reduce_db = session._reduce_db
+        dropped = []
+
+        def checked_reduce():
+            learned = set(session.learned)
+            reduce_db()
+            dropped.append(len(learned - set(session.learned)))
+            clauses = session.clauses
+            watched = {}
+            for code, wl in enumerate(session.watches):
+                for ci in wl:
+                    watched.setdefault(ci, []).append(code)
+            # no watch list names a dropped clause, and each live clause is
+            # watched on its first two literals and nowhere else
+            assert all(clauses[ci] is not None for ci in watched)
+            live = [ci for ci, lits in enumerate(clauses) if lits is not None]
+            assert all(sorted(watched.get(ci, ())) == sorted(clauses[ci][:2]) for ci in live)
+            # no assigned variable's reason clause was dropped
+            reasons = (session.reason[code >> 1] for code in session.trail)
+            assert all(r == -1 or clauses[r] is not None for r in reasons)
+
+        session._reduce_db = checked_reduce
+        return session.solve(), dropped
+
+    @pytest.mark.parametrize(
+        "pfa, length",
+        [
+            (pn(6), 25),
+            (pn(6), 26),
+            (pn(7), 38),
+            (pn(7), 39),
+            (random_pfa(GenConfig(n=30, seed=9)), 16),
+        ],
+        ids=["pn6-25", "pn6-26", "pn7-38", "pn7-39", "random-n30-s9-16"],
+    )
+    def test_tiny_ceiling_keeps_answers_and_bookkeeping(self, pfa, length):
+        instance = encode(pfa, length)
+        result, dropped = self.solve_checked(instance)
+        assert sum(dropped) > 0
+        assert result.status == solve(instance).status
+        if result.status == SAT:
+            assert is_carefully_synchronizing(pfa, decode_word(result.model, instance.layout))
 
 
 class TestSession:
@@ -330,9 +385,10 @@ class TestSession:
     def test_model_is_checked_against_the_added_clauses(self):
         session = Session(inst(2, [1]))
         assert session.solve().status == SAT
+        # an engine fault that forgets the added clause: x2 keeps its
+        # saved phase, false
+        session._ingest = lambda clauses: None
         session.extend([(2,)])
-        # an engine fault that forgets the added clause
-        session._engine.run = lambda: (SAT, {1: True, 2: False})
         with pytest.raises(ModelVerificationError):
             session.solve()
 
@@ -498,6 +554,15 @@ class TestBackendSpec:
         with pytest.raises(BudgetExceeded):
             backend.run(pigeonhole(5))
 
+    @pytest.mark.parametrize("name", ["max_conflicts", "max_decisions"])
+    def test_external_refuses_search_limits(self, name):
+        limits = SolverLimits(**{name: 10})
+        with pytest.raises(ValueError, match=name):
+            Backend(kind="external", command="true", limits=limits)
+        with pytest.raises(ValueError, match=name):
+            backend_from_spec("external:true", limits=limits)
+        assert backend_from_spec("builtin", limits=limits).limits == limits
+
     def test_external_time_budget_from_limits(self, tmp_path):
         cmd = shim_command(tmp_path, SHIM_SLEEPER, "sleeper")
         backend = backend_from_spec(
@@ -505,3 +570,15 @@ class TestBackendSpec:
         )
         with pytest.raises(BudgetExceeded, match="0.3s"):
             backend.run(inst(1, [1]))
+
+
+class TestResultParser:
+    def test_blank_and_comment_lines_are_skipped(self):
+        lines = ["", "c a comment", "   ", "s SATISFIABLE", "c v 9 0", "v 1 -2 0"]
+        assert _parse_result_lines(lines) == (SAT, [1, -2])
+
+    def test_malformed_token_drops_the_literals_read_so_far(self):
+        # the bad token also ends its line: 4 is never read
+        lines = ["s SATISFIABLE", "v 1 -2", "v 3 x 4 0"]
+        assert _parse_result_lines(lines) == (SAT, [])
+        assert _parse_result_lines(lines + ["v 5 0"]) == (SAT, [5])
