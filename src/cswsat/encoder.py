@@ -25,8 +25,9 @@ shortest merging word is longer than ell - t while none of its subsets one
 state smaller is, forbid all k states being active after t steps. Single
 states merge at distance 0, so every far pair is in the k = 2 group, and
 the sync block is its ell - t = 0 case. The lists come from one
-`DistanceTables` per automaton, which checks each once by the equation
-that defines it. `search.min_csw` passes the pair list to every probe and
+`DistanceTables` per automaton, which checks each distance table once by
+the equation that defines it and builds each list from its checked
+table. `search.min_csw` passes the pair list to every probe and
 to its `power_bfs` pre-check's bound, and the list for size k > 2 to a
 probe when the automaton has no more sets of k states, C(n, k), than the
 probe's plain encoding has clauses: long-word automata, where the table
@@ -45,7 +46,7 @@ import math
 from dataclasses import dataclass
 from bisect import bisect_right
 from itertools import chain, combinations, compress, product, repeat
-from operator import add, gt, itemgetter, mul, sub
+from operator import add, itemgetter, le, sub
 from typing import Optional, Sequence
 
 from .automaton import BudgetExceeded, ModelVerificationError, Pfa
@@ -262,7 +263,8 @@ MAX_SET_SIZE = 4
 
 class DistanceTables:
     """The distance lists of one automaton for a whole `search.min_csw` run,
-    each built on first request and checked once by its defining equation.
+    each built on first request from a distance table checked once by its
+    defining equation.
 
     far(2) is far_pairs' list. For k > 2, far(k) lists the sets of k
     states that take longer to merge than any of their subsets one state
@@ -276,23 +278,26 @@ class DistanceTables:
 
     D(S) = 1 + min over letters a defined on S of D(S.a). A backward
     breadth-first search settles it level by level, one set size at a
-    time: the sets of fewer states settled so far keep their levels, and
-    each level's sets send every set of k states that some letter maps
-    onto them to the next level. A letter's preimage of a set takes a
-    nonempty part of the letter's preimage of each of its states, so each
+    time, in one table keyed by the product of each set's states' primes:
+    the sets of fewer states settled so far keep their levels, and each
+    level's sets send every set of k states that some letter maps onto
+    them to the next level. A letter's preimage of a set takes a nonempty
+    part of the letter's preimage of each of its states, so each
     (set, letter) is met once, as a preimage of its own image: O(C(n, k) m)
-    time per size, and O(C(n, k) k m) for its check. Sizes stop at
-    MAX_SET_SIZE: once that list is built, the search's levels and the
-    check's table, which only a larger size would read, are dropped.
+    time per size. One walk over the sets of k states then checks each
+    one's D by the equation and lists it against its subsets, in
+    O(C(n, k) k m). Sizes stop at MAX_SET_SIZE: once that list is built,
+    the search's table and levels, which only a larger size would read,
+    are dropped.
     """
 
     def __init__(self, pfa: Pfa):
         self.pfa = pfa
         # far(2), far(3), ... as built so far
         self._far = []
-        # the search's and the check's state, which sizes 4 and up resume
-        # and which goes once far(MAX_SET_SIZE) is built
-        self._settled = self._levels = self._table = None
+        # the search's state, which sizes 4 and up resume and which goes
+        # once far(MAX_SET_SIZE) is built
+        self._settled = self._levels = None
 
     def far(self, k: int) -> list:
         """The farthest-first list for sets of k states, 2 <= k <=
@@ -307,28 +312,27 @@ class DistanceTables:
                 check_distances(self.pfa, dist)
                 far = far_pairs(dist)
             else:
-                far = self._search(size)
-                self._check(size, far)
+                self._search(size)
+                far = self._check(size)
             self._far.append(far)
             if size == MAX_SET_SIZE:
-                self._settled = self._levels = self._table = None
+                self._settled = self._levels = None
         return self._far[k - 2]
 
-    def _search(self, k: int) -> list:
-        """far(k), k > 2, resuming the backward search of the smaller sizes."""
-        n = self.pfa.n
-        inf = math.inf
+    def _search(self, k: int) -> None:
+        """Settle D of the sets of k states, k > 2, in `_settled`,
+        resuming the backward search of the smaller sizes."""
         # A set's key is the product of its states' primes, one small int
         # per set. (Bit masks of sets over 61 states collide in a dict, as
         # CPython hashes an int modulo 2**61 - 1.)
-        primes = _primes(n)
+        primes = _primes(self.pfa.n)
         if k == 3:
             # D of each set settled so far, by key, and those sets, each as
             # its states' primes, by D: single states, then finite pairs
             self._settled = dict.fromkeys(primes, 0)
             self._levels = {0: [(r,) for r in primes]}
             for D, _, p, q in self._far[0]:
-                if D != inf:
+                if D != math.inf:
                     self._settled[primes[p - 1] * primes[q - 1]] = D
                     self._levels.setdefault(D, []).append((primes[p - 1], primes[q - 1]))
         settled, levels = self._settled, self._levels
@@ -367,71 +371,37 @@ class DistanceTables:
                     reached.append(states)
             d += 1
 
-        # A set of k states is a set P of k - 1 states plus a state r above
-        # P's, and its subsets one state smaller are P and each P - x + r.
-        # So with rows[Q][r] = D(Q + r) for the sets Q of k - 2 states, read
-        # only above Q's largest state, the inner distances of all of P's
-        # extensions are one elementwise max over P's rows.
-        get = settled.get
-
-        def row(key: int, after: int) -> list:
-            return list(map(get, map(mul, primes[after:], repeat(key)), repeat(inf)))
-
-        rows = {}
-        for sub in combinations(range(n), k - 2):
-            key = math.prod([primes[p] for p in sub])
-            rows[key] = [inf] * (sub[-1] + 1) + row(key, sub[-1] + 1)
+    def _check(self, k: int) -> list:
+        """Check D of every set of k states, k > 2, as `_settled` holds it
+        (math.inf where it holds none), by the defining equation, reading
+        smaller sets from the sizes already checked. Only one table solves
+        it, so a table that passes is true. Raises ModelVerificationError
+        at the first set that fails, and otherwise returns far(k), built
+        from the checked distances."""
+        inf = math.inf
+        primes = _primes(self.pfa.n)
+        get = self._settled.get
+        # state(r): the state whose prime is r; images[a](r): the prime of
+        # the state letter a + 1 sends it to, 0 where the letter is
+        # undefined, so that the image's key is 0, which no set has
+        state = {r: q for q, r in enumerate(primes, start=1)}.__getitem__
+        images = [
+            dict(zip(primes, [0 if t is None else primes[t - 1] for t in row])).__getitem__
+            for row in self.pfa.delta
+        ]
         far = []
-        for prefix in combinations(range(n), k - 1):
-            key = math.prod([primes[p] for p in prefix])
-            after = prefix[-1] + 1
-            D = row(key, after)
-            inners = list(
-                map(max, repeat(get(key, inf)), *(rows[key // primes[x]][after:] for x in prefix))
-            )
-            entries = zip(D, inners, *(repeat(p + 1) for p in prefix), range(after + 1, n + 1))
-            far.extend(compress(entries, map(gt, D, inners)))
+        for factors in combinations(primes, k):
+            key = math.prod(factors)
+            D = get(key, inf)
+            best = 1 + min([get(math.prod({*map(image, factors)}), inf) for image in images])
+            if D != best:
+                _equation_fault(tuple(state(r) - 1 for r in factors), D, best)
+            # the subsets one state smaller, each the set's key over a prime
+            inner = max([get(key // r, inf) for r in factors])
+            if D > inner:
+                far.append((D, inner, *map(state, factors)))
         far.sort(key=itemgetter(0), reverse=True)
         return far
-
-    def _check(self, k: int, far: list) -> None:
-        """Check far(k), k > 2, by the defining equation, reading smaller
-        sets from the tables already checked; a set missing from the list
-        has D = inner. Only one table solves the equation, so a list that
-        passes is true. ModelVerificationError at the first failing entry."""
-        n = self.pfa.n
-        inf = math.inf
-        if k == 3:
-            # D by ascending 0-based states, of each set of the sizes checked
-            self._table = {(p,): 0 for p in range(n)}
-            self._table.update(((p - 1, q - 1), D) for D, _, p, q in self._far[0])
-        table = self._table
-        listed = {tuple(q - 1 for q in entry[2:]): entry[:2] for entry in far}
-        if len(listed) != len(far):
-            raise ModelVerificationError(f"set list for {k} states repeats a set")
-        for states in combinations(range(n), k):
-            inner = max(table[sub] for sub in combinations(states, k - 1))
-            entry = listed.pop(states, None)
-            if entry is not None and (entry[1] != inner or entry[0] <= inner):
-                raise ModelVerificationError(
-                    f"set list entry for states {tuple(q + 1 for q in states)} is "
-                    f"{entry}, but its subsets' largest distance is {inner}"
-                )
-            # a set left out takes as long as its farthest subset
-            table[states] = inner if entry is None else entry[0]
-        if listed:
-            raise ModelVerificationError(f"set list for {k} states holds {min(listed)}")
-        # images[a][q]: the 0-based state letter a + 1 sends q to, n where
-        # the letter is undefined
-        images = [[n if t is None else t - 1 for t in row] for row in self.pfa.delta]
-        for states in combinations(range(n), k):
-            best = inf
-            for image in images:
-                targets = {image[q] for q in states}
-                if n not in targets:
-                    best = min(best, 1 + table[tuple(sorted(targets))])
-            if table[states] != best:
-                _equation_fault(states, table[states], best)
 
 
 def _joined_parts(parts: dict, image: tuple, k: int) -> list:
@@ -493,9 +463,10 @@ def set_clauses(sets: list, layout: VarLayout, longer: Optional[int] = None) -> 
     length ell, extended by a letter defined everywhere, satisfies them.
 
     The entries with D > ell - t are a prefix of `sets`, those with
-    D > longer - t a prefix of that. A step where none between has
-    inner > ell - t, as at every step of the pair list, takes them all,
-    built column by column."""
+    D > longer - t a prefix of that. Their clauses are built column by
+    column; a step takes them all where no entry of the list has
+    inner > ell - t, as at every step of the pair list, and the ones with
+    inner <= ell - t otherwise."""
     ell = layout.ell
     if longer is not None and longer <= ell:
         raise ValueError(f"longer must be above {ell}, got {longer}")
@@ -515,14 +486,11 @@ def set_clauses(sets: list, layout: VarLayout, longer: Optional[int] = None) -> 
         if first == last:
             continue
         base = -t * width
-        if widest <= left or max(inners[first:last]) <= left:
-            clauses.extend(
-                zip(*[map(sub, repeat(base), column[first:last]) for column in columns])
-            )
+        rows = zip(*[map(sub, repeat(base), column[first:last]) for column in columns])
+        if widest <= left:
+            clauses.extend(rows)
         else:
-            for entry in sets[first:last]:
-                if entry[1] <= left:
-                    clauses.append(tuple(map(sub, repeat(base), entry[2:])))
+            clauses.extend(compress(rows, map(le, inners[first:last], repeat(left))))
     return clauses
 
 

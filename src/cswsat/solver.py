@@ -477,8 +477,8 @@ class Session:
                     learnt, back, glue = self._analyze(confl)
                     self._backtrack(back)
                     if len(learnt) == 1:
-                        if not self._enqueue(learnt[0], -1):
-                            return unsat
+                        # back at level 0, which leaves the unit's variable free
+                        self._enqueue(learnt[0], -1)
                     else:
                         ci = len(self.clauses)
                         self.clauses.append(learnt)
@@ -641,17 +641,17 @@ def solve_external(
 
 @dataclass(frozen=True)
 class Backend:
-    """A solver choice that `search` and the CLI can pass around. An
+    """A solver choice that `search` and the CLI can pass around: the
+    built-in solver without a `command`, that external solver with one. An
     external solver takes `max_seconds` alone, as its timeout."""
 
-    kind: str = "builtin"
     command: Optional[str] = None
     seed: int = 0
     limits: SolverLimits = field(default_factory=SolverLimits)
 
     def __post_init__(self):
         for name in ("max_conflicts", "max_decisions"):
-            if self.kind != "builtin" and getattr(self.limits, name) is not None:
+            if self.command is not None and getattr(self.limits, name) is not None:
                 flag = "--" + name.replace("_", "-")
                 raise ValueError(
                     f"an external solver cannot honour {name} ({flag}); "
@@ -659,14 +659,14 @@ class Backend:
                 )
 
     def run(self, instance: CnfInstance) -> SolveResult:
-        if self.kind == "builtin":
+        if self.command is None:
             return solve(instance, limits=self.limits, seed=self.seed)
         return solve_external(instance, self.command, timeout=self.limits.max_seconds)
 
     def start(self, instance: CnfInstance) -> Optional[Session]:
         """An engine for `instance` to solve and then extend, or None for an
         external solver, which keeps nothing between runs."""
-        if self.kind == "builtin":
+        if self.command is None:
             return Session(instance, limits=self.limits, seed=self.seed)
         return None
 
@@ -675,10 +675,10 @@ def backend_from_spec(spec: str, seed: int = 0, limits: Optional[SolverLimits] =
     """Parse a backend flag value: 'builtin' or 'external:<command>'."""
     limits = limits or SolverLimits()
     if spec == "builtin":
-        return Backend(kind="builtin", seed=seed, limits=limits)
+        return Backend(seed=seed, limits=limits)
     if spec.startswith("external:"):
         command = spec[len("external:") :].strip()
         if not command:
             raise ValueError("external backend needs a command after the colon")
-        return Backend(kind="external", command=command, limits=limits)
+        return Backend(command=command, limits=limits)
     raise ValueError(f"unknown backend {spec!r}, expected 'builtin' or 'external:<command>'")

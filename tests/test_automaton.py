@@ -43,6 +43,16 @@ class TestParse:
         with pytest.raises(PfaFormatError, match=r"header.* at line 1"):
             parse_pfa("2\n1 2\n")
 
+    @pytest.mark.parametrize("text", ["2 x\n1 2\n1 0\n", "2.0 2\n1 2\n1 0\n"])
+    def test_non_integer_header(self, text):
+        with pytest.raises(PfaFormatError, match=r"malformed header, expected 'n m' at line 1"):
+            parse_pfa(text)
+
+    @pytest.mark.parametrize("text, counts", [("0 2\n", "0 2"), ("2 -1\n1\n1\n", "2 -1")])
+    def test_non_positive_header(self, text, counts):
+        with pytest.raises(PfaFormatError, match=f"must be positive, got {counts} at line 1"):
+            parse_pfa(text)
+
     def test_wrong_entry_count(self):
         with pytest.raises(PfaFormatError, match=r"expected 2 entries, got 3 at line 2"):
             parse_pfa("2 2\n1 2 1\n1 0\n")
@@ -82,6 +92,18 @@ class TestPfaValidation:
     def test_rejects_zero_states(self):
         with pytest.raises(ValueError):
             Pfa(n=0, m=1, delta=((),))
+
+    def test_rejects_zero_letters(self):
+        with pytest.raises(ValueError, match="letter count must be positive, got 0"):
+            Pfa(n=2, m=0, delta=())
+
+    def test_rejects_a_row_count_other_than_the_letter_count(self):
+        with pytest.raises(ValueError, match="expected 2 transition rows, got 1"):
+            Pfa(n=2, m=2, delta=((1, 2),))
+
+    def test_rejects_a_row_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="expected 2 entries per row, got 3"):
+            Pfa(n=2, m=2, delta=((1, 2), (1, 2, 1)))
 
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from cswsat.cli import (
     ComparisonRow,
     ExperimentRow,
     FitResult,
+    _parse_ns,
     build_parser,
     comparison_csv,
     compare_backends,
@@ -549,6 +550,25 @@ class TestCommandSurface:
         monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(rows) + "\n"))
         assert main(["fit", "-"]) == 0
         assert "c0: 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("2 x\n1 2\n1 0\n", "malformed header"), ("0 2\n", "must be positive")],
+    )
+    def test_bad_pfa_header_exits_1(self, tmp_path, capsys, text, message):
+        assert main(["min", self._pfa_file(tmp_path, text)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_bad_dimacs_header_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("p cnf x 1\n1 0\n"))
+        assert main(["solve", "-"]) == 1
+        assert "bad header counts at line 1" in capsys.readouterr().err
+
+    def test_empty_state_count_list_exits_1(self, capsys):
+        with pytest.raises(ValueError, match="empty state-count list"):
+            _parse_ns(" , ,")
+        assert main(["bench", "curve", "--n-list", " , ,"]) == 1
+        assert "--n-list" in capsys.readouterr().err
 
     def test_usage_errors(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -469,9 +469,9 @@ class TestDistanceTablesState:
         for pfa in (pn(6), TRIPLEWISE, random_pfa(GenConfig(n=12, seed=2))):
             distances = DistanceTables(pfa)
             before = [list(distances.far(k)) for k in (2, 3)]
-            assert distances._settled is not None and distances._table is not None
+            assert distances._settled is not None and distances._levels is not None
             distances.far(4)
-            assert (distances._settled, distances._levels, distances._table) == (None,) * 3
+            assert (distances._settled, distances._levels) == (None, None)
             # a fresh object that goes straight to the largest size agrees
             fresh = DistanceTables(pfa)
             assert fresh.far(4) == distances.far(4)
@@ -574,37 +574,71 @@ class TestCheckDistances:
         with pytest.raises(ModelVerificationError, match="symmetric"):
             check_distances(pn(5), dist)
 
-    @staticmethod
-    def _check(pfa, k, far):
-        """Check `far` as the list for sets of k states, the smaller sizes'
-        lists built and checked first."""
-        distances = DistanceTables(pfa)
-        distances.far(k - 1)
-        distances._check(k, far)
-
     def test_every_corrupt_set_entry_fails(self):
-        pfa = pn(6)
-        for k in (3, 4):
-            far = DistanceTables(pfa).far(k)
-            for i, (D, inner, *states) in enumerate(far):
-                for wrong in ((D + 1, inner), (D - 1, inner), (D, inner + 1)):
-                    bad = list(far)
-                    bad[i] = (*wrong, *states)
-                    with pytest.raises(ModelVerificationError):
-                        self._check(pfa, k, bad)
+        # each settled distance of a set of k states, raised, lowered, made
+        # infinite or dropped, breaks the equation that far(k) is built on
+        for pfa in (pn(6), random_pfa(GenConfig(n=8, seed=1))):
+            for k in (3, 4):
+                distances = DistanceTables(pfa)
+                distances.far(k - 1)
+                distances._search(k)
+                settled = distances._settled
+                sets = [s for level in distances._levels.values() for s in level if len(s) == k]
+                assert sets
+                for key in map(math.prod, sets):
+                    D = settled[key]
+                    for wrong in (D + 1, D - 1, math.inf, None):
+                        distances._settled = dict(settled)
+                        if wrong is None:
+                            del distances._settled[key]
+                        else:
+                            distances._settled[key] = wrong
+                        with pytest.raises(ModelVerificationError, match="equation"):
+                            distances._check(k)
+                distances._settled = settled
+                assert distances._check(k) == DistanceTables(pfa).far(k)
 
-    def test_dropped_and_foreign_set_entries_fail(self):
-        pfa = pn(6)
+
+class TestPinnedLists:
+    @pytest.mark.parametrize(
+        "pfa, digests",
+        [
+            pytest.param(
+                pn(20),
+                [
+                    "eeb742ecbf2e55463ea50c9ab69c5f8d7a298a9cbbbd39cd00233e6690393774",
+                    "d6a42198d6b464a3cce5dedf0a6dcff3eb0fc4f4d0678cad2031e64711c5aeb2",
+                    "a716e1e29f2726fd39e53b35aa14b610aa899e600c6676329fdafa50f848e2d8",
+                ],
+                id="pn20",
+            ),
+            pytest.param(
+                random_pfa(GenConfig(n=40, seed=1)),
+                [
+                    "eaf96d868832c0e3cc88932837f10c7ca100d5dfd67a522f23d76cc17959b961",
+                    "ce870d8c16a20c7abf8664b202a981d30bcdfc37ffd55e9e7e5f4d902b50e511",
+                    "c791613edcf8d3b1097d75e5db2c4ca98a964670b02d26dac3a88b87cf9a5f95",
+                ],
+                id="random-n40-s1",
+            ),
+            pytest.param(
+                random_pfa(GenConfig(n=60, seed=0)),
+                [
+                    "2033188db0f8c64d42a9940b7471d207fe6566779154eccc81d46e15b05be4ac",
+                    "7ef2833223fe5903b8b19d292637cc1d10c086ea630c95f05e79612c8c2f5a7c",
+                ],
+                id="random-n60-s0",
+            ),
+        ],
+    )
+    def test_lists_are_pinned(self, pfa, digests):
+        # sha256 of repr(far(k)) for k = 2, 3, ...
         distances = DistanceTables(pfa)
-        triples, quads = distances.far(3), distances.far(4)
-        with pytest.raises(ModelVerificationError):
-            self._check(pfa, 3, triples[1:])
-        with pytest.raises(ModelVerificationError, match="equation"):
-            self._check(pfa, 4, quads[1:])
-        with pytest.raises(ModelVerificationError, match="holds"):
-            self._check(pfa, 4, quads + [(99, 1, 4, 3, 2, 1)])
-        with pytest.raises(ModelVerificationError, match="repeats"):
-            self._check(pfa, 3, triples + triples[:1])
+        got = [
+            hashlib.sha256(repr(distances.far(k)).encode()).hexdigest()
+            for k in range(2, len(digests) + 2)
+        ]
+        assert got == digests
 
 
 class TestDecode:
@@ -658,6 +692,11 @@ class TestDimacs:
             parse_dimacs("1 0\n")
         with pytest.raises(DimacsError, match="missing"):
             parse_dimacs("c nothing here\n")
+
+    @pytest.mark.parametrize("header", ["p cnf x 1", "p cnf 2 1.5"])
+    def test_non_integer_header_counts(self, header):
+        with pytest.raises(DimacsError, match="bad header counts at line 2"):
+            parse_dimacs(f"c note\n{header}\n1 0\n")
 
     def test_bad_literal(self):
         with pytest.raises(DimacsError, match="line 2"):

@@ -633,23 +633,23 @@ class TestDistanceTableCheck:
     @pytest.mark.parametrize("size", [3, 4])
     def test_corrupt_set_entry_is_a_fault(self, monkeypatch, tmp_path, capsys, size):
         def corrupt(self, k):
-            far = search_sets(self, k)
+            search_sets(self, k)
             if k == size:
-                D, inner, *states = far[0]
-                far[0] = (D + 1, inner, *states)
-            return far
+                # one settled set of `size` states, as its states' primes
+                states = next(s for level in self._levels.values() for s in level if len(s) == k)
+                self._settled[math.prod(states)] += 1
 
         search_sets = DistanceTables._search
         monkeypatch.setattr(DistanceTables, "_search", corrupt)
         code, err = self._run_cli(tmp_path, capsys, pn(6))
         assert code == EXIT_FAULT
-        assert "distance" in err
+        assert "defining equation" in err
 
     def test_each_table_is_checked_once(self, monkeypatch):
         # pairs, triples and 4-sets, each once over the whole gallop
         calls = []
         log_calls(monkeypatch, calls, lambda pfa, dist: 2, "check_distances")
-        log_calls(monkeypatch, calls, lambda self, k, far: k, "_check", DistanceTables)
+        log_calls(monkeypatch, calls, lambda self, k: k, "_check", DistanceTables)
         min_csw(random_pfa(GenConfig(n=10, seed=1)), precheck=False)
         assert calls == [2, 3, 4]
 
@@ -686,7 +686,7 @@ def _own_cnf(pfa, length):
 class TestExternalBackend:
     def test_external_solver_drives_search(self, tmp_path):
         cmd = shim_command(tmp_path, SHIM_STDIN, "stdin_solver")
-        backend = Backend(kind="external", command=cmd)
+        backend = Backend(command=cmd)
         out = min_csw(pn(5), backend=backend)
         assert out.min_length == min_csw(pn(5)).min_length
         assert is_carefully_synchronizing(pn(5), out.witness)

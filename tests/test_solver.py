@@ -394,7 +394,7 @@ class TestSession:
 
     def test_only_the_builtin_backend_keeps_an_engine(self):
         assert isinstance(Backend().start(inst(1, [1])), Session)
-        assert Backend(kind="external", command="true").start(inst(1, [1])) is None
+        assert Backend(command="true").start(inst(1, [1])) is None
 
 
 class TestBudgets:
@@ -534,13 +534,13 @@ class TestExternalSolve:
 class TestBackendSpec:
     def test_builtin(self):
         backend = backend_from_spec("builtin", seed=3)
-        assert backend.kind == "builtin"
+        assert backend.command is None
         assert backend.run(inst(1, [1])).status == SAT
 
     def test_external(self, tmp_path):
         cmd = shim_command(tmp_path, SHIM_STDIN, "stdin_shim")
         backend = backend_from_spec(f"external:{cmd}")
-        assert backend.kind == "external"
+        assert backend.command == cmd
         assert backend.run(inst(1, [1], [-1])).status == UNSAT
 
     def test_rejects_unknown(self):
@@ -558,7 +558,7 @@ class TestBackendSpec:
     def test_external_refuses_search_limits(self, name):
         limits = SolverLimits(**{name: 10})
         with pytest.raises(ValueError, match=name):
-            Backend(kind="external", command="true", limits=limits)
+            Backend(command="true", limits=limits)
         with pytest.raises(ValueError, match=name):
             backend_from_spec("external:true", limits=limits)
         assert backend_from_spec("builtin", limits=limits).limits == limits
