@@ -4,8 +4,10 @@
 For each instance of perfbench/expected.json (read only), one JSON line:
 the answer (status, min_length, witness) and each probe's (length, status,
 clauses, conflicts, decisions, propagations, restarts, sha256 of the
-DIMACS it decided). A probe on a kept engine decided its build CNF plus
-every clause batch added since, and that union is what gets hashed. The
+DIMACS it started to decide, escalations). A probe on a kept engine
+decided its build CNF plus every clause batch added since, and that union
+is what gets hashed; the groups that join the probe later show in its
+escalations, each as (conflicts at the escalation, set size added). The
 line also holds `power_bfs`'s record (status, min_length, witness, visited,
 bound) at the default budget and at max_visited=1000, where an overrun
 records ("overrun", visited, word). A change that leaves both searches
@@ -44,10 +46,11 @@ class HashingSession(Session):
         super().extend(clauses)
         self.held.extend(clauses)
 
-    def solve(self):
-        cnf = CnfInstance(var_count=self.var_count, clauses=tuple(self.held))
-        self.digests.append(hashlib.sha256(to_dimacs(cnf).encode()).hexdigest())
-        return super().solve()
+    def solve(self, *args, **kwargs):
+        if not kwargs.get("resume"):
+            cnf = CnfInstance(var_count=self.var_count, clauses=tuple(self.held))
+            self.digests.append(hashlib.sha256(to_dimacs(cnf).encode()).hexdigest())
+        return super().solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,8 @@ def identity(item: dict) -> dict:
             p.stats.propagations,
             p.stats.restarts,
             digest,
+            # empty for a tree from before escalation, so that its dump compares
+            [list(step) for step in getattr(p, "escalations", ())],
         ]
         for p, digest in zip(out.probes, backend.digests, strict=True)
     ]

@@ -516,10 +516,11 @@ def _cmd_min(args) -> int:
         precheck=not args.no_precheck,
     )
     if args.emit_probes is not None:
-        lines = ["length,status,seconds,conflicts,decisions,propagations,clauses"]
+        lines = ["length,status,seconds,conflicts,decisions,propagations,clauses,escalations"]
         lines.extend(
             f"{p.length},{p.status},{p.seconds:.6f},"
-            f"{p.stats.conflicts},{p.stats.decisions},{p.stats.propagations},{p.clauses}"
+            f"{p.stats.conflicts},{p.stats.decisions},{p.stats.propagations},{p.clauses},"
+            + ";".join(f"{conflicts}:{size}" for conflicts, size in p.escalations)
             for p in outcome.probes
         )
         _write_text(args.emit_probes, "\n".join(lines) + "\n")

@@ -20,7 +20,7 @@ The emission order is fixed so instances are byte-reproducible.
 
 Distance groups are left out of the plain encoding and appended, in the
 order given, when `encode` is given their lists. One rule makes them all:
-for each step t < ell and each set of k states, k = 2, 3, 4, whose
+for each step t < ell and each set of k states, k = 2 to MAX_SET_SIZE, whose
 shortest merging word is longer than ell - t while none of its subsets one
 state smaller is, forbid all k states being active after t steps. Single
 states merge at distance 0, so every far pair is in the k = 2 group, and
@@ -28,10 +28,11 @@ the sync block is its ell - t = 0 case. The lists come from one
 `DistanceTables` per automaton, which checks each distance table once by
 the equation that defines it and builds each list from its checked
 table. `search.min_csw` passes the pair list to every probe and
-to its `power_bfs` pre-check's bound, and the list for size k > 2 to a
-probe when the automaton has no more sets of k states, C(n, k), than the
-probe's plain encoding has clauses: long-word automata, where the table
-is cheap beside the probe.
+to its `power_bfs` pre-check's bound, and the list for size k = 3 or 4 to
+a probe when the automaton has no more sets of k states, C(n, k), than
+the probe's plain encoding has clauses: long-word automata, where the
+table is cheap beside the probe. Sizes 5 and 6 join a hard probe later,
+at level 0 (see `search`).
 The rule rests on one fact: the rest of a real word merges the word's
 whole image after t letters in ell - t letters, so a real word's
 assignment satisfies every clause of these groups.
@@ -254,11 +255,15 @@ def far_pairs(dist: list) -> list:
     )
 
 
-# Largest state sets with a distance list. Larger sets cut the chain
-# family's probes further, but at n states the group alone refutes
-# min - 1 by unit propagation: the certificate would then be the table,
-# not the solver's search.
-MAX_SET_SIZE = 4
+# Largest state sets with a distance list. Probes carry sizes up to 4 from
+# their start; sizes 5 and 6 join a probe that proves hard, and only up to
+# n - 2 states: at n states the group alone refutes min - 1 by unit
+# propagation, so the certificate would be the table, not the search.
+MAX_SET_SIZE = 6
+
+# Most sets, about 1 MB, whose distances DistanceTables keeps past 4 states
+# for a larger size to resume from; random n=40 settles 102k sets by then.
+KEPT_SETS = 1 << 12
 
 
 class DistanceTables:
@@ -286,17 +291,18 @@ class DistanceTables:
     (set, letter) is met once, as a preimage of its own image: O(C(n, k) m)
     time per size. One walk over the sets of k states then checks each
     one's D by the equation and lists it against its subsets, in
-    O(C(n, k) k m). Sizes stop at MAX_SET_SIZE: once that list is built,
-    the search's table and levels, which only a larger size would read,
-    are dropped.
+    O(C(n, k) k m). Sizes stop at MAX_SET_SIZE. Only a larger size reads
+    the search's table and levels, which from 4 states on outweigh the
+    lists by far: once such a list is built, they are dropped when they
+    hold more than KEPT_SETS sets, and a larger size searches again from
+    the triples.
     """
 
     def __init__(self, pfa: Pfa):
         self.pfa = pfa
         # far(2), far(3), ... as built so far
         self._far = []
-        # the search's state, which sizes 4 and up resume and which goes
-        # once far(MAX_SET_SIZE) is built
+        # the search's state, which the next size resumes
         self._settled = self._levels = None
 
     def far(self, k: int) -> list:
@@ -312,10 +318,11 @@ class DistanceTables:
                 check_distances(self.pfa, dist)
                 far = far_pairs(dist)
             else:
-                self._search(size)
+                for j in range(3 if self._settled is None else size, size + 1):
+                    self._search(j)
                 far = self._check(size)
             self._far.append(far)
-            if size == MAX_SET_SIZE:
+            if size > 3 and len(self._settled) > KEPT_SETS:
                 self._settled = self._levels = None
         return self._far[k - 2]
 

@@ -39,7 +39,20 @@ whose subsets is forbidden yet. A real word makes x[q,t] true exactly on
 its image after t letters, and the rest of that word merges the whole
 image, so the clauses remove no real word and no length's answer changes.
 The tables come from one `encoder.DistanceTables` per run, shared with
-the pre-check's bound and checked once before anything uses them.
+the pre-check's bound and checked once before anything uses them; a
+pair that never merges refutes the automaton before any probe.
+
+A probe on the built-in engine escalates when it proves hard: at each
+ESCALATE_AFTER conflicts since its start or last escalation, its solve
+pauses, the group of k = top + 1 states (top the largest size it carries)
+joins at level 0 at its length, and the solve goes on with what it
+learned. k must be at most MAX_SET_SIZE and n - 2, C(n, k) at most the
+probe's plain clause count, and the engine within MAX_CLAUSES; else the
+probe goes on without it. Nearer the whole state set, a group alone
+refutes min - 1 by unit propagation: the certificate would be the table,
+not the search. A probe below takes every group its engine holds, and may
+escalate further. A probe that never pauses searches as before, and an
+external solver or a backend without `start` never escalates.
 """
 
 from __future__ import annotations
@@ -67,6 +80,7 @@ from .encoder import (
     clause_count,
     decode_word,
     encode,
+    set_clause_count,
     set_clauses,
 )
 from .oracle import power_bfs
@@ -86,6 +100,11 @@ __all__ = [
 
 DEFAULT_MAX_LENGTH = 1 << 20
 
+# Largest set size a probe carries from its start; larger ones join it
+# after each ESCALATE_AFTER conflicts (BENCH_escalation.json)
+PROBE_SET_SIZE = 4
+ESCALATE_AFTER = 32
+
 # SearchOutcome.upper_bound_source values: where the first probe length came from
 POWER_BFS = "power_bfs"
 BEAM = "beam"
@@ -100,6 +119,12 @@ class Probe:
     seconds: float
     stats: Optional[SolveStats] = None
     clauses: Optional[int] = None
+    # each (conflicts at the escalation, set size that joined), in order
+    escalations: tuple = ()
+
+
+class _Unmergeable(Exception):
+    """Some state pair never merges, so no length has a word."""
 
 
 def min_csw(
@@ -130,13 +155,17 @@ def min_csw(
     on a fresh engine. Either way the answer rests on the probes, and
     `SearchOutcome.upper_bound_source` names where the first length came
     from. A probe's stats and the backend's limits count that probe alone;
-    its `clauses`, like MAX_CLAUSES, counts all the engine holds.
+    its `clauses`, like MAX_CLAUSES, counts all the engine holds. Its
+    `escalations` hold (conflicts, set size) for each group that joined
+    it, and its stats and the limits count all its solves as one.
 
     Each probe appends the distance groups of the module docstring, from
     one `encoder.DistanceTables` that the `power_bfs` pre-check's bound
     shares. A table is built on the first probe under the size budget that
-    admits its set size, unless that bound has built the pair table. So no
-    set table is larger than the probe, nor than MAX_CLAUSES.
+    admits its set size, or escalates to it, unless that bound has built
+    the pair table. So no set table is larger than the probe, nor than
+    MAX_CLAUSES. When the run's first probe fits the budget and a state
+    pair never merges, the answer is NOT_SYNCHRONIZING, with no probe made.
 
     Raises ModelVerificationError when a table fails its check. Raises
     BudgetExceeded (with a `probes` attribute holding the partial
@@ -167,8 +196,8 @@ def min_csw(
     backend = backend or Backend()
     probes = []
     words = {}
-    # the built-in engine of the last probe: its Session, that probe's
-    # groups, the length its clauses now stand for and their count
+    # the built-in engine of the last probe: its Session, the groups it
+    # holds, the length its clauses now stand for and their count
     kept = None
 
     def probe(length: int) -> str:
@@ -176,12 +205,16 @@ def min_csw(
         kept = None
         groups = _probe_groups(pfa, distances, length)
         instance = encode(pfa, length, groups)
+        if groups[0][0][0] == math.inf:  # the pair list comes farthest first
+            raise _Unmergeable
         start = time.perf_counter()
         session = backend.start(instance) if hasattr(backend, "start") else None
-        result = session.solve() if session else backend.run(instance)
-        record(length, start, result, instance.clause_count)
         if session:
-            kept = (session, groups, length, instance.clause_count)
+            result, size, escalations = escalate(session, groups, length, instance.clause_count)
+            kept = (session, groups, length, size)
+        else:
+            result, size, escalations = backend.run(instance), instance.clause_count, ()
+        record(length, start, result, size, escalations)
         if result.status == SAT:
             words[length] = decode_word(result.model, instance.layout)
         return result.status
@@ -203,14 +236,42 @@ def min_csw(
             )
         start = time.perf_counter()
         session.extend(delta)
-        result = session.solve()
-        record(length, start, result, size)
+        result, size, escalations = escalate(session, groups, length, size)
+        record(length, start, result, size, escalations)
         kept = (session, groups, length, size)
         if result.status == UNSAT:
             return None
         return decode_word(result.model, layout)
 
-    def record(length: int, start: float, result, clauses: int) -> None:
+    def escalate(session, groups: list, length: int, size: int) -> tuple:
+        """Solve on `session`, which holds `groups` at `length` in `size`
+        clauses. Each ESCALATE_AFTER conflicts, the next set size's group
+        joins it at level 0, while the size passes the gates of the module
+        docstring. Returns (result, clauses held, escalations)."""
+        plain = clause_count(pfa.n, pfa.m, length)
+
+        def pause(conflicts: int) -> Optional[int]:
+            k = len(groups) + 2
+            admitted = k <= min(MAX_SET_SIZE, pfa.n - 2) and math.comb(pfa.n, k) <= plain
+            return conflicts + ESCALATE_AFTER if admitted else None
+
+        escalations = []
+        result = session.solve(pause=pause(0))
+        while result is None:
+            conflicts = session.stats.conflicts
+            sets = distances.far(len(groups) + 2)
+            added = set_clause_count(sets, length)
+            following = None
+            if size + added <= MAX_CLAUSES:
+                session.extend(set_clauses(sets, VarLayout(n=pfa.n, m=pfa.m, ell=length)))
+                groups.append(sets)
+                size += added
+                escalations.append((conflicts, len(groups) + 1))
+                following = pause(conflicts)
+            result = session.solve(pause=following, resume=True)
+        return result, size, tuple(escalations)
+
+    def record(length: int, start: float, result, clauses: int, escalations: tuple) -> None:
         probes.append(
             Probe(
                 length=length,
@@ -218,6 +279,7 @@ def min_csw(
                 seconds=time.perf_counter() - start,
                 stats=result.stats,
                 clauses=clauses,
+                escalations=escalations,
             )
         )
 
@@ -229,6 +291,8 @@ def min_csw(
     except BudgetExceeded as exc:
         exc.probes = tuple(probes)
         raise
+    except _Unmergeable:
+        return SearchOutcome(status=NOT_SYNCHRONIZING)
     if hi is None:
         return SearchOutcome(
             status=UNKNOWN_UP_TO_BOUND,
@@ -265,7 +329,7 @@ def _probe_groups(pfa: Pfa, distances: DistanceTables, length: int) -> list:
     if plain > MAX_CLAUSES:
         return []
     top = 2
-    while top < MAX_SET_SIZE and math.comb(pfa.n, top + 1) <= plain:
+    while top < PROBE_SET_SIZE and math.comb(pfa.n, top + 1) <= plain:
         top += 1
     return [distances.far(k) for k in range(2, top + 1)]
 

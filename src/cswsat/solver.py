@@ -30,7 +30,10 @@ as the build does, and rewinds the propagation queue to the start of the
 trail: the next solve propagates the level-0 assignments again, which
 moves any new watch that sits on a literal they falsify. Learned clauses,
 activities, saved phases and the learned-clause ceiling carry over; stats,
-limits and the restart schedule start afresh with each solve.
+limits and the restart schedule start afresh with each solve. A solve can
+also pause after a given number of conflicts, returning None where it
+stands; `extend` may add clauses then, and the solve resumes as the same
+solve, its stats, limits and restart schedule going on.
 
 Every model, from either backend, is re-checked against the original clauses
 (and each batch a Session has added) by the separate `satisfies` evaluator
@@ -448,14 +451,20 @@ class Session:
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise BudgetExceeded(f"time limit {lim.max_seconds}s exceeded", st)
 
-    def solve(self) -> SolveResult:
+    def solve(self, pause: Optional[int] = None, resume: bool = False) -> Optional[SolveResult]:
         """Decide the instance and the clauses added so far; see `solve`.
-        Stats, limits and the restart schedule start afresh on each call."""
-        self.stats = stats = SolveStats()
+        Stats, limits and the restart schedule start afresh, unless `resume`
+        goes on with the solve that paused last. With `pause`, return None
+        once that solve's conflicts reach `pause`."""
+        if not resume:
+            self.stats = SolveStats()
+            self._schedule = (1, 1, 100)
+            if self.limits.max_seconds is not None:
+                self.deadline = time.perf_counter() + self.limits.max_seconds
+        stats = self.stats
         unsat = SolveResult(status=UNSAT, model=None, stats=stats)
-        if self.limits.max_seconds is not None:
-            self.deadline = time.perf_counter() + self.limits.max_seconds
-        if not self.ok or self._propagate() != -1:
+        # a resumed solve propagates in its loop, where a conflict counts
+        if not self.ok or (not resume and self._propagate() != -1):
             return unsat
 
         limited = self.limits != SolverLimits()
@@ -464,9 +473,8 @@ class Session:
         reason = self.reason
         trail = self.trail
         trail_lim = self.trail_lim
-        restart_u = restart_v = 1
+        restart_u, restart_v, conflicts_left = self._schedule
         while True:
-            conflicts_left = 100 * restart_v
             while conflicts_left > 0:
                 confl = self._propagate()
                 if confl != -1:
@@ -489,6 +497,9 @@ class Session:
                     self.var_inc /= 0.95
                     if limited:
                         self._check_budget()
+                    if stats.conflicts == pause:
+                        self._schedule = (restart_u, restart_v, conflicts_left)
+                        return None
                     continue
                 if len(self.learned) > self.max_learned:
                     self._reduce_db()
@@ -521,6 +532,7 @@ class Session:
                 restart_v = 1
             else:
                 restart_v <<= 1
+            conflicts_left = 100 * restart_v
             self._check_budget()
 
 

@@ -328,6 +328,20 @@ class TestCommandSurface:
         assert main(["min", self._pfa_file(tmp_path, FROZEN_TEXT)]) == 0
         assert "status: NOT_SYNCHRONIZING" in capsys.readouterr().out
 
+    def test_min_without_precheck_refutes_from_the_pair_table(self, tmp_path, capsys):
+        # 20 of this draw's state pairs never merge; it once galloped to
+        # the size budget at length 16,384
+        path = self._pfa_file(tmp_path, serialize_pfa(random_pfa(GenConfig(n=30, seed=3))))
+        assert main(["min", path, "--no-precheck"]) == 0
+        assert "status: NOT_SYNCHRONIZING" in capsys.readouterr().out.splitlines()
+
+    def test_min_probe_escalation_column(self, tmp_path, capsys):
+        probes = tmp_path / "probes.csv"
+        path = self._pfa_file(tmp_path, serialize_pfa(pn(8)))
+        assert main(["min", path, "--emit-probes", str(probes)]) == 0
+        rows = list(csv.DictReader(io.StringIO(probes.read_text())))
+        assert [(r["length"], r["escalations"]) for r in rows] == [("55", "32:5;64:6"), ("54", "")]
+
     def test_min_budget_exit(self, tmp_path, capsys):
         code = main(
             ["--max-decisions", "0", "min", self._pfa_file(tmp_path, C3_TEXT)]
@@ -420,6 +434,17 @@ class TestCommandSurface:
         files = sorted(out_dir.iterdir())
         assert len(files) == 3
         assert all(parse_pfa(f.read_text()).n == 5 for f in files)
+
+    def test_gen_single_automaton_to_a_file(self, tmp_path):
+        path = tmp_path / "one.txt"
+        assert main(["--seed", "4", "gen", "--n", "5", "-o", str(path)]) == 0
+        text = path.read_text()
+        assert text.startswith("# family=random n=5 k=1 seed=4")
+        assert parse_pfa(text) == random_pfa(GenConfig(n=5, seed=4))
+
+    def test_gen_several_automata_need_a_directory(self, capsys):
+        assert main(["gen", "--n", "5", "--count", "2"]) == 1
+        assert "needs --output DIR" in capsys.readouterr().err
 
     def test_gen_pn(self, tmp_path, capsys):
         assert main(["gen", "--family", "pn", "--n", "4"]) == 0
@@ -564,6 +589,17 @@ class TestCommandSurface:
         assert main(["solve", "-"]) == 1
         assert "bad header counts at line 1" in capsys.readouterr().err
 
+    def test_state_count_ranges(self):
+        assert _parse_ns("6-8,10") == [6, 7, 8, 10]
+        assert _parse_ns(" 12 , 4-4") == [12, 4]
+
+    def test_dimacs_header_over_the_budget_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("p cnf 300000000 1\n1 0\n"))
+        assert main(["solve", "-"]) == 2
+        err = capsys.readouterr().err
+        assert "header declares 300000000 variables" in err
+        assert "Traceback" not in err
+
     def test_empty_state_count_list_exits_1(self, capsys):
         with pytest.raises(ValueError, match="empty state-count list"):
             _parse_ns(" , ,")
@@ -597,11 +633,12 @@ class TestMemoryBounds:
         return proc
 
     def test_galloping_past_the_probe_budget(self, tmp_path):
-        # not synchronizing; without the pre-check only the size budget stops it
-        pfa = random_pfa(GenConfig(n=30, seed=3))
+        # not synchronizing, though every state pair merges, so no pair
+        # refutes it: without the pre-check only the size budget stops it
+        pfa = Pfa(n=3, m=2, delta=((2, 3, 1), (None, 1, 1)))
         proc = self._run(tmp_path, serialize_pfa(pfa), "min", "--no-precheck")
         assert proc.returncode == 2
-        assert "length 16384" in proc.stderr
+        assert "length 131072" in proc.stderr
 
     def test_long_chain_pair_table(self, tmp_path):
         # the chain family's pair distances reach n^2 / 2; the bound on

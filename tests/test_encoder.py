@@ -465,19 +465,51 @@ class TestFourSetDistances(_SetDistanceChecks):
 
 
 class TestDistanceTablesState:
-    def test_search_state_goes_with_the_largest_size(self):
-        for pfa in (pn(6), TRIPLEWISE, random_pfa(GenConfig(n=12, seed=2))):
+    def test_search_state_goes_with_the_largest_size(self, monkeypatch):
+        # with no state kept past the triples, each size past 4 searches
+        # again from them, and every list agrees with a fresh object's
+        monkeypatch.setattr("cswsat.encoder.KEPT_SETS", 0)
+        for pfa in (pn(8), TRIPLEWISE, random_pfa(GenConfig(n=12, seed=2))):
             distances = DistanceTables(pfa)
             before = [list(distances.far(k)) for k in (2, 3)]
             assert distances._settled is not None and distances._levels is not None
-            distances.far(4)
-            assert (distances._settled, distances._levels) == (None, None)
-            # a fresh object that goes straight to the largest size agrees
-            fresh = DistanceTables(pfa)
-            assert fresh.far(4) == distances.far(4)
-            assert [distances.far(k) for k in (2, 3)] == before == [fresh.far(k) for k in (2, 3)]
+            for k in (4, 5, 6):
+                distances.far(k)
+                assert (distances._settled, distances._levels) == (None, None)
+            for k in (4, 5, 6):
+                assert DistanceTables(pfa).far(k) == distances.far(k)
+            assert [distances.far(k) for k in (2, 3)] == before
 
-    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize(
+        "kept, searches", [(0, [3, 4, 3, 4, 5, 3, 4, 5, 6]), (None, [3, 4, 5, 6])]
+    )
+    def test_larger_sizes_resume_a_small_state(self, monkeypatch, kept, searches):
+        # pn(8) settles 162 sets up to 4 states, far below KEPT_SETS
+        if kept is not None:
+            monkeypatch.setattr("cswsat.encoder.KEPT_SETS", kept)
+        calls = []
+        search = DistanceTables._search
+
+        def logged(self, k):
+            calls.append(k)
+            return search(self, k)
+
+        monkeypatch.setattr(DistanceTables, "_search", logged)
+        distances = DistanceTables(pn(8))
+        distances.far(4)
+        distances.far(5)
+        distances.far(6)
+        assert calls == searches
+
+    def test_large_state_is_dropped_after_four_states(self):
+        # random n=20 settles 6,023 sets of up to 4 states
+        distances = DistanceTables(random_pfa(GenConfig(n=20, seed=0)))
+        distances.far(3)
+        assert distances._settled is not None
+        distances.far(4)
+        assert (distances._settled, distances._levels) == (None, None)
+
+    @pytest.mark.parametrize("k", [1, 7])
     def test_sizes_outside_the_range_are_refused(self, k):
         with pytest.raises(ValueError, match="set size"):
             DistanceTables(pn(5)).far(k)

@@ -40,6 +40,7 @@ from cswsat.solver import (
     Backend,
     BudgetExceeded,
     ModelVerificationError,
+    Session,
     SolverLimits,
     satisfies,
     solve,
@@ -85,7 +86,11 @@ class TestExamples:
         assert out.visited == 1
 
     def test_unknown_when_precheck_disabled(self):
+        # a pair that never merges refutes FROZEN before any probe; pn(5),
+        # whose minimum is 15, is unknown up to 8
         out = min_csw(FROZEN, max_length=8, precheck=False)
+        assert (out.status, out.probes) == (NOT_SYNCHRONIZING, ())
+        out = min_csw(pn(5), max_length=8, precheck=False)
         assert out.status == UNKNOWN_UP_TO_BOUND
         assert out.bound == 8
         assert [p.length for p in out.probes] == [1, 2, 4, 8]
@@ -161,15 +166,17 @@ class TestSearchIdentity:
                 [(12, SAT, 8296, 25, 624, 2345, 0), (11, UNSAT, 10066, 34, 87, 2792, 0)],
                 "aabaaaaaabab",
             ),
+            # the 5-set group joins pn(7)'s probe at 39 after 32
+            # conflicts, the 6-set group pn(8)'s at 55 after 64
             (
                 pn(7),
-                [(39, SAT, 1011, 41, 145, 969, 0), (38, UNSAT, 1081, 18, 34, 279, 0)],
+                [(39, SAT, 1041, 40, 149, 981, 0), (38, UNSAT, 1122, 0, 0, 0, 0)],
                 "aababaabababaabbabbabaabbbabbaabbbbabaa",
             ),
             (
                 pn(8),
-                [(55, SAT, 1728, 188, 589, 5217, 1), (54, UNSAT, 1856, 101, 218, 3494, 1)],
-                "aababaababaababaabbabbabbaabbbabbabaabbbbabbaabbbbbabaa",
+                [(55, SAT, 1834, 79, 336, 1974, 0), (54, UNSAT, 2010, 0, 0, 0, 0)],
+                "aabababaabababaabbabaabbabaabbbabbbaabbbbabbaabbbbbabaa",
             ),
             # galloping: the triple group joins at length 4, the 4-set
             # group at 8
@@ -223,13 +230,24 @@ class TestBudgets:
         assert [(p.length, p.status) for p in exc.value.probes] == [(1, UNSAT), (2, UNSAT)]
 
     def test_limits_count_per_probe(self):
-        # pn(7)'s probes need 41 and 18 conflicts on one engine: a limit
-        # of 45 covers each probe but not their sum
-        out = min_csw(pn(7), backend=Backend(limits=SolverLimits(max_conflicts=45)))
+        # pn(9)'s probes need 106 and 21 conflicts on one engine: a limit
+        # of 110 covers each probe but not their sum
+        out = min_csw(pn(9), backend=Backend(limits=SolverLimits(max_conflicts=110)))
         assert [(p.length, p.status, p.stats.conflicts) for p in out.probes] == [
-            (39, SAT, 41),
-            (38, UNSAT, 18),
+            (73, SAT, 106),
+            (72, UNSAT, 21),
         ]
+
+    @pytest.mark.parametrize(
+        "limits", [SolverLimits(max_conflicts=100), SolverLimits(max_decisions=420)]
+    )
+    def test_limits_bound_the_sum_of_a_probes_solves(self, limits):
+        # pn(9)'s probe at 73 pauses at 32 and 64 conflicts for a group to
+        # join, and needs 106 conflicts and 429 decisions in all; no one
+        # of its three solves reaches either limit
+        with pytest.raises(BudgetExceeded, match="limit") as exc:
+            min_csw(pn(9), backend=Backend(limits=limits))
+        assert exc.value.probes == ()
 
     def test_overrun_below_keeps_the_sat_probe(self):
         # random n=60 seed 1: 25 conflicts at 12, then 34 at 11
@@ -239,11 +257,23 @@ class TestBudgets:
         assert [(p.length, p.status) for p in exc.value.probes] == [(12, SAT)]
 
     def test_clause_budget_counts_the_added_clauses(self, monkeypatch):
-        # pn(7) holds 1,011 clauses at 39 and 1,081 once taken down to 38
+        # pn(7) holds 1,041 clauses at 39, its 5-set group's 30 included,
+        # and 1,122 once taken down to 38
         monkeypatch.setattr("cswsat.search.MAX_CLAUSES", 1050)
+        with pytest.raises(BudgetExceeded, match="length 38 needs 1122 clauses") as exc:
+            min_csw(pn(7))
+        assert [(p.length, p.status, p.clauses) for p in exc.value.probes] == [(39, SAT, 1041)]
+
+    def test_group_over_the_clause_budget_stays_out(self, monkeypatch):
+        # the 5-set group would take pn(7)'s probe at 39 from 1,011 to
+        # 1,041 clauses: it stays out, and the probe goes on with its
+        # search as if it had never paused
+        monkeypatch.setattr("cswsat.search.MAX_CLAUSES", 1030)
         with pytest.raises(BudgetExceeded, match="length 38 needs 1081 clauses") as exc:
             min_csw(pn(7))
-        assert [(p.length, p.status, p.clauses) for p in exc.value.probes] == [(39, SAT, 1011)]
+        (sat,) = exc.value.probes
+        assert (sat.length, sat.status, sat.clauses, sat.escalations) == (39, SAT, 1011, ())
+        assert (sat.stats.conflicts, sat.stats.decisions, sat.stats.propagations) == (41, 145, 969)
 
     def test_oversized_probe_is_refused(self):
         # the final at-most-one block alone is 1500*1499/2 clauses
@@ -445,6 +475,87 @@ class TestTripleGate:
         min_csw(random_pfa(GenConfig(n=10, seed=1)), precheck=False)
         assert events[:6] == ["probe 1", "probe 2", 3, "probe 4", 4, "probe 8"]
         assert all(isinstance(event, str) for event in events[6:])
+
+
+class TestEscalation:
+    """A probe on the built-in engine takes the next set size's group at
+    level 0 after each ESCALATE_AFTER conflicts of its own, for sizes up
+    to MAX_SET_SIZE and n - 2 states that pass the C(n, k) gate."""
+
+    def test_hard_probe_takes_the_five_and_six_set_groups(self):
+        pfa = pn(8)
+        out = min_csw(pfa)
+        assert [p.escalations for p in out.probes] == [((32, 5), (64, 6)), ()]
+        groups = [DistanceTables(pfa).far(k) for k in range(2, 7)]
+        sat, unsat = out.probes
+        assert sat.clauses == clause_count(8, 2, 55) + sum(
+            set_clause_count(group, 55) for group in groups
+        )
+        # the probe below takes every group the engine holds down to 54
+        hi, lo = (set(encode(pfa, p.length, groups).clauses) for p in out.probes)
+        assert unsat.clauses == sat.clauses + len(lo - hi)
+
+    def test_sizes_stop_two_below_the_state_count(self):
+        # pn(7)'s probe at 39 needs 40 conflicts; 6 states would be n - 1
+        out = min_csw(pn(7))
+        assert [p.escalations for p in out.probes] == [((32, 5),), ()]
+
+    def test_probes_past_the_table_gate_never_pause(self, monkeypatch):
+        # C(30, 3) = 4060 sets against at most 3,055 clauses
+        pauses = []
+        original = Session.solve
+
+        def logged(self, pause=None, resume=False):
+            pauses.append(pause)
+            return original(self, pause, resume)
+
+        monkeypatch.setattr(Session, "solve", logged)
+        out = min_csw(random_pfa(GenConfig(n=30, seed=9)))
+        assert pauses == [None, None]
+        assert [p.escalations for p in out.probes] == [(), ()]
+
+    def test_escalating_at_every_conflict_keeps_the_answers(self, monkeypatch):
+        # with a limit of 1, about half of these runs escalate, gallops
+        # included; every answer still matches subset search
+        monkeypatch.setattr("cswsat.search.ESCALATE_AFTER", 1)
+        escalated = 0
+        for n in (7, 8, 9):
+            for seed in range(15):
+                pfa = random_pfa(GenConfig(n=n, seed=seed))
+                exact = power_bfs(pfa)
+                for precheck in (True, False) if exact.status == FOUND else (True,):
+                    out = min_csw(pfa, precheck=precheck)
+                    assert (out.status, out.min_length) == (exact.status, exact.min_length)
+                    escalated += any(p.escalations for p in out.probes)
+        assert escalated >= 30
+
+    def test_warm_probe_escalates_further(self, monkeypatch):
+        # descending from a word two letters too long with a limit of 60,
+        # the 5-set group joins the first probe, at 57, and the 6-set group
+        # the probe at 56 on the same engine
+        def overrun(pfa, *args, **kwargs):
+            exc = BudgetExceeded("subset budget exceeded")
+            exc.word = power_bfs(pfa).witness + (1, 1)
+            raise exc
+
+        pfa = pn(8)
+        monkeypatch.setattr("cswsat.search.ESCALATE_AFTER", 60)
+        monkeypatch.setattr("cswsat.search.power_bfs", overrun)
+        out = min_csw(pfa)
+        assert (out.status, out.min_length) == (FOUND, 55)
+        assert [(p.length, p.status, p.escalations) for p in out.probes] == [
+            (57, SAT, ((60, 5),)),
+            (56, SAT, ((60, 6),)),
+            (55, SAT, ()),
+            (54, UNSAT, ()),
+            (55, SAT, ((60, 5),)),
+        ]
+        distances = DistanceTables(pfa)
+        groups = [distances.far(k) for k in range(2, 6)]
+        hi, lo = (set(encode(pfa, length, groups).clauses) for length in (57, 56))
+        assert out.probes[1].clauses == out.probes[0].clauses + len(lo - hi) + set_clause_count(
+            distances.far(6), 56
+        )
 
 
 class TestBeyondSixtyFourStates:
@@ -694,6 +805,18 @@ class TestExternalBackend:
         assert [(p.length, p.status, p.clauses) for p in out.probes] == [
             (15, SAT, _own_cnf(pn(5), 15).clause_count),
             (14, UNSAT, _own_cnf(pn(5), 14).clause_count),
+        ]
+
+    def test_run_only_backend_never_escalates(self):
+        # the built-in engine's probe at 55 takes the 5- and 6-set groups
+        backend = RunOnly()
+        out = min_csw(pn(8), backend=backend)
+        assert [instance.clauses for instance in backend.instances] == [
+            _own_cnf(pn(8), length).clauses for length in (55, 54)
+        ]
+        assert [(p.length, p.status, p.escalations) for p in out.probes] == [
+            (55, SAT, ()),
+            (54, UNSAT, ()),
         ]
 
     @pytest.mark.parametrize(

@@ -323,6 +323,15 @@ class TestForgetting:
         if result.status == SAT:
             assert is_carefully_synchronizing(pfa, decode_word(result.model, instance.layout))
 
+    def test_nothing_to_drop_leaves_the_database_alone(self):
+        # learned clauses of glue 2 or less are always kept
+        session = Session(inst(3, [1, 2], [-1, 3], [2, 3]))
+        session.learned = {0: 2, 1: 1}
+        watches = [list(wl) for wl in session.watches]
+        session._reduce_db()
+        assert session.learned == {0: 2, 1: 1}
+        assert session.watches == watches and None not in session.clauses
+
 
 class TestSession:
     """Clauses added at level 0 to an engine that has solved."""
@@ -381,6 +390,37 @@ class TestSession:
         second = session.solve()
         assert first.stats.conflicts + second.stats.conflicts > 45
         assert second.status == UNSAT
+
+    @pytest.mark.parametrize("pfa, length", [(pn(8), 55), (pn(8), 54), (pn(9), 73)])
+    def test_pausing_leaves_the_search_alone(self, pfa, length):
+        # paused every 7 conflicts and resumed with nothing added, a solve
+        # makes the same search as one that never pauses
+        distances = DistanceTables(pfa)
+        instance = encode(pfa, length, [distances.far(k) for k in (2, 3, 4)])
+        whole = Session(instance).solve()
+        session = Session(instance)
+        result = session.solve(pause=7)
+        pauses = 0
+        while result is None:
+            pauses += 1
+            result = session.solve(pause=session.stats.conflicts + 7, resume=True)
+        assert pauses == whole.stats.conflicts // 7 > 3
+        assert (result.status, result.model, result.stats) == (
+            whole.status,
+            whole.model,
+            whole.stats,
+        )
+
+    def test_resumed_solve_counts_with_the_paused_one(self):
+        # one limit over both parts, with a clause added at the pause
+        pfa = pn(8)
+        groups = [DistanceTables(pfa).far(k) for k in (2, 3, 4)]
+        session = Session(encode(pfa, 55, groups), SolverLimits(max_conflicts=40))
+        assert session.solve(pause=30) is None
+        session.extend([(-(55 * 10 + 1),)])  # state 1 inactive at the end
+        with pytest.raises(BudgetExceeded, match="conflict limit 40") as exc:
+            session.solve(resume=True)
+        assert exc.value.stats.conflicts == 41
 
     def test_model_is_checked_against_the_added_clauses(self):
         session = Session(inst(2, [1]))
