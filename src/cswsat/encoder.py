@@ -257,13 +257,10 @@ def far_pairs(dist: list) -> list:
 
 # Largest state sets with a distance list. Probes carry sizes up to 4 from
 # their start; sizes 5 and 6 join a probe that proves hard, and only up to
-# n - 2 states: at n states the group alone refutes min - 1 by unit
-# propagation, so the certificate would be the table, not the search.
+# n - 2 states, so that no group comes near the whole state set, whose group
+# alone would refute min - 1. The lists are checked, so a refutation is
+# sound either way; on short chains it may still come from propagation.
 MAX_SET_SIZE = 6
-
-# Most sets, about 1 MB, whose distances DistanceTables keeps past 4 states
-# for a larger size to resume from; random n=40 settles 102k sets by then.
-KEPT_SETS = 1 << 12
 
 
 class DistanceTables:
@@ -293,9 +290,8 @@ class DistanceTables:
     one's D by the equation and lists it against its subsets, in
     O(C(n, k) k m). Sizes stop at MAX_SET_SIZE. Only a larger size reads
     the search's table and levels, which from 4 states on outweigh the
-    lists by far: once such a list is built, they are dropped when they
-    hold more than KEPT_SETS sets, and a larger size searches again from
-    the triples.
+    lists by far: they are dropped once such a list is built, and a larger
+    size searches again from the triples.
     """
 
     def __init__(self, pfa: Pfa):
@@ -322,7 +318,7 @@ class DistanceTables:
                     self._search(j)
                 far = self._check(size)
             self._far.append(far)
-            if size > 3 and len(self._settled) > KEPT_SETS:
+            if size > 3:
                 self._settled = self._levels = None
         return self._far[k - 2]
 

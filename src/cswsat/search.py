@@ -48,9 +48,11 @@ pauses, the group of k = top + 1 states (top the largest size it carries)
 joins at level 0 at its length, and the solve goes on with what it
 learned. k must be at most MAX_SET_SIZE and n - 2, C(n, k) at most the
 probe's plain clause count, and the engine within MAX_CLAUSES; else the
-probe goes on without it. Nearer the whole state set, a group alone
-refutes min - 1 by unit propagation: the certificate would be the table,
-not the search. A probe below takes every group its engine holds, and may
+probe goes on without it. The n - 2 gate keeps groups away from the whole
+state set, whose group alone refutes min - 1. It does not keep the
+refutation with the search: on pn(7) and pn(8) level-0 propagation refutes
+min - 1, which is sound, as every group is checked. A probe below takes
+every group its engine holds, and may
 escalate further. A probe that never pauses searches as before, and an
 external solver or a backend without `start` never escalates.
 """

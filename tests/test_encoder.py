@@ -465,10 +465,9 @@ class TestFourSetDistances(_SetDistanceChecks):
 
 
 class TestDistanceTablesState:
-    def test_search_state_goes_with_the_largest_size(self, monkeypatch):
-        # with no state kept past the triples, each size past 4 searches
-        # again from them, and every list agrees with a fresh object's
-        monkeypatch.setattr("cswsat.encoder.KEPT_SETS", 0)
+    def test_search_state_goes_with_the_largest_size(self):
+        # no state is kept past 4 states, each larger size searches again
+        # from the triples, and every list agrees with a fresh object's
         for pfa in (pn(8), TRIPLEWISE, random_pfa(GenConfig(n=12, seed=2))):
             distances = DistanceTables(pfa)
             before = [list(distances.far(k)) for k in (2, 3)]
@@ -480,13 +479,7 @@ class TestDistanceTablesState:
                 assert DistanceTables(pfa).far(k) == distances.far(k)
             assert [distances.far(k) for k in (2, 3)] == before
 
-    @pytest.mark.parametrize(
-        "kept, searches", [(0, [3, 4, 3, 4, 5, 3, 4, 5, 6]), (None, [3, 4, 5, 6])]
-    )
-    def test_larger_sizes_resume_a_small_state(self, monkeypatch, kept, searches):
-        # pn(8) settles 162 sets up to 4 states, far below KEPT_SETS
-        if kept is not None:
-            monkeypatch.setattr("cswsat.encoder.KEPT_SETS", kept)
+    def test_larger_sizes_search_again_from_the_triples(self, monkeypatch):
         calls = []
         search = DistanceTables._search
 
@@ -499,15 +492,7 @@ class TestDistanceTablesState:
         distances.far(4)
         distances.far(5)
         distances.far(6)
-        assert calls == searches
-
-    def test_large_state_is_dropped_after_four_states(self):
-        # random n=20 settles 6,023 sets of up to 4 states
-        distances = DistanceTables(random_pfa(GenConfig(n=20, seed=0)))
-        distances.far(3)
-        assert distances._settled is not None
-        distances.far(4)
-        assert (distances._settled, distances._levels) == (None, None)
+        assert calls == [3, 4, 3, 4, 5, 3, 4, 5, 6]
 
     @pytest.mark.parametrize("k", [1, 7])
     def test_sizes_outside_the_range_are_refused(self, k):
