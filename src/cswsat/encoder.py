@@ -20,19 +20,14 @@ The emission order is fixed so instances are byte-reproducible.
 
 Distance groups are left out of the plain encoding and appended, in the
 order given, when `encode` is given their lists. One rule makes them all:
-for each step t < ell and each set of k states, k = 2 to MAX_SET_SIZE, whose
-shortest merging word is longer than ell - t while none of its subsets one
-state smaller is, forbid all k states being active after t steps. Single
-states merge at distance 0, so every far pair is in the k = 2 group, and
-the sync block is its ell - t = 0 case. The lists come from one
-`DistanceTables` per automaton, which checks each distance table once by
-the equation that defines it and builds each list from its checked
-table. `search.min_csw` passes the pair list to every probe and
-to its `power_bfs` pre-check's bound, and the list for size k = 3 or 4 to
-a probe when the automaton has no more sets of k states, C(n, k), than
-the probe's plain encoding has clauses: long-word automata, where the
-table is cheap beside the probe. Sizes 5 and 6 join a hard probe later,
-at level 0 (see `search`).
+for each step t < ell and each set of k >= 2 states whose shortest merging
+word is longer than ell - t while none of its subsets one state smaller
+is, forbid all k states being active after t steps. Single states merge at
+distance 0, so every far pair is in the k = 2 group, and the sync block is
+its ell - t = 0 case. The lists come from one `DistanceTables` per
+automaton, which checks each distance table once by the equation that
+defines it and builds each list from its checked table; which probe
+carries which group is `search`'s choice.
 The rule rests on one fact: the rest of a real word merges the word's
 whole image after t letters in ell - t letters, so a real word's
 assignment satisfies every clause of these groups.
@@ -54,7 +49,6 @@ from .automaton import BudgetExceeded, ModelVerificationError, Pfa
 
 __all__ = [
     "MAX_CLAUSES",
-    "MAX_SET_SIZE",
     "VarLayout",
     "CnfInstance",
     "DecodeError",
@@ -255,14 +249,6 @@ def far_pairs(dist: list) -> list:
     )
 
 
-# Largest state sets with a distance list. Probes carry sizes up to 4 from
-# their start; sizes 5 and 6 join a probe that proves hard, and only up to
-# n - 2 states, so that no group comes near the whole state set, whose group
-# alone would refute min - 1. The lists are checked, so a refutation is
-# sound either way; on short chains it may still come from propagation.
-MAX_SET_SIZE = 6
-
-
 class DistanceTables:
     """The distance lists of one automaton for a whole `search.min_csw` run,
     each built on first request from a distance table checked once by its
@@ -288,10 +274,14 @@ class DistanceTables:
     (set, letter) is met once, as a preimage of its own image: O(C(n, k) m)
     time per size. One walk over the sets of k states then checks each
     one's D by the equation and lists it against its subsets, in
-    O(C(n, k) k m). Sizes stop at MAX_SET_SIZE. Only a larger size reads
-    the search's table and levels, which from 4 states on outweigh the
-    lists by far: they are dropped once such a list is built, and a larger
-    size searches again from the triples.
+    O(C(n, k) k m).
+
+    The search's table and levels stay for the whole object, so each size
+    resumes them and none is searched twice. They hold one entry and one
+    tuple for every merging set of at most k states, far more than the
+    lists. `search.min_csw` asks for far(k) only when no size up to k has
+    more sets, C(n, j), than a probe's plain clause count, at most
+    MAX_CLAUSES, so the budget that bounds the probe bounds them too.
     """
 
     def __init__(self, pfa: Pfa):
@@ -302,24 +292,19 @@ class DistanceTables:
         self._settled = self._levels = None
 
     def far(self, k: int) -> list:
-        """The farthest-first list for sets of k states, 2 <= k <=
-        MAX_SET_SIZE, with those of the sizes below it built and checked
-        first."""
-        if not 2 <= k <= MAX_SET_SIZE:
-            raise ValueError(f"set size must be in 2..{MAX_SET_SIZE}, got {k}")
+        """The farthest-first list for sets of k >= 2 states, with those of
+        the sizes below it built and checked first."""
+        if k < 2:
+            raise ValueError(f"set size must be at least 2, got {k}")
         while len(self._far) < k - 1:
             size = len(self._far) + 2
             if size == 2:
                 dist = pair_distances(self.pfa)
                 check_distances(self.pfa, dist)
-                far = far_pairs(dist)
+                self._far.append(far_pairs(dist))
             else:
-                for j in range(3 if self._settled is None else size, size + 1):
-                    self._search(j)
-                far = self._check(size)
-            self._far.append(far)
-            if size > 3:
-                self._settled = self._levels = None
+                self._search(size)
+                self._far.append(self._check(size))
         return self._far[k - 2]
 
     def _search(self, k: int) -> None:

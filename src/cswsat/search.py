@@ -76,7 +76,6 @@ from .automaton import (
 )
 from .encoder import (
     MAX_CLAUSES,
-    MAX_SET_SIZE,
     DistanceTables,
     VarLayout,
     clause_count,
@@ -106,6 +105,11 @@ DEFAULT_MAX_LENGTH = 1 << 20
 # after each ESCALATE_AFTER conflicts (BENCH_escalation.json)
 PROBE_SET_SIZE = 4
 ESCALATE_AFTER = 32
+# Largest set size that may join, and only up to n - 2 states, so that no
+# group comes near the whole state set, whose group alone would refute
+# min - 1. The lists are checked, so a refutation is sound either way; on
+# short chains it may still come from propagation.
+MAX_SET_SIZE = 6
 
 # SearchOutcome.upper_bound_source values: where the first probe length came from
 POWER_BFS = "power_bfs"

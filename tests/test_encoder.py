@@ -226,11 +226,24 @@ def _words_of_length(m, ell):
 # each pair merges under one letter, but no letter is defined on all three
 PAIRWISE = Pfa(n=3, m=3, delta=((1, 1, None), (None, 2, 2), (1, None, 1)))
 
+
+def _merging_below(n):
+    """n states that merge in one letter whenever one state is left out,
+    since letter a sends all but state n + 1 - a to one state, but no
+    letter is defined on all n."""
+    return Pfa(
+        n=n,
+        m=n,
+        delta=tuple(
+            tuple(None if q == n + 1 - a else 1 + (a == n) for q in range(1, n + 1))
+            for a in range(1, n + 1)
+        ),
+    )
+
+
 # each triple merges under one letter, but no letter is defined on all
 # four states
-TRIPLEWISE = Pfa(
-    n=4, m=4, delta=((1, 1, 1, None), (1, 1, None, 1), (1, None, 1, 1), (None, 2, 2, 2))
-)
+TRIPLEWISE = _merging_below(4)
 
 
 def _set_table(pfa, size):
@@ -464,22 +477,63 @@ class TestFourSetDistances(_SetDistanceChecks):
                 self._check_group(pfa, ell, table)
 
 
+class _LargeSetDistanceChecks(_SetDistanceChecks):
+    """far(SIZE) against the forward search, past the sizes a probe
+    carries from its start. (Hypothesis wants each @given test on the
+    class that runs it.)"""
+
+    def test_matches_on_the_holes_sweep(self):
+        for pfa in pfas_with_holes():
+            self._check_table(pfa)
+
+    def test_merging_below_the_whole_set_is_infinite(self):
+        assert _groups(_merging_below(self.SIZE), self.SIZE)[-1] == [
+            (math.inf, 1, *range(1, self.SIZE + 1))
+        ]
+
+
+class TestFiveSetDistances(_LargeSetDistanceChecks):
+    SIZE = 5
+
+    @given(pfas(max_n=8, max_m=3))
+    @settings(max_examples=150, deadline=None)
+    @example(_merging_below(5))
+    def test_matches_plain_set_search(self, pfa):
+        self._check_table(pfa)
+
+
+class TestSixSetDistances(_LargeSetDistanceChecks):
+    SIZE = 6
+
+    @given(pfas(max_n=8, max_m=3))
+    @settings(max_examples=150, deadline=None)
+    @example(_merging_below(6))
+    def test_matches_plain_set_search(self, pfa):
+        self._check_table(pfa)
+
+
 class TestDistanceTablesState:
     def test_search_state_goes_with_the_largest_size(self):
-        # no state is kept past 4 states, each larger size searches again
-        # from the triples, and every list agrees with a fresh object's
+        # one table and one set of levels serve every size, each holding
+        # sets of at most the largest size built; asking for a smaller size
+        # again leaves them be, and every list agrees with a fresh object's
         for pfa in (pn(8), TRIPLEWISE, random_pfa(GenConfig(n=12, seed=2))):
             distances = DistanceTables(pfa)
             before = [list(distances.far(k)) for k in (2, 3)]
-            assert distances._settled is not None and distances._levels is not None
+            settled, levels = distances._settled, distances._levels
             for k in (4, 5, 6):
                 distances.far(k)
-                assert (distances._settled, distances._levels) == (None, None)
+                assert distances._settled is settled and distances._levels is levels
+                assert max(len(s) for level in levels.values() for s in level) <= k
+            held = len(settled)
             for k in (4, 5, 6):
                 assert DistanceTables(pfa).far(k) == distances.far(k)
             assert [distances.far(k) for k in (2, 3)] == before
+            assert len(settled) == held
 
-    def test_larger_sizes_search_again_from_the_triples(self, monkeypatch):
+    def test_each_size_is_searched_once(self, monkeypatch):
+        # each size resumes the smaller sizes' search, and every list
+        # agrees with a fresh object's
         calls = []
         search = DistanceTables._search
 
@@ -489,12 +543,16 @@ class TestDistanceTablesState:
 
         monkeypatch.setattr(DistanceTables, "_search", logged)
         distances = DistanceTables(pn(8))
-        distances.far(4)
-        distances.far(5)
-        distances.far(6)
-        assert calls == [3, 4, 3, 4, 5, 3, 4, 5, 6]
+        lists = [distances.far(k) for k in (4, 5, 6)]
+        assert calls == [3, 4, 5, 6]
+        assert lists == [DistanceTables(pn(8)).far(k) for k in (4, 5, 6)]
+        assert [distances.far(k) for k in (2, 3)] == _groups(pn(8), 3)
 
-    @pytest.mark.parametrize("k", [1, 7])
+    def test_sizes_past_the_state_count_list_nothing(self):
+        distances = DistanceTables(pn(5))
+        assert distances.far(7) == distances.far(6) == []
+
+    @pytest.mark.parametrize("k", [0, 1])
     def test_sizes_outside_the_range_are_refused(self, k):
         with pytest.raises(ValueError, match="set size"):
             DistanceTables(pn(5)).far(k)
@@ -645,6 +703,28 @@ class TestPinnedLists:
                     "7ef2833223fe5903b8b19d292637cc1d10c086ea630c95f05e79612c8c2f5a7c",
                 ],
                 id="random-n60-s0",
+            ),
+            pytest.param(
+                pn(16),
+                [
+                    "80cc528094d08c7261951c7b7128e78b904e781ea5416c6c3102d188ce061cbc",
+                    "ca3dd8a8c13dcc5ec2888d2e7e23b98461a13b0a73d2efe899ed329cb60523b5",
+                    "5dbe04aea6dcccb98f0196aaa74375652f8e939aa23ab3d8454a5faf4c233631",
+                    "71dbcdff94e50a87550ababdc673569997749338ed51e1edc45295d3654148a1",
+                    "e770f53ffbc91e4b5b2c364af7fb18df63bc84edf24d6ee347d460d11cb48a51",
+                ],
+                id="pn16",
+            ),
+            pytest.param(
+                random_pfa(GenConfig(n=16, seed=1)),
+                [
+                    "65d2c00a4f3c90aa201a925970ed57481f6b07f66840bbf60e921a4c5e47f27f",
+                    "ccb680b3e5a052c3f39a28eb76755d9eff3cc5a02a4068cbc01d7dadc7cac40f",
+                    "7305fc3651eb94844ad0b4624f32a9b53de3ef4140bd8b3eab0854ae32fd80b8",
+                    "7d19277f8c544e4732df588078eb1ec5e9f47c16745083a4924363a7fb101bd9",
+                    "0abef7fa93a5eb60f5b2b292c6474fc872eedce9894cffca08c662e11cdd2b85",
+                ],
+                id="random-n16-s1",
             ),
         ],
     )

@@ -500,6 +500,13 @@ class TestEscalation:
         out = min_csw(pn(7))
         assert [p.escalations for p in out.probes] == [((32, 5),), ()]
 
+    def test_cap_is_the_search_modules_alone(self, monkeypatch):
+        # one more size joins pn(10)'s hard probe, and the answer stays
+        monkeypatch.setattr("cswsat.search.MAX_SET_SIZE", 7)
+        out = min_csw(pn(10))
+        assert out.min_length == 93
+        assert [p.escalations for p in out.probes] == [((32, 5), (64, 6), (96, 7)), ()]
+
     def test_probes_past_the_table_gate_never_pause(self, monkeypatch):
         # C(30, 3) = 4060 sets against at most 3,055 clauses
         pauses = []
