@@ -40,7 +40,7 @@ def per_letter_actions(pfa: Pfa) -> list:
     for a, row in enumerate(pfa.delta, 1):
         undefined = sum(1 << q for q, t in enumerate(row) if t is None)
         targets = [0 if t is None else 1 << (t - 1) for t in row]
-        actions.append((a, undefined, oracle._byte_tables(targets)))
+        actions.append((a, undefined, oracle._chunk_tables(targets)))
     return actions
 
 
@@ -65,7 +65,8 @@ def layer_subsets(pfa: Pfa, limit: int) -> list:
     return list(seen)
 
 
-def run_per_letter(actions: list, subsets: list, parent: set) -> int:
+def run_per_letter(actions: list, subsets: list, parent: set, w: int) -> int:
+    mask = (1 << w) - 1
     hits = 0
     for subset in subsets:
         for a, undefined, tables in actions:
@@ -73,21 +74,22 @@ def run_per_letter(actions: list, subsets: list, parent: set) -> int:
                 continue
             img, rest = 0, subset
             for table in tables:
-                img |= table[rest & 255]
-                rest >>= 8
+                img |= table[rest & mask]
+                rest >>= w
             if img in parent:
                 hits += 1
     return hits
 
 
-def run_grouped(actions: list, subsets: list, parent: set, full: int) -> int:
+def run_grouped(actions: list, subsets: list, parent: set, full: int, w: int) -> int:
+    mask = (1 << w) - 1
     hits = 0
     for subset in subsets:
         for letters, tables in actions:
             every, rest = 0, subset
             for table in tables:
-                every |= table[rest & 255]
-                rest >>= 8
+                every |= table[rest & mask]
+                rest >>= w
             for a, shift in letters:
                 img = every >> shift & full
                 if img in parent:
@@ -108,9 +110,10 @@ def sweep(name: str, pfa: Pfa, limit: int, repeats: int) -> dict:
     subsets = layer_subsets(pfa, limit)
     parent = set(subsets)
     full = (1 << pfa.n) - 1
+    w = oracle._chunk_width(pfa.n)
     pairs = len(subsets) * pfa.m
     actions = per_letter_actions(pfa)
-    ns = {"per-letter": best_ns(lambda: run_per_letter(actions, subsets, parent), pairs, repeats)}
+    ns = {"per-letter": best_ns(lambda: run_per_letter(actions, subsets, parent, w), pairs, repeats)}
     saved = oracle.LETTER_GROUP
     try:
         for cap in CAPS:
@@ -119,7 +122,7 @@ def sweep(name: str, pfa: Pfa, limit: int, repeats: int) -> dict:
             oracle.LETTER_GROUP = cap
             grouped = oracle._letter_actions(pfa)
             ns[f"cap {cap}"] = best_ns(
-                lambda: run_grouped(grouped, subsets, parent, full), pairs, repeats
+                lambda: run_grouped(grouped, subsets, parent, full, w), pairs, repeats
             )
     finally:
         oracle.LETTER_GROUP = saved

@@ -1,11 +1,15 @@
 """Exact minimal-length computation by breadth-first search over state
 subsets, the ground truth the solver pipeline is checked against.
 
-Subsets live as bit masks (state j is bit j-1). The byte tables of up to
-LETTER_GROUP letters give all their images of a subset side by side in one
-int: ceil(n/8) lookups and ORs per group, then a shift and a mask per
-letter, inline in the search loops. An undefined transition leads to the
-full set, so a subset that meets one maps to the start, never stored again.
+Subsets live as bit masks (state j is bit j-1), cut into ceil(n/8)
+chunks of one width w = ceil(n / ceil(n/8)) <= 8 bits. The w-bit tables
+of up to LETTER_GROUP letters give all their images of a subset side by
+side in one int: ceil(n/8) lookups and ORs per group, then a shift and a
+mask per letter, inline in the search loops. Even chunks keep the lookup
+count of bytes with smaller tables wherever w < 8: 128 + 128 + 64
+entries at n = 20, where bytes take 256 + 256 + 16. An undefined
+transition leads to the full set, so a subset that meets one maps to the
+start, never stored again.
 
 Once its layers grow wide, the breadth-first search bounds itself: a
 narrow beam, and later a wide one, give a word of some length U, and an
@@ -13,7 +17,7 @@ image at depth d holding two states that no U - d letters merge (by the
 checked pair list of an `encoder.DistanceTables`) is dropped. No subset
 on a shortest word is ever dropped, so the answer and the witness are
 those of the full search.
-The test is one more byte-table image: the union, over the subset's
+The test is one more table image: the union, over the subset's
 states, of the states too far from each. A search that still runs out of
 budget raises with the shortest word its beams have found.
 """
@@ -45,17 +49,18 @@ __all__ = [
 DEFAULT_MAX_VISITED = 1 << 20
 
 # Largest tables `power_bfs` builds, in 64-bit words; the letter tables
-# and the pair table are each held to it. Each of the m * ceil(n/8) * 256
-# (letter, byte) entries is charged ceil(n/64) mask words plus
-# _ENTRY_OVERHEAD_WORDS of Python object overhead (list slot, int header,
-# allocator rounding; 3-4 words measured with tracemalloc at n = 16..512).
-# A group's int costs no more than its letters' ints would. At the ceiling
-# the tables peak at 122-140 MB RSS for 2 letters at n=3968, 52 MB for 1638
-# at n=64.
+# and the pair table are each held to it. Each letter is charged
+# ceil(n/8) tables of 256 entries, the most a w-bit table holds, and each
+# entry ceil(n/64) mask words plus _ENTRY_OVERHEAD_WORDS of Python object
+# overhead (list slot, int header, allocator rounding; 3-4 words measured
+# with tracemalloc at n = 16..512). So the charge is an upper bound, exact
+# where w = 8, and a group's int costs no more than its letters' ints
+# would. At the ceiling the tables peak at 122-140 MB RSS for 2 letters at
+# n=3968, 52 MB for 1638 at n=64.
 MAX_TABLE_WORDS = 1 << 24
 _ENTRY_OVERHEAD_WORDS = 4
 
-# Letters sharing one set of byte tables (sweep: BENCH_letter_groups.json)
+# Letters sharing one set of chunk tables (sweep: BENCH_letter_groups.json)
 LETTER_GROUP = 16
 
 # The bounding beams `power_bfs` runs, each at most once, as (layer size
@@ -64,16 +69,23 @@ LETTER_GROUP = 16
 BOUND_STAGES = ((512, 64), (8192, 1024))
 
 
-def _byte_tables(targets: list) -> list:
-    """One table per byte of a subset mask: entry v of table c is the union
-    of targets[8c + j] over the bits j set in v. Each table doubles once
-    per state of its byte, the new half adding that state's target; the
-    last byte's table stops at its states, since bits past them are never
-    set in a subset."""
+def _chunk_width(n: int) -> int:
+    """Bits per chunk of an n-state subset mask: ceil(n/8) chunks of one
+    width, at most 8, so that no chunk's table outgrows the others."""
+    return -(-n // -(-n // 8))
+
+
+def _chunk_tables(targets: list) -> list:
+    """One w-bit table per chunk of a subset mask, w = _chunk_width(n) for
+    the n targets: entry v of table c is the union of targets[w*c + j] over
+    the bits j set in v. Each table doubles once per state of its chunk,
+    the new half adding that state's target; the last chunk's table stops
+    at its states, since bits past them are never set in a subset."""
+    w = _chunk_width(len(targets))
     tables = []
-    for base in range(0, len(targets), 8):
+    for base in range(0, len(targets), w):
         table = [0]
-        for target in targets[base : base + 8]:
+        for target in targets[base : base + w]:
             table += [img | target for img in table]
         tables.append(table)
     return tables
@@ -82,26 +94,27 @@ def _byte_tables(targets: list) -> list:
 def _letter_actions(pfa: Pfa) -> list:
     """Every letter's action on subsets, as (letters, tables) groups of up
     to LETTER_GROUP letters in letter order. With `every` the union of the
-    tables' entries at a subset's bytes, the image under the group's i-th
+    tables' entries at a subset's chunks, the image under the group's i-th
     letter, (letter, i * n) in `letters`, is `every >> i * n & full`: the
     full set where the subset meets an undefined transition. BudgetExceeded
     before building anything when the tables would exceed MAX_TABLE_WORDS."""
-    words = -(-pfa.n // 64)
-    table_words = pfa.m * -(-pfa.n // 8) * 256 * (words + _ENTRY_OVERHEAD_WORDS)
+    n = pfa.n
+    words = -(-n // 64)
+    table_words = pfa.m * -(-n // 8) * 256 * (words + _ENTRY_OVERHEAD_WORDS)
     if table_words > MAX_TABLE_WORDS:
         raise BudgetExceeded(
-            f"{pfa.n} states need {table_words} table words, over the {MAX_TABLE_WORDS} budget"
+            f"{n} states need {table_words} table words, over the {MAX_TABLE_WORDS} budget"
         )
-    full = (1 << pfa.n) - 1
+    full = (1 << n) - 1
     actions = []
     for first in range(0, pfa.m, LETTER_GROUP):
         rows = pfa.delta[first : first + LETTER_GROUP]
-        targets = [
-            sum((full if t is None else 1 << (t - 1)) << i * pfa.n for i, t in enumerate(col))
-            for col in zip(*rows)
+        shifted = [
+            [full << i * n if t is None else 1 << (t - 1 + i * n) for t in row]
+            for i, row in enumerate(rows)
         ]
-        letters = [(first + i + 1, i * pfa.n) for i in range(len(rows))]
-        actions.append((letters, _byte_tables(targets)))
+        letters = [(first + i + 1, i * n) for i in range(len(rows))]
+        actions.append((letters, _chunk_tables([sum(col) for col in zip(*shifted)])))
     return actions
 
 
@@ -112,7 +125,7 @@ class _PairBound:
 
     far[q] is the mask of states p with dist(p, q) > radius, so a subset
     S holds such a pair exactly when S & (union of far[q] over q in S) is
-    nonzero: one more byte-table image. As the radius falls, the next pairs
+    nonzero: one more table image. As the radius falls, the next pairs
     of the checked farthest-first list `distances.far(2)` go into far, so
     the whole test takes O(n^2) memory. That list and its table are charged
     to MAX_TABLE_WORDS, and no beam runs where they would exceed it.
@@ -149,7 +162,7 @@ class _PairBound:
                 self.word = word
 
     def far_map_at(self, depth: int) -> Optional[list]:
-        """The byte tables of far, whose image of a subset S meets S exactly
+        """The chunk tables of far, whose image of a subset S meets S exactly
         when S holds a pair no word of length at most U can hold after
         `depth` letters, one farther apart than U - depth; None while no
         pair is."""
@@ -160,7 +173,7 @@ class _PairBound:
             self.far[p - 1] |= 1 << (q - 1)
             self.far[q - 1] |= 1 << (p - 1)
             self.taken += 1
-        return _byte_tables(self.far) if any(self.far) else None
+        return _chunk_tables(self.far) if any(self.far) else None
 
 
 def _trace_back(parent: dict, full: int, mask: int, last_letter: int) -> tuple:
@@ -217,6 +230,8 @@ def power_bfs(
     if n == 1:
         return SearchOutcome(status=FOUND, min_length=0, witness=(), visited=1)
     actions = _letter_actions(pfa)
+    w = _chunk_width(n)
+    mask = (1 << w) - 1
     max_stored = max_visited // -(-n // 64)
     # parent[subset] = (previous subset, letter applied); the start maps to itself
     parent = {full: (full, 0)}
@@ -240,8 +255,8 @@ def power_bfs(
             for letters, tables in actions:
                 every, rest = 0, subset
                 for table in tables:
-                    every |= table[rest & 255]
-                    rest >>= 8
+                    every |= table[rest & mask]
+                    rest >>= w
                 for a, shift in letters:
                     img = every >> shift & full
                     if img in parent:
@@ -267,8 +282,8 @@ def power_bfs(
                     if far is not None:
                         hit, rest = 0, img
                         for table in far:
-                            hit |= table[rest & 255]
-                            rest >>= 8
+                            hit |= table[rest & mask]
+                            rest >>= w
                         if img & hit:
                             continue
                     parent[img] = (subset, a)
@@ -305,6 +320,8 @@ def _beam(pfa: Pfa, actions: list, width: int) -> Optional[tuple]:
     """
     n = pfa.n
     full = (1 << n) - 1
+    w = _chunk_width(n)
+    mask = (1 << w) - 1
     max_stored = DEFAULT_MAX_VISITED // -(-n // 64)
     parent = {full: (full, 0)}
     layer = [full]
@@ -314,8 +331,8 @@ def _beam(pfa: Pfa, actions: list, width: int) -> Optional[tuple]:
             for letters, tables in actions:
                 every, rest = 0, subset
                 for table in tables:
-                    every |= table[rest & 255]
-                    rest >>= 8
+                    every |= table[rest & mask]
+                    rest >>= w
                 for a, shift in letters:
                     img = every >> shift & full
                     if img in parent or img in images:

@@ -48,8 +48,9 @@ pauses, the group of k = top + 1 states (top the largest size it carries)
 joins at level 0 at its length, and the solve goes on with what it
 learned. k must be at most MAX_SET_SIZE and n - 2, C(n, k) at most the
 probe's plain clause count, and the engine within MAX_CLAUSES; else the
-probe goes on without it. The n - 2 gate keeps groups away from the whole
-state set, whose group alone refutes min - 1. It does not keep the
+probe goes on without it. The n - 2 gate keeps joined groups away from
+the whole state set, whose group alone refutes min - 1; the groups a
+probe carries from its start are not gated. It does not keep the
 refutation with the search: on pn(7) and pn(8) level-0 propagation refutes
 min - 1, which is sound, as every group is checked. A probe below takes
 every group its engine holds, and may
@@ -105,10 +106,12 @@ DEFAULT_MAX_LENGTH = 1 << 20
 # after each ESCALATE_AFTER conflicts (BENCH_escalation.json)
 PROBE_SET_SIZE = 4
 ESCALATE_AFTER = 32
-# Largest set size that may join, and only up to n - 2 states, so that no
-# group comes near the whole state set, whose group alone would refute
-# min - 1. The lists are checked, so a refutation is sound either way; on
-# short chains it may still come from propagation.
+# Largest set size that may join by escalation, and only up to n - 2
+# states, so that no joined group comes near the whole state set, whose
+# group alone would refute min - 1. Only joins are held to n - 2: the
+# groups a probe carries from its start are not, and pn(5)'s probes carry
+# its 4-state group. The lists are checked, so a refutation is sound
+# either way; on short chains it may still come from propagation.
 MAX_SET_SIZE = 6
 
 # SearchOutcome.upper_bound_source values: where the first probe length came from

@@ -14,13 +14,14 @@ from cswsat.automaton import (
 )
 from cswsat.cli import EXIT_FAULT, main
 from cswsat.encoder import DistanceTables, pair_distances
-from cswsat.generators import GenConfig, pn, random_pfa
+from cswsat.generators import GenConfig, pn, random_pfa, trial_seed
 from cswsat.oracle import (
     _ENTRY_OVERHEAD_WORDS,
     BOUND_STAGES,
     LETTER_GROUP,
     MAX_TABLE_WORDS,
     _beam,
+    _chunk_width,
     _letter_actions,
     _PairBound,
     power_bfs,
@@ -46,13 +47,14 @@ FIRST_LAYER_STAGES = ((0, 64), (0, 1024))
 C3 = Pfa(n=3, m=2, delta=((2, 3, 1), (2, 2, 3)))
 
 
-def _table_image(tables, subset):
-    """The union of the byte tables' entries at a subset's bytes, as the
-    search loops compute it inline."""
+def _table_image(tables, subset, n):
+    """The union of the chunk tables' entries at an n-state subset's
+    chunks, as the search loops compute it inline."""
+    w = _chunk_width(n)
     img, rest = 0, subset
     for table in tables:
-        img |= table[rest & 255]
-        rest >>= 8
+        img |= table[rest & (1 << w) - 1]
+        rest >>= w
     return img
 
 
@@ -136,9 +138,10 @@ def _random_letters(n, m, seed):
 
 
 class TestLetterTables:
-    """Each letter's image of a subset, read from its group's byte tables,
+    """Each letter's image of a subset, read from its group's chunk tables,
     is the set-based image, or the full set where the letter is undefined
-    on the subset."""
+    on the subset. Each group has ceil(n/8) tables of at most 2^w <= 256
+    entries."""
 
     @staticmethod
     def _check(pfa, subsets):
@@ -148,10 +151,14 @@ class TestLetterTables:
             list(range(first + 1, min(first + LETTER_GROUP, pfa.m) + 1))
             for first in range(0, pfa.m, LETTER_GROUP)
         ]
+        w = _chunk_width(n)
+        assert w <= 8
         for letters, tables in actions:
+            assert len(tables) == -(-n // 8)
+            assert all(len(table) <= 1 << w for table in tables)
             assert [shift for _, shift in letters] == [i * n for i in range(len(letters))]
             for subset in subsets:
-                every = _table_image(tables, subset)
+                every = _table_image(tables, subset, n)
                 assert every >> len(letters) * n == 0
                 for a, shift in letters:
                     expected = apply_letter(pfa, _states(subset), a)
@@ -163,8 +170,9 @@ class TestLetterTables:
     def test_every_subset_of_small_automata(self, pfa):
         self._check(pfa, range(1, 1 << pfa.n))
 
-    # chunk edges at 8, 16, 64 and 128 states, and masks past 64 bits
-    @pytest.mark.parametrize("n", [9, 17, 40, 65, 130])
+    # chunk edges at 8, 16, 64 and 128 states, masks past 64 bits, and
+    # chunks narrower than a byte (w = 5, 7 and 7 at n = 10, 20 and 33)
+    @pytest.mark.parametrize("n", [9, 10, 17, 20, 33, 40, 65, 130])
     def test_random_subsets(self, n):
         rng = random.Random(n)
         pfa = random_pfa(GenConfig(n=n, undefined_count=n // 4, seed=n))
@@ -203,11 +211,14 @@ class TestLetterTables:
         assert 17 in out.witness
 
     @pytest.mark.parametrize(
-        "pfa", [_identity(1000, m=2), _random_letters(64, 200, seed=0)], ids=["n1000", "m200"]
+        "pfa",
+        [_identity(1000, m=2), _random_letters(64, 200, seed=0), _random_letters(33, 200, seed=0)],
+        ids=["n1000", "m200", "n33-m200"],
     )
     def test_tables_stay_within_their_charge(self, pfa):
         # one int holds a group's images; it may not cost more than the
-        # mask and overhead words charged for them one letter at a time
+        # mask and overhead words charged for them one letter at a time,
+        # 256 entries a table even where w < 8 (n = 33, w = 7)
         charged = pfa.m * -(-pfa.n // 8) * 256 * (-(-pfa.n // 64) + _ENTRY_OVERHEAD_WORDS)
         tracemalloc.start()
         try:
@@ -431,6 +442,64 @@ class TestHeaviestCurveDraws:
         assert out.witness == word_from_letters(witness)
 
 
+def _record(pfa, **budget):
+    """power_bfs's (status, min_length, witness, visited, bound), or
+    ("overrun", visited, word) where it runs out of budget."""
+    try:
+        out = power_bfs(pfa, **budget)
+    except BudgetExceeded as exc:
+        return ("overrun", exc.visited, exc.word)
+    return (out.status, out.min_length, out.witness, out.visited, out.bound)
+
+
+class TestCurveDraws:
+    """Length-curve draws at sizes whose chunks are narrower than a byte,
+    pinned: the search with its default budget and with max_visited=1000
+    (no draw here stores more than 943 subsets), and with both beams run
+    before the first layer, the pruned search and its overrun at
+    max_visited=10 (None where the pruned search stores at most 10)."""
+
+    @pytest.mark.parametrize(
+        "n, trial, witness, visited, bound, pruned_visited, overrun_word",
+        [
+            (10, 0, "abbba", 14, 5, 5, None),
+            (10, 1, "ababababa", 33, 9, 13, "ababababa"),
+            (10, 2, None, 4, 3, 4, None),
+            (12, 0, "aabaaabaaab", 107, 11, 47, "abaabaabaab"),
+            (12, 1, "aaaaabbb", 61, 8, 10, None),
+            (12, 2, "aabbba", 10, 6, 6, None),
+            (17, 0, "aaaaaabbaaaa", 39, 12, 15, "aaaaaabbbaaa"),
+            (17, 1, "abbaababab", 191, 10, 34, "abbaababab"),
+            (17, 2, None, 9, 8, 9, None),
+            (20, 0, None, 6, 5, 6, None),
+            (20, 1, "ababbbabab", 112, 10, 25, "ababbbabab"),
+            (20, 2, None, 6, 5, 6, None),
+            (25, 0, None, 7, 6, 7, None),
+            (25, 1, "abbababaabbbb", 943, 13, 63, "abbababaabbbb"),
+            (25, 2, None, 5, 4, 5, None),
+            (33, 0, "aaaaabaabaabaa", 571, 14, 93, "aaabbaabaabaab"),
+            (33, 1, "abaaba", 32, 6, 8, None),
+            (33, 2, "aaaaabababab", 340, 12, 76, "aaaaabababab"),
+        ],
+    )
+    def test_search_is_pinned(
+        self, monkeypatch, n, trial, witness, visited, bound, pruned_visited, overrun_word
+    ):
+        assert _chunk_width(n) < 8
+        pfa = random_pfa(GenConfig(n=n, seed=trial_seed(0, trial)))
+        word = word_from_letters(witness) if witness else None
+        status = FOUND if word else NOT_SYNCHRONIZING
+        record = (status, word and len(word), word, visited, bound)
+        assert _record(pfa) == record
+        assert _record(pfa, max_visited=1000) == record
+        monkeypatch.setattr("cswsat.oracle.BOUND_STAGES", FIRST_LAYER_STAGES)
+        pruned = (status, word and len(word), word, pruned_visited, bound)
+        assert _record(pfa) == pruned
+        assert _record(pfa, max_visited=10) == (
+            ("overrun", 11, word_from_letters(overrun_word)) if overrun_word else pruned
+        )
+
+
 class TestPairBound:
     @pytest.mark.parametrize("pfa", [pn(12), random_pfa(GenConfig(n=40, seed=1))])
     def test_far_masks_follow_the_radius(self, pfa):
@@ -451,7 +520,7 @@ class TestPairBound:
                 continue
             for subset in subsets:
                 states = _states(subset)
-                image = _table_image(far_tables, subset)
+                image = _table_image(far_tables, subset, pfa.n)
                 assert image == _mask(
                     {p for q in states for p in range(1, pfa.n + 1) if dist[q - 1][p - 1] > radius}
                 )
