@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Sweep min_csw's escalation settings over the chain family and random draws.
+"""Sweep min_csw's escalation limit over the chain family and random draws.
 
-For each setting of (search.ESCALATE_AFTER, largest set size that may
-join), and for "off" (no size past the probes' static 4 joins, the search
-before escalation), runs `min_csw` on `pn(5..11)` and on the first FOUND
+For each setting of search.ESCALATE_AFTER, the conflicts a probe runs
+before the next set size joins it, and for "off" (a limit no solve
+reaches, so only the groups a probe starts with: the search before
+escalation), runs `min_csw` on `pn(5..11)` and on the first FOUND
 draw of each curve trial 0..TRIALS-1 at n = 6, 8, 10 and 12 (the draws
 `cswsat bench curve` makes with seed 0 and one hole), and records per
 instance the process CPU seconds (the least over --repeats rounds, each
@@ -14,11 +15,12 @@ an escalation, and the per-instance figures of the chain family. Every
 setting must give the lengths of "off", or the script exits 1.
 
     PYTHONPATH=src python scripts/escalation_sweep.py > sweep.json
-    PYTHONPATH=src python scripts/escalation_sweep.py --trials 20 --settings off,32:6
+    PYTHONPATH=src python scripts/escalation_sweep.py --trials 20 --settings off,32
 """
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -26,7 +28,7 @@ from cswsat import GenConfig, min_csw, pn, power_bfs, random_pfa, search
 from cswsat.search import FOUND
 from cswsat.generators import trial_seed
 
-DEFAULT_SETTINGS = "off,16:5,16:6,32:5,32:6,64:5,64:6"
+DEFAULT_SETTINGS = "off,16,32,64"
 
 
 def curve_draws(n: int, trials: int) -> list:
@@ -65,23 +67,19 @@ def main() -> int:
 
     families = {f"pn-{n}": [pn(n)] for n in range(5, 12)}
     families.update({f"random-n{n}": curve_draws(n, args.trials) for n in (6, 8, 10, 12)})
-    # the cap min_csw's escalation reads, and its static size for "off"
-    cap, after = search.MAX_SET_SIZE, search.ESCALATE_AFTER
+    # the limit min_csw's escalation reads
+    after = search.ESCALATE_AFTER
     best = {}
     for _ in range(args.repeats):
         for setting in args.settings.split(","):
-            if setting == "off":
-                search.MAX_SET_SIZE, search.ESCALATE_AFTER = search.PROBE_SET_SIZE, after
-            else:
-                every, top = map(int, setting.split(":"))
-                search.MAX_SET_SIZE, search.ESCALATE_AFTER = top, every
+            search.ESCALATE_AFTER = math.inf if setting == "off" else int(setting)
             rows = {name: [run(pfa) for pfa in draws] for name, draws in families.items()}
             kept = best.setdefault(setting, rows)
             for name, runs in rows.items():
                 for old, new in zip(kept[name], runs):
                     old["cpu_s"] = min(old["cpu_s"], new["cpu_s"])
             print(f"{setting}: done", file=sys.stderr, flush=True)
-    search.MAX_SET_SIZE, search.ESCALATE_AFTER = cap, after
+    search.ESCALATE_AFTER = after
 
     results = {}
     for setting, rows in best.items():

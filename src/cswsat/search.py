@@ -32,30 +32,30 @@ external solver, gets CNF(lo), with lo's own groups, as a probe of its own.
 
 Every probe also carries the encoder's distance groups. For k = 2, states
 p and q may not both be active after t steps when no word of length
-ell - t merges them. A probe whose plain encoding has at least C(n, k)
-clauses, which on these automata means a long word, carries the group for
-sets of k states as well, k = 3 and 4: the same rule for k states none of
-whose subsets is forbidden yet. A real word makes x[q,t] true exactly on
-its image after t letters, and the rest of that word merges the whole
-image, so the clauses remove no real word and no length's answer changes.
-The tables come from one `encoder.DistanceTables` per run, shared with
-the pre-check's bound and checked once before anything uses them; a
-pair that never merges refutes the automaton before any probe.
+ell - t merges them. The group for sets of k > 2 states is the same rule
+for k states none of whose subsets is forbidden yet. One rule admits it
+to a probe, from its start or later: k <= n - 2, and C(n, k) at most the
+probe's plain clause count, which on these automata means a long word. A
+real word makes x[q,t] true exactly on its image after t letters, and the
+rest of that word merges the whole image, so the clauses remove no real
+word and no length's answer changes. The tables come from one
+`encoder.DistanceTables` per run, shared with the pre-check's bound and
+checked once before anything uses them; a pair that never merges refutes
+the automaton before any probe.
 
-A probe on the built-in engine escalates when it proves hard: at each
+A probe starts with the sizes up to PROBE_SET_SIZE that the rule admits.
+On the built-in engine it escalates when it proves hard: at each
 ESCALATE_AFTER conflicts since its start or last escalation, its solve
 pauses, the group of k = top + 1 states (top the largest size it carries)
-joins at level 0 at its length, and the solve goes on with what it
-learned. k must be at most MAX_SET_SIZE and n - 2, C(n, k) at most the
-probe's plain clause count, and the engine within MAX_CLAUSES; else the
-probe goes on without it. The n - 2 gate keeps joined groups away from
-the whole state set, whose group alone refutes min - 1; the groups a
-probe carries from its start are not gated. It does not keep the
-refutation with the search: on pn(7) and pn(8) level-0 propagation refutes
-min - 1, which is sound, as every group is checked. A probe below takes
-every group its engine holds, and may
-escalate further. A probe that never pauses searches as before, and an
-external solver or a backend without `start` never escalates.
+joins at level 0 at its length if k passes the rule and the engine stays
+within MAX_CLAUSES, and the solve goes on with what it learned.
+The n - 2 bound keeps every group away from the whole state set, whose
+group alone refutes min - 1. It does not keep the refutation with the
+search: on pn(4..14), level-0 propagation refutes min - 1 in at most 2
+conflicts, which is sound, as every group is checked. A probe below takes
+every group its engine holds, and may escalate further. A probe that never
+pauses searches as before, and an external solver or a backend without
+`start` never escalates.
 """
 
 from __future__ import annotations
@@ -106,13 +106,6 @@ DEFAULT_MAX_LENGTH = 1 << 20
 # after each ESCALATE_AFTER conflicts (BENCH_escalation.json)
 PROBE_SET_SIZE = 4
 ESCALATE_AFTER = 32
-# Largest set size that may join by escalation, and only up to n - 2
-# states, so that no joined group comes near the whole state set, whose
-# group alone would refute min - 1. Only joins are held to n - 2: the
-# groups a probe carries from its start are not, and pn(5)'s probes carry
-# its 4-state group. The lists are checked, so a refutation is sound
-# either way; on short chains it may still come from propagation.
-MAX_SET_SIZE = 6
 
 # SearchOutcome.upper_bound_source values: where the first probe length came from
 POWER_BFS = "power_bfs"
@@ -255,13 +248,12 @@ def min_csw(
     def escalate(session, groups: list, length: int, size: int) -> tuple:
         """Solve on `session`, which holds `groups` at `length` in `size`
         clauses. Each ESCALATE_AFTER conflicts, the next set size's group
-        joins it at level 0, while the size passes the gates of the module
-        docstring. Returns (result, clauses held, escalations)."""
+        joins it at level 0, while `_admits` passes the size and the engine
+        stays within MAX_CLAUSES. Returns (result, clauses held, escalations)."""
         plain = clause_count(pfa.n, pfa.m, length)
 
         def pause(conflicts: int) -> Optional[int]:
-            k = len(groups) + 2
-            admitted = k <= min(MAX_SET_SIZE, pfa.n - 2) and math.comb(pfa.n, k) <= plain
+            admitted = _admits(pfa.n, len(groups) + 2, plain)
             return conflicts + ESCALATE_AFTER if admitted else None
 
         escalations = []
@@ -329,16 +321,22 @@ def min_csw(
     )
 
 
+def _admits(n: int, k: int, plain: int) -> bool:
+    """Whether a probe of `plain` plain clauses takes the k-set group."""
+    return k <= n - 2 and math.comb(n, k) <= plain
+
+
 def _probe_groups(pfa: Pfa, distances: DistanceTables, length: int) -> list:
-    """The distance lists a probe of `length` carries. A probe under the
-    size budget carries the groups of the set sizes k with C(n, k) <= its
-    plain clause count: 2..top, since C(n, 3) <= C(n, 4) from n = 7 on and
-    every plain encoding of fewer states has more than C(n, 3) clauses."""
+    """The distance lists a probe of `length` carries from its start: under
+    the size budget, the pairs and each size 3..top that `_admits`, top at
+    most PROBE_SET_SIZE. Stopping at the first size refused loses none: 3
+    refused and 4 admitted needs n >= 6 and C(n, 4) < C(n, 3), so n = 6,
+    and every plain encoding of 6 states has more than C(6, 3) clauses."""
     plain = clause_count(pfa.n, pfa.m, length)
     if plain > MAX_CLAUSES:
         return []
     top = 2
-    while top < PROBE_SET_SIZE and math.comb(pfa.n, top + 1) <= plain:
+    while top < PROBE_SET_SIZE and _admits(pfa.n, top + 1, plain):
         top += 1
     return [distances.far(k) for k in range(2, top + 1)]
 

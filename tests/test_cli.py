@@ -296,11 +296,11 @@ class TestCommandSurface:
             for p in probes_made
         ]
         assert got == [tuple(map(str, e)) for e in expected]
-        # the SAT probe's size: the encoding plus the pair- and
-        # set-distance groups, since with one triple every probe passes
-        # both set sizes' gates; the UNSAT probe one below runs on the
-        # same engine, which holds that CNF plus what the shorter CNF adds
-        groups = [DistanceTables(pfa).far(k) for k in (2, 3, 4)]
+        # the SAT probe's size: the encoding plus the pair group, the
+        # only one a 3-state probe takes, since a set group needs at most
+        # n - 2 = 1 states; the UNSAT probe one below runs on the same
+        # engine, which holds that CNF plus what the shorter CNF adds
+        groups = [DistanceTables(pfa).far(2)]
         sat, unsat = probes_made
         assert sat.clauses == clause_count(pfa.n, pfa.m, sat.length) + sum(
             set_clause_count(group, sat.length) for group in groups
@@ -695,11 +695,11 @@ class TestScripts:
         assert lines[1]["witness"] == list(word_from_letters("aabababaabbabaa"))
         probes = lines[1]["probes"]
         assert [p[:7] for p in probes] == [
-            [15, "SAT", 257, 3, 14, 107, 0],
-            [14, "UNSAT", 275, 0, 0, 0, 0],
+            [15, "SAT", 251, 4, 15, 119, 0],
+            [14, "UNSAT", 266, 0, 0, 0, 0],
         ]
         # the UNSAT probe's digest covers the SAT probe's CNF and the added clauses
         assert [p[7] for p in probes] == [
-            "f7d4f8edde75284525e93183f0380bfdce920c93c6848771c9c2d9949d6119c3",
-            "2417f877f841464a79bd6c4f5cf219ffea5f18d285af9b9636d96f62cb057d68",
+            "ba1ba66968f57702c22398f483990b2572b48cbc79939f2fab2a06ee05f49054",
+            "8f1ff5b26e55ef94dda8fb2df766971a35263637b4d03c97a396a575760b25d4",
         ]

@@ -230,21 +230,21 @@ class TestBudgets:
         assert [(p.length, p.status) for p in exc.value.probes] == [(1, UNSAT), (2, UNSAT)]
 
     def test_limits_count_per_probe(self):
-        # pn(9)'s probes need 106 and 21 conflicts on one engine: a limit
-        # of 110 covers each probe but not their sum
-        out = min_csw(pn(9), backend=Backend(limits=SolverLimits(max_conflicts=110)))
+        # pn(9)'s probes need 111 and 2 conflicts on one engine: a limit
+        # of 112 covers each probe but not their sum
+        out = min_csw(pn(9), backend=Backend(limits=SolverLimits(max_conflicts=112)))
         assert [(p.length, p.status, p.stats.conflicts) for p in out.probes] == [
-            (73, SAT, 106),
-            (72, UNSAT, 21),
+            (73, SAT, 111),
+            (72, UNSAT, 2),
         ]
 
     @pytest.mark.parametrize(
         "limits", [SolverLimits(max_conflicts=100), SolverLimits(max_decisions=420)]
     )
     def test_limits_bound_the_sum_of_a_probes_solves(self, limits):
-        # pn(9)'s probe at 73 pauses at 32 and 64 conflicts for a group to
-        # join, and needs 106 conflicts and 429 decisions in all; no one
-        # of its three solves reaches either limit
+        # pn(9)'s probe at 73 pauses at 32, 64 and 96 conflicts for a group
+        # to join, and needs 111 conflicts and 466 decisions in all; no one
+        # of its four solves reaches either limit
         with pytest.raises(BudgetExceeded, match="limit") as exc:
             min_csw(pn(9), backend=Backend(limits=limits))
         assert exc.value.probes == ()
@@ -404,7 +404,7 @@ def _descent_sizes(pfa, out, sets=()):
 
 class TestTripleGate:
     """A probe carries the group of sets of k states, k = 3 and 4, when
-    C(n, k) is at most its plain clause count."""
+    k <= n - 2 and C(n, k) is at most its plain clause count."""
 
     def test_short_words_on_wide_automata_keep_the_pair_encoding(self, monkeypatch):
         def refuse(self, k):
@@ -432,11 +432,36 @@ class TestTripleGate:
         quads = DistanceTables(pfa).far(4)
         assert all(set_clause_count(quads, p.length) > 0 for p in out.probes)
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_no_probe_starts_past_two_below_the_state_count(self, n):
+        # long words pass every C(n, k) test, so n - 2 alone stops them
+        pfa = pn(n)
+        distances = DistanceTables(pfa)
+        tops = {len(search._probe_groups(pfa, distances, length)) + 1 for length in range(1, 200)}
+        assert max(tops) == min(search.PROBE_SET_SIZE, max(2, n - 2))
+
+    @pytest.mark.parametrize("pfa", [C3, pn(4)], ids=["C3", "pn4"])
+    def test_short_automata_search_no_set_table(self, monkeypatch, pfa):
+        def refuse(self, k):
+            raise AssertionError(f"{k}-set table searched")
+
+        monkeypatch.setattr(DistanceTables, "_search", refuse)
+        monkeypatch.setattr("cswsat.search.ESCALATE_AFTER", 1)
+        for precheck in (True, False):
+            assert min_csw(pfa, precheck=precheck).min_length == power_bfs(pfa).min_length
+
+    def test_three_states_are_refuted_by_search(self):
+        # with the pair group alone, C3's probe at 3 takes conflicts: no
+        # group of the whole state set refutes it at level 0
+        sat, unsat = min_csw(C3).probes
+        assert [(p.length, p.status) for p in (sat, unsat)] == [(4, SAT), (3, UNSAT)]
+        assert unsat.stats.conflicts > 0
+
     def test_table_is_built_once(self, monkeypatch):
         # one search per set size, the triples' included, over all probes
         calls = []
         log_calls(monkeypatch, calls, lambda self, k: k, "_search", DistanceTables)
-        out = min_csw(pn(5), precheck=False)
+        out = min_csw(pn(6), precheck=False)
         assert len(out.probes) > 2
         assert calls == [3, 4]
 
@@ -480,7 +505,7 @@ class TestTripleGate:
 class TestEscalation:
     """A probe on the built-in engine takes the next set size's group at
     level 0 after each ESCALATE_AFTER conflicts of its own, for sizes up
-    to MAX_SET_SIZE and n - 2 states that pass the C(n, k) gate."""
+    to n - 2 states that pass the C(n, k) gate."""
 
     def test_hard_probe_takes_the_five_and_six_set_groups(self):
         pfa = pn(8)
@@ -500,12 +525,14 @@ class TestEscalation:
         out = min_csw(pn(7))
         assert [p.escalations for p in out.probes] == [((32, 5),), ()]
 
-    def test_cap_is_the_search_modules_alone(self, monkeypatch):
-        # one more size joins pn(10)'s hard probe, and the answer stays
-        monkeypatch.setattr("cswsat.search.MAX_SET_SIZE", 7)
+    def test_sizes_run_up_to_two_below_the_state_count(self):
+        # pn(10)'s hard probe takes every size up to 8 = n - 2, and no more
         out = min_csw(pn(10))
         assert out.min_length == 93
-        assert [p.escalations for p in out.probes] == [((32, 5), (64, 6), (96, 7)), ()]
+        assert [p.escalations for p in out.probes] == [
+            ((32, 5), (64, 6), (96, 7), (128, 8)),
+            (),
+        ]
 
     def test_probes_past_the_table_gate_never_pause(self, monkeypatch):
         # C(30, 3) = 4060 sets against at most 3,055 clauses
@@ -533,6 +560,7 @@ class TestEscalation:
                 for precheck in (True, False) if exact.status == FOUND else (True,):
                     out = min_csw(pfa, precheck=precheck)
                     assert (out.status, out.min_length) == (exact.status, exact.min_length)
+                    assert all(k <= n - 2 for p in out.probes for _, k in p.escalations)
                     escalated += any(p.escalations for p in out.probes)
         assert escalated >= 30
 
@@ -588,9 +616,12 @@ class TestAgainstSubsetSearch:
             assert is_carefully_synchronizing(pfa, out.witness)
 
     def test_chain_family_matches(self):
-        for n in range(4, 7):
+        for n in range(4, 13):
             pfa = pn(n)
-            assert min_csw(pfa).min_length == power_bfs(pfa).min_length
+            out = min_csw(pfa)
+            assert out.min_length == power_bfs(pfa).min_length
+        # pn(12)'s first probe takes every size up to n - 2
+        assert [k for _, k in out.probes[0].escalations] == list(range(5, 11))
 
 
 def _exhausted(pfa, *args, **kwargs):
