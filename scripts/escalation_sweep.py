@@ -3,13 +3,14 @@
 
 For each setting of search.ESCALATE_AFTER, the conflicts a probe runs
 before the next set size joins it, and for "off" (a limit no solve
-reaches, so only the groups a probe starts with: the search before
-escalation), runs `min_csw` on `pn(5..11)` and on the first FOUND
-draw of each curve trial 0..TRIALS-1 at n = 6, 8, 10 and 12 (the draws
-`cswsat bench curve` makes with seed 0 and one hole), and records per
-instance the process CPU seconds (the least over --repeats rounds, each
-round running every setting in turn), the answer's length, the summed
-conflicts of its probes and its escalations. Prints one JSON object: per setting and
+reaches, so a probe keeps the groups it starts with: the sizes 3, 4, ...
+up to n - 2 whose tables together fit its plain clauses), runs `min_csw`
+on `pn(5..11)` and on the first FOUND draw of each curve trial
+0..TRIALS-1 at n = 6, 8, 10 and 12 (the draws `cswsat bench curve` makes
+with seed 0 and one hole), and records per instance the process CPU
+seconds (the least over --repeats rounds, each round running every
+setting in turn), the answer's length, the summed conflicts of its
+probes and its escalations. Prints one JSON object: per setting and
 family, the summed CPU seconds and conflicts, the number of instances with
 an escalation, and the per-instance figures of the chain family. Every
 setting must give the lengths of "off", or the script exits 1.

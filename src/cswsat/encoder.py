@@ -279,9 +279,13 @@ class DistanceTables:
     The search's table and levels stay for the whole object, so each size
     resumes them and none is searched twice. They hold one entry and one
     tuple for every merging set of at most k states, far more than the
-    lists. `search.min_csw` asks for far(k) only when no size up to k has
-    more sets, C(n, j), than a probe's plain clause count, at most
-    MAX_CLAUSES, so the budget that bounds the probe bounds them too.
+    lists. `search.min_csw` asks for the sizes a probe starts with only
+    while their sets together, C(n, 3) + ... + C(n, k), are at most its
+    plain clause count, itself at most MAX_CLAUSES, and for a size that
+    joins a hard probe when C(n, k) alone is. So the sizes a probe starts
+    with share one count, each size that joins it takes up to one more,
+    and with the sizes 3 to n - 2 all joined the held sets number up to
+    n - 4 such counts.
     """
 
     def __init__(self, pfa: Pfa):

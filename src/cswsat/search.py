@@ -33,29 +33,32 @@ external solver, gets CNF(lo), with lo's own groups, as a probe of its own.
 Every probe also carries the encoder's distance groups. For k = 2, states
 p and q may not both be active after t steps when no word of length
 ell - t merges them. The group for sets of k > 2 states is the same rule
-for k states none of whose subsets is forbidden yet. One rule admits it
-to a probe, from its start or later: k <= n - 2, and C(n, k) at most the
-probe's plain clause count, which on these automata means a long word. A
-real word makes x[q,t] true exactly on its image after t letters, and the
-rest of that word merges the whole image, so the clauses remove no real
-word and no length's answer changes. The tables come from one
+for k states none of whose subsets is forbidden yet. A real word makes
+x[q,t] true exactly on its image after t letters, and the rest of that
+word merges the whole image, so the clauses remove no real word and no
+length's answer changes. The tables come from one
 `encoder.DistanceTables` per run, shared with the pre-check's bound and
 checked once before anything uses them; a pair that never merges refutes
 the automaton before any probe.
 
-A probe starts with the sizes up to PROBE_SET_SIZE that the rule admits.
-On the built-in engine it escalates when it proves hard: at each
-ESCALATE_AFTER conflicts since its start or last escalation, its solve
-pauses, the group of k = top + 1 states (top the largest size it carries)
-joins at level 0 at its length if k passes the rule and the engine stays
-within MAX_CLAUSES, and the solve goes on with what it learned.
+No table may be larger than the probe: a probe starts with the groups of
+k = 3, 4, ... states while k <= n - 2 and C(n, 3) + ... + C(n, k) is at
+most its plain clause count, which on these automata means a long word,
+and while it stays within MAX_CLAUSES. On the built-in engine it
+escalates when it proves hard: at each ESCALATE_AFTER conflicts since its
+start or last escalation, its solve pauses, the group of k = top + 1
+states (top the largest size it carries) joins at level 0 at its length
+if k <= n - 2, C(n, k) alone is at most the plain clause count and the
+engine stays within MAX_CLAUSES, and the solve goes on with what it
+learned.
 The n - 2 bound keeps every group away from the whole state set, whose
 group alone refutes min - 1. It does not keep the refutation with the
-search: on pn(4..14), level-0 propagation refutes min - 1 in at most 2
-conflicts, which is sound, as every group is checked. A probe below takes
-every group its engine holds, and may escalate further. A probe that never
-pauses searches as before, and an external solver or a backend without
-`start` never escalates.
+search: on pn(4..13), level-0 propagation refutes min - 1 with no
+conflict, and pn(14) and pn(15) take 7 and 2, which is sound, as every
+group is checked.
+A probe below takes every group its engine holds, and may escalate
+further. A probe that never pauses searches as before, and an external
+solver or a backend without `start` never escalates.
 """
 
 from __future__ import annotations
@@ -102,9 +105,7 @@ __all__ = [
 
 DEFAULT_MAX_LENGTH = 1 << 20
 
-# Largest set size a probe carries from its start; larger ones join it
-# after each ESCALATE_AFTER conflicts (BENCH_escalation.json)
-PROBE_SET_SIZE = 4
+# Conflicts a probe runs between set sizes joining it (BENCH_escalation.json)
 ESCALATE_AFTER = 32
 
 # SearchOutcome.upper_bound_source values: where the first probe length came from
@@ -164,10 +165,12 @@ def min_csw(
     Each probe appends the distance groups of the module docstring, from
     one `encoder.DistanceTables` that the `power_bfs` pre-check's bound
     shares. A table is built on the first probe under the size budget that
-    admits its set size, or escalates to it, unless that bound has built
-    the pair table. So no set table is larger than the probe, nor than
-    MAX_CLAUSES. When the run's first probe fits the budget and a state
-    pair never merges, the answer is NOT_SYNCHRONIZING, with no probe made.
+    starts with its set size, or escalates to it, unless that bound has
+    built the pair table. So the set tables a probe starts with are no
+    larger in all than the probe, one that joins it no larger alone, and
+    none larger than MAX_CLAUSES. When the run's first probe fits the
+    budget and a state pair never merges, the answer is NOT_SYNCHRONIZING,
+    with no probe made.
 
     Raises ModelVerificationError when a table fails its check. Raises
     BudgetExceeded (with a `probes` attribute holding the partial
@@ -328,17 +331,27 @@ def _admits(n: int, k: int, plain: int) -> bool:
 
 def _probe_groups(pfa: Pfa, distances: DistanceTables, length: int) -> list:
     """The distance lists a probe of `length` carries from its start: under
-    the size budget, the pairs and each size 3..top that `_admits`, top at
-    most PROBE_SET_SIZE. Stopping at the first size refused loses none: 3
-    refused and 4 admitted needs n >= 6 and C(n, 4) < C(n, 3), so n = 6,
-    and every plain encoding of 6 states has more than C(6, 3) clauses."""
+    the size budget, the pairs and the sets of k = 3, 4, ... states while
+    k <= n - 2 and C(n, 3) + ... + C(n, k) is at most the probe's plain
+    clause count, that is while `_admits` passes k against the plain count
+    less the tables before it, and the group keeps the probe within
+    MAX_CLAUSES."""
     plain = clause_count(pfa.n, pfa.m, length)
     if plain > MAX_CLAUSES:
         return []
-    top = 2
-    while top < PROBE_SET_SIZE and _admits(pfa.n, top + 1, plain):
-        top += 1
-    return [distances.far(k) for k in range(2, top + 1)]
+    groups = [distances.far(2)]
+    size = plain + set_clause_count(groups[0], length)
+    spare = plain
+    k = 3
+    while _admits(pfa.n, k, spare):
+        sets = distances.far(k)
+        size += set_clause_count(sets, length)
+        if size > MAX_CLAUSES:
+            break
+        groups.append(sets)
+        spare -= math.comb(pfa.n, k)
+        k += 1
+    return groups
 
 
 def _gallop_and_bisect(probe, max_length: int) -> Optional[int]:

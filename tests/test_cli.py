@@ -337,10 +337,10 @@ class TestCommandSurface:
 
     def test_min_probe_escalation_column(self, tmp_path, capsys):
         probes = tmp_path / "probes.csv"
-        path = self._pfa_file(tmp_path, serialize_pfa(pn(8)))
+        path = self._pfa_file(tmp_path, serialize_pfa(pn(12)))
         assert main(["min", path, "--emit-probes", str(probes)]) == 0
         rows = list(csv.DictReader(io.StringIO(probes.read_text())))
-        assert [(r["length"], r["escalations"]) for r in rows] == [("55", "32:5;64:6"), ("54", "")]
+        assert [(r["length"], r["escalations"]) for r in rows] == [("141", "32:9;64:10"), ("140", "")]
 
     def test_min_budget_exit(self, tmp_path, capsys):
         code = main(

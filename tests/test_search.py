@@ -166,31 +166,31 @@ class TestSearchIdentity:
                 [(12, SAT, 8296, 25, 624, 2345, 0), (11, UNSAT, 10066, 34, 87, 2792, 0)],
                 "aabaaaaaabab",
             ),
-            # the 5-set group joins pn(7)'s probe at 39 after 32
-            # conflicts, the 6-set group pn(8)'s at 55 after 64
+            # pn(7)'s probe at 39 starts with the groups of 3 to 5
+            # states, pn(8)'s at 55 with those of 3 to 6: neither escalates
             (
                 pn(7),
-                [(39, SAT, 1041, 40, 149, 981, 0), (38, UNSAT, 1122, 0, 0, 0, 0)],
+                [(39, SAT, 1041, 7, 43, 363, 0), (38, UNSAT, 1122, 0, 0, 0, 0)],
                 "aababaabababaabbabbabaabbbabbaabbbbabaa",
             ),
             (
                 pn(8),
-                [(55, SAT, 1834, 79, 336, 1974, 0), (54, UNSAT, 2010, 0, 0, 0, 0)],
+                [(55, SAT, 1834, 9, 65, 563, 0), (54, UNSAT, 2010, 0, 0, 0, 0)],
                 "aabababaabababaabbabaabbabaabbbabbbaabbbbabbaabbbbbabaa",
             ),
             # galloping: the triple group joins at length 4, the 4-set
-            # group at 8
+            # group at 16 only, whose plain clauses cover both tables
             (
                 (random_pfa(GenConfig(n=10, seed=1)), False),
                 [
                     (1, UNSAT, 110, 0, 0, 0, 0),
                     (2, UNSAT, 157, 0, 0, 0, 0),
                     (4, UNSAT, 248, 0, 0, 0, 0),
-                    (8, UNSAT, 383, 0, 0, 0, 0),
+                    (8, UNSAT, 376, 0, 0, 0, 0),
                     (16, SAT, 559, 0, 102, 90, 0),
-                    (12, SAT, 471, 0, 56, 88, 0),
-                    (10, SAT, 427, 0, 34, 86, 0),
-                    (9, SAT, 405, 0, 29, 79, 0),
+                    (12, SAT, 464, 0, 56, 88, 0),
+                    (10, SAT, 420, 0, 34, 86, 0),
+                    (9, SAT, 398, 0, 29, 79, 0),
                 ],
                 "ababababa",
             ),
@@ -230,23 +230,24 @@ class TestBudgets:
         assert [(p.length, p.status) for p in exc.value.probes] == [(1, UNSAT), (2, UNSAT)]
 
     def test_limits_count_per_probe(self):
-        # pn(9)'s probes need 111 and 2 conflicts on one engine: a limit
-        # of 112 covers each probe but not their sum
-        out = min_csw(pn(9), backend=Backend(limits=SolverLimits(max_conflicts=112)))
+        # random n=60 seed 1's probes need 25 and 34 conflicts on one
+        # engine: a limit of 34 covers each probe but not their sum
+        pfa = random_pfa(GenConfig(n=60, seed=1))
+        out = min_csw(pfa, backend=Backend(limits=SolverLimits(max_conflicts=34)))
         assert [(p.length, p.status, p.stats.conflicts) for p in out.probes] == [
-            (73, SAT, 111),
-            (72, UNSAT, 2),
+            (12, SAT, 25),
+            (11, UNSAT, 34),
         ]
 
     @pytest.mark.parametrize(
-        "limits", [SolverLimits(max_conflicts=100), SolverLimits(max_decisions=420)]
+        "limits", [SolverLimits(max_conflicts=80), SolverLimits(max_decisions=500)]
     )
     def test_limits_bound_the_sum_of_a_probes_solves(self, limits):
-        # pn(9)'s probe at 73 pauses at 32, 64 and 96 conflicts for a group
-        # to join, and needs 111 conflicts and 466 decisions in all; no one
-        # of its four solves reaches either limit
+        # pn(12)'s probe at 141 pauses at 32 and 64 conflicts for a group
+        # to join, and needs 94 conflicts and 542 decisions in all; no one
+        # of its three solves reaches either limit
         with pytest.raises(BudgetExceeded, match="limit") as exc:
-            min_csw(pn(9), backend=Backend(limits=limits))
+            min_csw(pn(12), backend=Backend(limits=limits))
         assert exc.value.probes == ()
 
     def test_overrun_below_keeps_the_sat_probe(self):
@@ -266,14 +267,29 @@ class TestBudgets:
 
     def test_group_over_the_clause_budget_stays_out(self, monkeypatch):
         # the 5-set group would take pn(7)'s probe at 39 from 1,011 to
-        # 1,041 clauses: it stays out, and the probe goes on with its
-        # search as if it had never paused
+        # 1,041 clauses: it stays out of the probe's start, and when the
+        # probe pauses for it, the probe goes on as if it had never paused
         monkeypatch.setattr("cswsat.search.MAX_CLAUSES", 1030)
         with pytest.raises(BudgetExceeded, match="length 38 needs 1081 clauses") as exc:
             min_csw(pn(7))
         (sat,) = exc.value.probes
         assert (sat.length, sat.status, sat.clauses, sat.escalations) == (39, SAT, 1011, ())
         assert (sat.stats.conflicts, sat.stats.decisions, sat.stats.propagations) == (41, 145, 969)
+
+    def test_start_stops_at_the_first_group_over_the_clause_budget(self, monkeypatch):
+        # pn(7)'s probe at 39 would start with 1,011 clauses with the
+        # 4-set group, 1,041 with the 5-set group too: under a budget of
+        # 990 it starts with the pairs and triples alone, and the probe
+        # below, at 1,000 clauses, is refused
+        monkeypatch.setattr("cswsat.encoder.MAX_CLAUSES", 990)
+        monkeypatch.setattr("cswsat.search.MAX_CLAUSES", 990)
+        pfa = pn(7)
+        with pytest.raises(BudgetExceeded, match="length 38 needs 1000 clauses") as exc:
+            min_csw(pfa)
+        (sat,) = exc.value.probes
+        distances = DistanceTables(pfa)
+        assert (sat.length, sat.status, sat.escalations) == (39, SAT, ())
+        assert sat.clauses == 953 == len(encode(pfa, 39, [distances.far(2), distances.far(3)]).clauses)
 
     def test_oversized_probe_is_refused(self):
         # the final at-most-one block alone is 1500*1499/2 clauses
@@ -403,8 +419,9 @@ def _descent_sizes(pfa, out, sets=()):
 
 
 class TestTripleGate:
-    """A probe carries the group of sets of k states, k = 3 and 4, when
-    k <= n - 2 and C(n, k) is at most its plain clause count."""
+    """A probe starts with the groups of sets of k = 3, 4, ... states
+    while k <= n - 2 and C(n, 3) + ... + C(n, k) is at most its plain
+    clause count."""
 
     def test_short_words_on_wide_automata_keep_the_pair_encoding(self, monkeypatch):
         def refuse(self, k):
@@ -434,11 +451,39 @@ class TestTripleGate:
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_no_probe_starts_past_two_below_the_state_count(self, n):
-        # long words pass every C(n, k) test, so n - 2 alone stops them
+        # long words pass every sum of C(n, k), so n - 2 alone stops them
         pfa = pn(n)
         distances = DistanceTables(pfa)
         tops = {len(search._probe_groups(pfa, distances, length)) + 1 for length in range(1, 200)}
-        assert max(tops) == min(search.PROBE_SET_SIZE, max(2, n - 2))
+        assert max(tops) == max(2, n - 2)
+
+    @pytest.mark.parametrize(
+        "pfa",
+        [pn(n) for n in range(3, 15)]
+        + [random_pfa(GenConfig(n=n, seed=seed)) for n in range(4, 13) for seed in range(6)],
+        ids=[f"pn{n}" for n in range(3, 15)]
+        + [f"n{n}-s{seed}" for n in range(4, 13) for seed in range(6)],
+    )
+    def test_starting_tables_fit_the_probe_together(self, monkeypatch, pfa):
+        # at every probed length, gallops included, the set tables a probe
+        # starts with have no more sets in all than its plain clauses
+        starts = []
+        original = search._probe_groups
+
+        def logged(pfa, distances, length):
+            groups = original(pfa, distances, length)
+            starts.append((length, len(groups) + 1))
+            return groups
+
+        monkeypatch.setattr(search, "_probe_groups", logged)
+        found = power_bfs(pfa).status == FOUND
+        for precheck in (True, False) if found and pfa.n < 13 else (True,):
+            min_csw(pfa, precheck=precheck)
+        assert bool(starts) == found
+        for length, top in starts:
+            assert top <= max(2, pfa.n - 2)
+            tables = sum(math.comb(pfa.n, k) for k in range(3, top + 1))
+            assert tables <= clause_count(pfa.n, pfa.m, length)
 
     @pytest.mark.parametrize("pfa", [C3, pn(4)], ids=["C3", "pn4"])
     def test_short_automata_search_no_set_table(self, monkeypatch, pfa):
@@ -476,30 +521,32 @@ class TestTripleGate:
     def test_gate_is_per_probe(self):
         # galloping from length 1: the triple group waits for the first
         # probe whose plain encoding has at least C(10, 3) = 120 clauses,
-        # the 4-set group for one with at least C(10, 4) = 210
+        # the 4-set group for one with at least C(10, 3) + C(10, 4) = 330,
+        # and the 5-set group would need 330 + C(10, 5) = 582
         pfa = random_pfa(GenConfig(n=10, seed=1))
         out = min_csw(pfa, precheck=False)
         distances = DistanceTables(pfa)
         triples, quads = distances.far(3), distances.far(4)
         plain = [clause_count(10, pfa.m, p.length) for p in out.probes]
-        assert plain[0] < 120 <= plain[-1]
-        assert any(120 <= count < 210 for count in plain) and plain[-1] >= 210
+        assert plain[0] < 120 <= plain[-1] < 330 <= max(plain) < 582
+        # C(10, 4) = 210 alone would have let the 4-set group in here
+        assert any(210 <= count < 330 for count in plain)
         assert [p.clauses for p in out.probes] == [
             size
             + (set_clause_count(triples, p.length) if count >= 120 else 0)
-            + (set_clause_count(quads, p.length) if count >= 210 else 0)
+            + (set_clause_count(quads, p.length) if count >= 330 else 0)
             for p, size, count in zip(out.probes, _probe_sizes(pfa, out), plain)
         ]
 
     def test_tables_grow_with_the_gate(self, monkeypatch):
-        # the probe at 4 builds the triple list, the one at 8 the 4-set
+        # the probe at 4 builds the triple list, the one at 16 the 4-set
         # list by resuming that search: the triples are searched once
         events = []
         log_calls(monkeypatch, events, lambda self, k: k, "_search", DistanceTables)
         log_calls(monkeypatch, events, lambda pfa, length, groups: f"probe {length}", "encode", search)
         min_csw(random_pfa(GenConfig(n=10, seed=1)), precheck=False)
-        assert events[:6] == ["probe 1", "probe 2", 3, "probe 4", 4, "probe 8"]
-        assert all(isinstance(event, str) for event in events[6:])
+        assert events[:7] == ["probe 1", "probe 2", 3, "probe 4", "probe 8", 4, "probe 16"]
+        assert all(isinstance(event, str) for event in events[7:])
 
 
 class TestEscalation:
@@ -507,30 +554,39 @@ class TestEscalation:
     level 0 after each ESCALATE_AFTER conflicts of its own, for sizes up
     to n - 2 states that pass the C(n, k) gate."""
 
-    def test_hard_probe_takes_the_five_and_six_set_groups(self):
-        pfa = pn(8)
+    def test_hard_probe_takes_the_five_and_six_set_groups(self, monkeypatch):
+        # random n=8 seed 10's probe at 7 starts with the triples and the
+        # 4-set group, 56 + 70 sets against 162 plain clauses, and at a
+        # limit of 1 takes the 5- and 6-set groups after 1 and 2 conflicts
+        monkeypatch.setattr("cswsat.search.ESCALATE_AFTER", 1)
+        pfa = random_pfa(GenConfig(n=8, seed=10))
         out = min_csw(pfa)
-        assert [p.escalations for p in out.probes] == [((32, 5), (64, 6)), ()]
+        assert [p.escalations for p in out.probes] == [((1, 5), (2, 6)), ()]
         groups = [DistanceTables(pfa).far(k) for k in range(2, 7)]
         sat, unsat = out.probes
-        assert sat.clauses == clause_count(8, 2, 55) + sum(
-            set_clause_count(group, 55) for group in groups
+        assert sat.clauses == clause_count(8, pfa.m, 7) + sum(
+            set_clause_count(group, 7) for group in groups
         )
         # the probe below takes every group the engine holds down to 54
         hi, lo = (set(encode(pfa, p.length, groups).clauses) for p in out.probes)
         assert unsat.clauses == sat.clauses + len(lo - hi)
 
-    def test_sizes_stop_two_below_the_state_count(self):
-        # pn(7)'s probe at 39 needs 40 conflicts; 6 states would be n - 1
+    def test_sizes_stop_two_below_the_state_count(self, monkeypatch):
+        # pn(7)'s probe at 39 starts with sizes up to 5 and needs 7
+        # conflicts; even at a limit of 1, 6 states would be n - 1
+        monkeypatch.setattr("cswsat.search.ESCALATE_AFTER", 1)
         out = min_csw(pn(7))
-        assert [p.escalations for p in out.probes] == [((32, 5),), ()]
+        assert out.probes[0].stats.conflicts == 7
+        assert [p.escalations for p in out.probes] == [(), ()]
 
     def test_sizes_run_up_to_two_below_the_state_count(self):
-        # pn(10)'s hard probe takes every size up to 8 = n - 2, and no more
-        out = min_csw(pn(10))
-        assert out.min_length == 93
+        # pn(13)'s hard probe starts with sizes up to 6 and takes every
+        # size up to 11 = n - 2, and no more: it needs 193 conflicts
+        out = min_csw(pn(13))
+        assert out.min_length == 168
+        assert out.probes[0].stats.conflicts > 6 * search.ESCALATE_AFTER
         assert [p.escalations for p in out.probes] == [
-            ((32, 5), (64, 6), (96, 7), (128, 8)),
+            ((32, 7), (64, 8), (96, 9), (128, 10), (160, 11)),
             (),
         ]
 
@@ -549,11 +605,11 @@ class TestEscalation:
         assert [p.escalations for p in out.probes] == [(), ()]
 
     def test_escalating_at_every_conflict_keeps_the_answers(self, monkeypatch):
-        # with a limit of 1, about half of these runs escalate, gallops
+        # with a limit of 1, about a quarter of these runs escalate, gallops
         # included; every answer still matches subset search
         monkeypatch.setattr("cswsat.search.ESCALATE_AFTER", 1)
         escalated = 0
-        for n in (7, 8, 9):
+        for n in (7, 8, 9, 10, 11):
             for seed in range(15):
                 pfa = random_pfa(GenConfig(n=n, seed=seed))
                 exact = power_bfs(pfa)
@@ -565,31 +621,31 @@ class TestEscalation:
         assert escalated >= 30
 
     def test_warm_probe_escalates_further(self, monkeypatch):
-        # descending from a word two letters too long with a limit of 60,
-        # the 5-set group joins the first probe, at 57, and the 6-set group
-        # the probe at 56 on the same engine
+        # descending from a word two letters too long with a limit of 100,
+        # the 9-set group joins the first probe, at 143, and the 10-set
+        # group the probe at 142 on the same engine
         def overrun(pfa, *args, **kwargs):
             exc = BudgetExceeded("subset budget exceeded")
             exc.word = power_bfs(pfa).witness + (1, 1)
             raise exc
 
-        pfa = pn(8)
-        monkeypatch.setattr("cswsat.search.ESCALATE_AFTER", 60)
+        pfa = pn(12)
+        monkeypatch.setattr("cswsat.search.ESCALATE_AFTER", 100)
         monkeypatch.setattr("cswsat.search.power_bfs", overrun)
         out = min_csw(pfa)
-        assert (out.status, out.min_length) == (FOUND, 55)
+        assert (out.status, out.min_length) == (FOUND, 141)
         assert [(p.length, p.status, p.escalations) for p in out.probes] == [
-            (57, SAT, ((60, 5),)),
-            (56, SAT, ((60, 6),)),
-            (55, SAT, ()),
-            (54, UNSAT, ()),
-            (55, SAT, ((60, 5),)),
+            (143, SAT, ((100, 9),)),
+            (142, SAT, ((100, 10),)),
+            (141, SAT, ()),
+            (140, UNSAT, ()),
+            (141, SAT, ((100, 9),)),
         ]
         distances = DistanceTables(pfa)
-        groups = [distances.far(k) for k in range(2, 6)]
-        hi, lo = (set(encode(pfa, length, groups).clauses) for length in (57, 56))
+        groups = [distances.far(k) for k in range(2, 10)]
+        hi, lo = (set(encode(pfa, length, groups).clauses) for length in (143, 142))
         assert out.probes[1].clauses == out.probes[0].clauses + len(lo - hi) + set_clause_count(
-            distances.far(6), 56
+            distances.far(10), 142
         )
 
 
@@ -620,8 +676,11 @@ class TestAgainstSubsetSearch:
             pfa = pn(n)
             out = min_csw(pfa)
             assert out.min_length == power_bfs(pfa).min_length
-        # pn(12)'s first probe takes every size up to n - 2
-        assert [k for _, k in out.probes[0].escalations] == list(range(5, 11))
+        # pn(12)'s first probe starts with sizes 3 to 8, C(12, 3) + ...
+        # + C(12, 8) = 3,718 sets within its 3,744 plain clauses (3,938
+        # with 9), and takes 9 and 10 = n - 2 by escalation
+        assert len(search._probe_groups(pfa, DistanceTables(pfa), 141)) + 1 == 8
+        assert [k for _, k in out.probes[0].escalations] == [9, 10]
 
 
 def _exhausted(pfa, *args, **kwargs):
