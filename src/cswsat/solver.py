@@ -14,6 +14,13 @@ the watch loop tests a literal with one lookup. Backtracking clears both
 slots and leaves the variable's reason stale, since a reason is read only
 while its variable is assigned.
 
+A clause is a list of literal codes, and the engine refers to it by that
+list alone: the watch lists of its first two codes hold the list itself,
+and so does the reason of each variable it implies (None for a decision
+or a level-0 unit). The watch loop tests the third code of a 3-literal
+clause directly and scans only clauses of 4 or more; a binary clause has
+no other literal and goes straight to the unit or conflict test.
+
 Decisions come from a lazy binary heap of (-activity, variable) entries.
 Bumping a variable makes its old entry stale instead of removing it, and a
 stale entry is dropped when popped. The `in_heap` flags keep at most one
@@ -86,11 +93,18 @@ class SolverOutputError(ExternalSolverError):
 
 @dataclass(frozen=True)
 class SolverLimits:
-    """Optional resource caps; None means unlimited."""
+    """Optional resource caps; None means unlimited. A cap is at least 0."""
 
     max_conflicts: Optional[int] = None
     max_decisions: Optional[int] = None
     max_seconds: Optional[float] = None
+
+    def __post_init__(self):
+        for name in ("max_conflicts", "max_decisions", "max_seconds"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:  # NaN fails as well
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{name} ({flag}) must be at least 0, got {value}")
 
 
 @dataclass
@@ -148,13 +162,13 @@ class Session:
         nv = self.nvars
         self.lv = [-1] * (2 * nv + 2)
         self.level = [0] * (nv + 1)
-        self.reason = [-1] * (nv + 1)
+        self.reason = [None] * (nv + 1)
         self.polarity = [False] * (nv + 1)
         self.activity = [0.0] * (nv + 1)
         self.seen = bytearray(nv + 1)
         self.watches = [[] for _ in range(2 * nv + 2)]
-        self.clauses = []
-        self.learned = {}  # clause index -> glue (distinct decision levels)
+        # (clause, glue) in creation order; glue counts distinct decision levels
+        self.learned = []
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
@@ -180,7 +194,6 @@ class Session:
         at the current level, 0; clear `ok` at an empty clause or a unit
         that contradicts the trail."""
         code = self.code_of
-        clauses = self.clauses
         watches = self.watches
         for clause in new_clauses:
             # codes 2v and 2v + 1 sort side by side, so a variable that
@@ -204,11 +217,9 @@ class Session:
                 if len(lits) > len({c >> 1 for c in lits}):
                     continue  # a tautology, always satisfied
             if len(lits) > 1:
-                ci = len(clauses)
-                watches[lits[0]].append(ci)
-                watches[lits[1]].append(ci)
-                clauses.append(lits)
-            elif not lits or not self._enqueue(lits[0], -1):
+                watches[lits[0]].append(lits)
+                watches[lits[1]].append(lits)
+            elif not lits or not self._enqueue(lits[0], None):
                 self.ok = False
                 return
 
@@ -222,7 +233,7 @@ class Session:
         self.qhead = 0
         self._parts.append(added)
 
-    def _enqueue(self, code: int, reason: int) -> bool:
+    def _enqueue(self, code: int, reason: Optional[list]) -> bool:
         lv = self.lv
         if lv[code] != -1:
             return lv[code] == 1
@@ -234,10 +245,11 @@ class Session:
         self.trail.append(code)
         return True
 
-    def _propagate(self) -> int:
-        """Exhaust unit propagation; return a conflicting clause index or -1."""
+    def _propagate(self) -> Optional[list]:
+        """Exhaust unit propagation; return a conflicting clause or None.
+        Each watch list holds the clauses watched on its code, and the
+        reason of each implied variable is the clause that implied it."""
         watches = self.watches
-        clauses = self.clauses
         lv = self.lv
         level = self.level
         reason = self.reason
@@ -252,45 +264,55 @@ class Session:
             i = j = 0
             end = len(wl)
             while i < end:
-                ci = wl[i]
+                lits = wl[i]
                 i += 1
-                lits = clauses[ci]
                 first = lits[0]
                 if first == falsified:
                     first = lits[0] = lits[1]
                     lits[1] = falsified
                 if lv[first] == 1:
-                    wl[j] = ci
+                    wl[j] = lits
                     j += 1
                     continue
-                for k in range(2, len(lits)):
-                    lk = lits[k]
+                # look for another watch: the third code of a 3-literal
+                # clause, or a scan of a longer one; a binary clause has none
+                if len(lits) == 3:
+                    lk = lits[2]
                     if lv[lk]:  # not false
                         lits[1] = lk
-                        lits[k] = falsified
-                        watches[lk].append(ci)
-                        break
-                else:
-                    # no other watch: the clause is unit or conflicting
-                    wl[j] = ci
-                    j += 1
-                    if lv[first] == 0:
-                        # conflict: keep the rest of the watch list intact
-                        del wl[j:i]
-                        self.qhead = len(trail)
-                        self.stats.propagations += props
-                        return ci
-                    props += 1
-                    lv[first] = 1
-                    lv[first ^ 1] = 0
-                    v = first >> 1
-                    level[v] = cur
-                    reason[v] = ci
-                    trail.append(first)
+                        lits[2] = falsified
+                        watches[lk].append(lits)
+                        continue
+                elif len(lits) > 3:
+                    for k in range(2, len(lits)):
+                        lk = lits[k]
+                        if lv[lk]:
+                            lits[1] = lk
+                            lits[k] = falsified
+                            watches[lk].append(lits)
+                            break
+                    if lv[lk]:  # the scan moved the watch to lk
+                        continue
+                # no other watch: the clause is unit or conflicting
+                wl[j] = lits
+                j += 1
+                if lv[first] == 0:
+                    # conflict: keep the rest of the watch list intact
+                    del wl[j:i]
+                    self.qhead = len(trail)
+                    self.stats.propagations += props
+                    return lits
+                props += 1
+                lv[first] = 1
+                lv[first ^ 1] = 0
+                v = first >> 1
+                level[v] = cur
+                reason[v] = lits
+                trail.append(first)
             del wl[j:]
         self.qhead = qhead
         self.stats.propagations += props
-        return -1
+        return None
 
     def _rescale(self):
         """Scale activities and increment by 1e-100; rebuilds the heap."""
@@ -309,14 +331,13 @@ class Session:
         heapify(self.heap)
         self.in_heap = bytearray(val[v] == -1 for v in range(self.nvars + 1))
 
-    def _analyze(self, confl: int):
+    def _analyze(self, confl: list):
         """Derive the first-unique-implication-point clause for the current
         conflict. Returns (learnt literal codes, backjump level, glue)."""
         seen = self.seen
         level = self.level
         reason = self.reason
         trail = self.trail
-        clauses = self.clauses
         activity = self.activity
         var_inc = self.var_inc
         in_heap = self.in_heap
@@ -326,9 +347,8 @@ class Session:
         p = -1
         idx = len(trail) - 1
         while True:
-            lits = clauses[confl]
-            for k in range(0 if p == -1 else 1, len(lits)):
-                q = lits[k]
+            for k in range(0 if p == -1 else 1, len(confl)):
+                q = confl[k]
                 vq = q >> 1
                 lq = level[vq]
                 if not seen[vq] and lq > 0:
@@ -364,10 +384,10 @@ class Session:
         kept = [learnt[0]]
         for q in learnt[1:]:
             r = reason[q >> 1]
-            if r == -1:
+            if r is None:
                 kept.append(q)
                 continue
-            for other in clauses[r]:
+            for other in r:
                 ov = other >> 1
                 if other != q ^ 1 and not seen[ov] and level[ov] > 0:
                     kept.append(q)
@@ -423,23 +443,21 @@ class Session:
     def _reduce_db(self):
         """Forget the weakest half of the learned clauses, keeping low-glue
         clauses and any clause currently acting as a reason."""
+        # the sort is stable, so clauses that tie stay in creation order
         by_worst = sorted(
-            (ci for ci, glue in self.learned.items() if glue > 2),
-            key=lambda ci: (-self.learned[ci], -len(self.clauses[ci]), ci),
+            (entry for entry in self.learned if entry[1] > 2),
+            key=lambda entry: (-entry[1], -len(entry[0])),
         )
-        drop = set()
-        for ci in by_worst[: len(by_worst) // 2]:
-            lits = self.clauses[ci]
-            if self.reason[lits[0] >> 1] == ci and self.lv[lits[0]] != -1:
+        drop = set()  # the ids of the clauses to forget
+        for lits, _ in by_worst[: len(by_worst) // 2]:
+            if self.reason[lits[0] >> 1] is lits and self.lv[lits[0]] != -1:
                 continue
-            drop.add(ci)
+            drop.add(id(lits))
         if not drop:
             return
-        for ci in drop:
-            self.clauses[ci] = None
-            del self.learned[ci]
+        self.learned = [entry for entry in self.learned if id(entry[0]) not in drop]
         for code in range(2, 2 * self.nvars + 2):
-            self.watches[code] = [ci for ci in self.watches[code] if self.clauses[ci] is not None]
+            self.watches[code] = [lits for lits in self.watches[code] if id(lits) not in drop]
 
     def _check_budget(self):
         lim = self.limits
@@ -464,7 +482,7 @@ class Session:
         stats = self.stats
         unsat = SolveResult(status=UNSAT, model=None, stats=stats)
         # a resumed solve propagates in its loop, where a conflict counts
-        if not self.ok or (not resume and self._propagate() != -1):
+        if not self.ok or (not resume and self._propagate() is not None):
             return unsat
 
         limited = self.limits != SolverLimits()
@@ -477,7 +495,7 @@ class Session:
         while True:
             while conflicts_left > 0:
                 confl = self._propagate()
-                if confl != -1:
+                if confl is not None:
                     stats.conflicts += 1
                     conflicts_left -= 1
                     if not trail_lim:
@@ -486,14 +504,12 @@ class Session:
                     self._backtrack(back)
                     if len(learnt) == 1:
                         # back at level 0, which leaves the unit's variable free
-                        self._enqueue(learnt[0], -1)
+                        self._enqueue(learnt[0], None)
                     else:
-                        ci = len(self.clauses)
-                        self.clauses.append(learnt)
-                        self.watches[learnt[0]].append(ci)
-                        self.watches[learnt[1]].append(ci)
-                        self.learned[ci] = glue
-                        self._enqueue(learnt[0], ci)
+                        self.watches[learnt[0]].append(learnt)
+                        self.watches[learnt[1]].append(learnt)
+                        self.learned.append((learnt, glue))
+                        self._enqueue(learnt[0], learnt)
                     self.var_inc /= 0.95
                     if limited:
                         self._check_budget()
@@ -521,7 +537,7 @@ class Session:
                 lv[code ^ 1] = 0
                 v = code >> 1
                 level[v] = len(trail_lim)
-                reason[v] = -1
+                reason[v] = None
                 trail.append(code)
             # restart: reluctant doubling schedule
             stats.restarts += 1

@@ -360,6 +360,22 @@ class TestCommandSurface:
         assert flag in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-conflicts", "-5"),
+            ("--max-decisions", "-1"),
+            ("--max-seconds", "-1"),
+            ("--max-seconds", "nan"),
+        ],
+    )
+    def test_negative_or_nan_limit_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        path = self._pfa_file(tmp_path, serialize_pfa(pn(5)))
+        assert main([flag, value, "min", path]) == 1
+        captured = capsys.readouterr()
+        assert f"({flag}) must be at least 0, got" in captured.err
+        assert captured.out == ""
+
     def test_external_backend_takes_max_seconds_as_timeout(self, tmp_path, capsys):
         path = self._pfa_file(tmp_path, serialize_pfa(pn(5)))
         cmd = shim_command(tmp_path, SHIM_SLEEPER, "sleeper")

@@ -3,7 +3,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cswsat
@@ -143,8 +143,9 @@ def reference_ingest(instance, assigned=()):
     tautology is skipped, the empty clause or a unit contradicting an
     earlier one or the `assigned` codes stops ingestion, another unit is
     assigned, and a longer clause watches its first two codes. Returns
-    (ok, clauses, watches, trail), clause indices and trail counting from
-    what the instance adds."""
+    (ok, clauses, watches, trail): the watch lists hold the clauses
+    themselves, and clauses, watches and trail count from what the
+    instance adds."""
     code = lambda lit: 2 * abs(lit) + (lit < 0)  # noqa: E731
     clauses, trail, value = [], [], {c // 2: c % 2 for c in assigned}
     watches = [[] for _ in range(2 * instance.var_count + 2)]
@@ -163,10 +164,26 @@ def reference_ingest(instance, assigned=()):
             value[var] = want
             trail.append(lits[0])
             continue
-        watches[lits[0]].append(len(clauses))
-        watches[lits[1]].append(len(clauses))
+        watches[lits[0]].append(lits)
+        watches[lits[1]].append(lits)
         clauses.append(lits)
     return True, clauses, watches, trail
+
+
+def watched(watches) -> dict:
+    """id of each clause in the watch lists -> (the clause, the codes of
+    the lists that hold it, one per entry)."""
+    held = {}
+    for code, wl in enumerate(watches):
+        for lits in wl:
+            held.setdefault(id(lits), (lits, []))[1].append(code)
+    return held
+
+
+def watched_on_first_two(held) -> bool:
+    """Each clause sits once in the list of each of its first two codes
+    and in no other list."""
+    return all(sorted(codes) == sorted(lits[:2]) for lits, codes in held.values())
 
 
 @st.composite
@@ -185,12 +202,12 @@ class TestIngestion:
     def test_matches_clause_by_clause_reference(self, instance):
         engine = Session(instance)
         ok, clauses, watches, trail = reference_ingest(instance)
-        assert (engine.ok, engine.clauses, engine.watches, engine.trail) == (
-            ok,
-            clauses,
-            watches,
-            trail,
-        )
+        # the engine keeps no list of all its clauses: their order shows in
+        # each watch list, compared entry by entry with the reference's
+        assert (engine.ok, engine.watches, engine.trail) == (ok, watches, trail)
+        held = watched(engine.watches)
+        assert sorted(lits for lits, _ in held.values()) == sorted(clauses)
+        assert watched_on_first_two(held)
         # the units' codes are true, their negations false, the rest unset
         value = {c: 1 for c in trail} | {c ^ 1: 0 for c in trail}
         assert engine.lv[2:] == [value.get(c, -1) for c in range(2, len(engine.lv))]
@@ -204,14 +221,18 @@ class TestIngestion:
         engine = Session(CnfInstance(var_count=nvars, clauses=first.clauses))
         engine.solve()
         level0 = engine.trail[: engine.trail_lim[0]] if engine.trail_lim else engine.trail[:]
-        was_ok, base = engine.ok, len(engine.clauses)
+        was_ok, before = engine.ok, watched(engine.watches)
+        lengths = [len(wl) for wl in engine.watches]
         engine.extend(second.clauses)
         added = CnfInstance(var_count=nvars, clauses=second.clauses)
         ok, clauses, watches, trail = reference_ingest(added, level0)
         assert engine.ok == (was_ok and ok)
-        assert engine.clauses[base:] == clauses
-        # ingestion appends, so each watch list ends with the new indices
-        assert [[ci - base for ci in wl if ci >= base] for wl in engine.watches] == watches
+        # ingestion appends, so each watch list ends with the new clauses
+        assert [wl[n:] for wl, n in zip(engine.watches, lengths)] == watches
+        held = watched(engine.watches)
+        new = [held[key][0] for key in held.keys() - before.keys()]
+        assert sorted(new) == sorted(clauses)
+        assert watched_on_first_two(held)
         assert engine.trail == level0 + trail
         value = {c: 1 for c in engine.trail} | {c ^ 1: 0 for c in engine.trail}
         assert engine.lv[2:] == [value.get(c, -1) for c in range(2, len(engine.lv))]
@@ -222,11 +243,81 @@ class TestIngestion:
         instance = inst(3, [2, -2, 3], [1, 1], [3, -1, 3], [-3, 2], [-1], [2, 3])
         engine = Session(instance)
         assert not engine.ok
-        assert engine.clauses == [[3, 6], [4, 7]]
+        held = watched(engine.watches)
+        assert [lits for lits, _ in held.values()] == [[3, 6], [4, 7]]
         assert engine.trail == [2]
         assert [c for c, wl in enumerate(engine.watches) if wl] == [3, 4, 6, 7]
-        assert reference_ingest(instance) == (False, engine.clauses, engine.watches, [2])
+        assert watched_on_first_two(held)
+        assert reference_ingest(instance) == (False, [[3, 6], [4, 7]], engine.watches, [2])
         assert not Session(inst(2, [1, -2], [])).ok
+
+
+def naive_propagate(clauses, true):
+    """Unit propagation by sweeping every clause until none is unit: the set
+    of true literals it reaches, or None at a clause with every literal
+    false."""
+    true = set(true)
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            if not true.isdisjoint(clause):
+                continue
+            free = [lit for lit in clause if -lit not in true]
+            if not free:
+                return None
+            if len(free) == 1:
+                true.add(free[0])
+                changed = True
+    return true
+
+
+@st.composite
+def level0_cases(draw):
+    """Clauses of 2 to 6 distinct variables and a level-0 assignment."""
+    nvars = draw(st.integers(6, 9))
+    signed = lambda vs: tuple(draw(st.sampled_from([v, -v])) for v in vs)  # noqa: E731
+    var_sets = st.lists(st.integers(1, nvars), min_size=2, max_size=6, unique=True)
+    clauses = [signed(vs) for vs in draw(st.lists(var_sets, min_size=1, max_size=30))]
+    assigned = signed(draw(st.lists(st.integers(1, nvars), min_size=1, max_size=4, unique=True)))
+    return CnfInstance(var_count=nvars, clauses=tuple(clauses)), assigned
+
+
+class TestPropagation:
+    """`_propagate` from a level-0 assignment against a naive reference."""
+
+    @given(level0_cases())
+    @settings(max_examples=400)
+    # x1 true makes (-1, 2) imply x2, and (-1, -2) then conflicts in the
+    # middle of x1's watch list, before (-1, 3)
+    @example((inst(3, [-1, 2], [-1, -2], [-1, 3]), (1,)))
+    def test_matches_naive_unit_propagation(self, case):
+        instance, assigned = case
+        engine = Session(instance)
+        code = engine.code_of
+        for lit in assigned:
+            engine._enqueue(code(lit), None)
+        confl = engine._propagate()
+        expected = naive_propagate(instance.clauses, assigned)
+        lv = engine.lv
+        held = watched(engine.watches)
+        # a conflict or not, each clause keeps its two watches; the watch
+        # moves reorder a clause's codes
+        assert sorted(sorted(lits) for lits, _ in held.values()) == sorted(
+            sorted(map(code, clause)) for clause in instance.clauses
+        )
+        assert watched_on_first_two(held)
+        if expected is None:
+            assert confl is not None and id(confl) in held
+            assert all(lv[c] == 0 for c in confl)
+            return
+        assert confl is None
+        assert {c >> 1 if c & 1 == 0 else -(c >> 1) for c in engine.trail} == expected
+        # an implied literal's reason is the clause it heads, the rest false
+        for c in engine.trail[len(assigned) :]:
+            reason = engine.reason[c >> 1]
+            assert id(reason) in held and reason[0] == c
+            assert all(lv[other] == 0 for other in reason[1:])
 
 
 class TestDecisionHeap:
@@ -281,25 +372,23 @@ class TestForgetting:
         session = Session(instance)
         session.max_learned = 20
         reduce_db = session._reduce_db
+        originals = watched(session.watches)
         dropped = []
 
         def checked_reduce():
-            learned = set(session.learned)
+            # holding the entries keeps every dropped clause, and its id, alive
+            learned = list(session.learned)
             reduce_db()
-            dropped.append(len(learned - set(session.learned)))
-            clauses = session.clauses
-            watched = {}
-            for code, wl in enumerate(session.watches):
-                for ci in wl:
-                    watched.setdefault(ci, []).append(code)
-            # no watch list names a dropped clause, and each live clause is
+            live = originals.keys() | {id(lits) for lits, _ in session.learned}
+            dropped.append(len({id(lits) for lits, _ in learned} - live))
+            held = watched(session.watches)
+            # no watch list holds a dropped clause, and each live clause is
             # watched on its first two literals and nowhere else
-            assert all(clauses[ci] is not None for ci in watched)
-            live = [ci for ci, lits in enumerate(clauses) if lits is not None]
-            assert all(sorted(watched.get(ci, ())) == sorted(clauses[ci][:2]) for ci in live)
+            assert held.keys() == live
+            assert watched_on_first_two(held)
             # no assigned variable's reason clause was dropped
             reasons = (session.reason[code >> 1] for code in session.trail)
-            assert all(r == -1 or clauses[r] is not None for r in reasons)
+            assert all(r is None or id(r) in live for r in reasons)
 
         session._reduce_db = checked_reduce
         return session.solve(), dropped
@@ -326,11 +415,12 @@ class TestForgetting:
     def test_nothing_to_drop_leaves_the_database_alone(self):
         # learned clauses of glue 2 or less are always kept
         session = Session(inst(3, [1, 2], [-1, 3], [2, 3]))
-        session.learned = {0: 2, 1: 1}
+        learned = [(session.watches[2][0], 2), (session.watches[3][0], 1)]
+        session.learned = list(learned)
         watches = [list(wl) for wl in session.watches]
         session._reduce_db()
-        assert session.learned == {0: 2, 1: 1}
-        assert session.watches == watches and None not in session.clauses
+        assert session.learned == learned
+        assert session.watches == watches
 
 
 class TestSession:
@@ -454,6 +544,27 @@ class TestBudgets:
     def test_budget_not_hit_when_generous(self):
         res = solve(pigeonhole(3), limits=SolverLimits(max_conflicts=100000))
         assert res.status == UNSAT
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("max_conflicts", -5),
+            ("max_decisions", -1),
+            ("max_seconds", -1.0),
+            ("max_seconds", float("nan")),
+        ],
+    )
+    def test_negative_or_nan_limit_is_refused(self, name, value):
+        # a NaN deadline would never pass, and a negative cap would read
+        # as a budget already spent
+        with pytest.raises(ValueError, match=f"{name} .* must be at least 0"):
+            SolverLimits(**{name: value})
+
+    def test_zero_limits_are_caps(self):
+        with pytest.raises(BudgetExceeded, match="conflict limit 0"):
+            solve(pigeonhole(3), limits=SolverLimits(max_conflicts=0))
+        with pytest.raises(BudgetExceeded, match="time limit 0.0s"):
+            solve(pigeonhole(3), limits=SolverLimits(max_seconds=0.0))
 
 
 SHIM_STDIN = """\
