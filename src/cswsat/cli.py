@@ -59,6 +59,9 @@ EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_FAULT = 3
 
+# Draws per trial before a length curve or comparison gives up on it
+MAX_ATTEMPTS = 1000
+
 # Mean minimal word lengths for the one-hole random family (1000 samples per
 # state count), from the measurement series this harness reproduces. The
 # cubic trend over these points sits near 3.92 + 0.49n - 0.005n^2 +
@@ -140,7 +143,6 @@ def _found_draws(
     seed: int,
     family: Callable[[int, int], Pfa],
     answer: Callable[[Pfa], SearchOutcome],
-    max_attempts: int,
     tally: Counter,
 ) -> Iterator[tuple]:
     """Per trial, the first draw whose answer is FOUND, as (pfa, outcome,
@@ -152,7 +154,7 @@ def _found_draws(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     for trial in range(samples):
-        for attempt in range(max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             pfa = family(n, trial_seed(seed, trial, attempt))
             start = time.perf_counter()
             try:
@@ -167,7 +169,7 @@ def _found_draws(
             tally["discards"] += 1
         else:
             raise RuntimeError(
-                f"no synchronizing instance for n={n} in {max_attempts} draws"
+                f"no synchronizing instance for n={n} in {MAX_ATTEMPTS} draws"
             )
 
 
@@ -182,7 +184,6 @@ def run_experiment(
     backend: Optional[Backend] = None,
     max_length: int = DEFAULT_MAX_LENGTH,
     max_visited: int = DEFAULT_MAX_VISITED,
-    max_attempts: int = 1000,
 ) -> list:
     """Measure mean minimal word length per state count over random draws.
 
@@ -210,7 +211,7 @@ def run_experiment(
     rows = []
     for n in ns:
         tally = Counter()
-        draws = list(_found_draws(n, samples, seed, family, answer, max_attempts, tally))
+        draws = list(_found_draws(n, samples, seed, family, answer, tally))
         lengths = [outcome.min_length for _, outcome, _ in draws]
         mean = statistics.fmean(lengths)
         sd = statistics.stdev(lengths) if len(lengths) > 1 else 0.0
@@ -237,7 +238,6 @@ def compare_backends(
     backend: Optional[Backend] = None,
     max_length: int = DEFAULT_MAX_LENGTH,
     max_visited: int = DEFAULT_MAX_VISITED,
-    max_attempts: int = 1000,
 ) -> list:
     """Time both exact paths on identical instances and check they agree.
 
@@ -257,9 +257,7 @@ def compare_backends(
         sat_times = []
         oracle_times = []
         mismatches = 0
-        for pfa, exact, oracle_elapsed in _found_draws(
-            n, samples, seed, family, answer, max_attempts, tally
-        ):
+        for pfa, exact, oracle_elapsed in _found_draws(n, samples, seed, family, answer, tally):
             start = time.perf_counter()
             outcome = min_csw(pfa, max_length=max_length, backend=backend, precheck=False)
             sat_times.append(time.perf_counter() - start)
@@ -556,7 +554,7 @@ def _cmd_gen(args) -> int:
     if args.family == "pn":
         if args.count != 1:
             raise ValueError("the chain family is deterministic; --count must be 1")
-        items = [(f"# family=pn n={args.n}", f"pn_n{args.n}.txt", pn(args.n))]
+        items = [(f"family=pn n={args.n}", f"pn_n{args.n}.txt", pn(args.n))]
     else:
         items = []
         for t in range(args.count):
@@ -564,12 +562,12 @@ def _cmd_gen(args) -> int:
             cfg = GenConfig(n=args.n, undefined_count=args.k, seed=seed)
             items.append(
                 (
-                    f"# family=random n={args.n} k={args.k} seed={seed}",
+                    f"family=random n={args.n} k={args.k} seed={seed}",
                     f"random_n{args.n}_k{args.k}_{t:04d}.txt",
                     random_pfa(cfg),
                 )
             )
-    texts = [f"{comment}\n{serialize_pfa(pfa)}" for comment, _, pfa in items]
+    texts = [serialize_pfa(pfa, comment=comment) for comment, _, pfa in items]
     if args.output is None:
         if len(texts) > 1:
             raise ValueError("writing multiple automata needs --output DIR")

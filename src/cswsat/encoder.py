@@ -53,6 +53,7 @@ __all__ = [
     "CnfInstance",
     "DecodeError",
     "DimacsError",
+    "check_budget",
     "encode",
     "DistanceTables",
     "pair_distances",
@@ -78,6 +79,13 @@ def variable_count(n: int, m: int, ell: int) -> int:
 
 def clause_count(n: int, m: int, ell: int) -> int:
     return ell * (m * (m - 1) // 2 + m * n + 1) + n * (n + 1) // 2
+
+
+def check_budget(ell: int, size: int) -> None:
+    """Raise BudgetExceeded when an instance at length ell would hold
+    `size` clauses, more than MAX_CLAUSES."""
+    if size > MAX_CLAUSES:
+        raise BudgetExceeded(f"length {ell} needs {size} clauses, over the {MAX_CLAUSES} budget")
 
 
 @dataclass(frozen=True)
@@ -154,8 +162,7 @@ def encode(pfa: Pfa, ell: int, groups: Sequence = ()) -> CnfInstance:
         raise ValueError(f"target length must be >= 1, got {ell}")
     n, m = pfa.n, pfa.m
     size = clause_count(n, m, ell) + sum(set_clause_count(group, ell) for group in groups)
-    if size > MAX_CLAUSES:
-        raise BudgetExceeded(f"length {ell} needs {size} clauses, over the {MAX_CLAUSES} budget")
+    check_budget(ell, size)
     layout = VarLayout(n=n, m=m, ell=ell)
     width = m + n
     # every state active after 0 steps

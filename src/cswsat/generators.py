@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from .automaton import Pfa
 
@@ -21,17 +20,12 @@ __all__ = ["GenConfig", "random_pfa", "pn", "trial_seed"]
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Parameters for one random automaton.
-
-    `undefined_count` is how many states letter b is missing at; q_a and
-    q_b pin the anchors when given, otherwise they are drawn first.
-    """
+    """Parameters for one random automaton. `undefined_count` is how many
+    states letter b is missing at; `random_pfa` draws the anchors."""
 
     n: int
     undefined_count: int = 1
     seed: int = 0
-    q_a: Optional[int] = None
-    q_b: Optional[int] = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -40,22 +34,19 @@ class GenConfig:
             raise ValueError(
                 f"undefined_count must be in 1..{self.n}, got {self.undefined_count}"
             )
-        for anchor in (self.q_a, self.q_b):
-            if anchor is not None and not 1 <= anchor <= self.n:
-                raise ValueError(f"anchor {anchor} out of range 1..{self.n}")
 
 
 def random_pfa(config: GenConfig) -> Pfa:
     """Draw one automaton. The draw order is part of the contract (it is
-    what makes seeds reproducible): q_a if free, then q_b if free, then
-    letter a's image state by state (uniform over the states except q_a),
-    then the extra undefined positions of letter b (uniform among the
-    states except q_b, without replacement), then letter b's image on its
-    defined states in state order (uniform over all states)."""
+    what makes seeds reproducible): the anchor q_a, then q_b, then letter
+    a's image state by state (uniform over the states except q_a), then
+    the extra undefined positions of letter b (uniform among the states
+    except q_b, without replacement), then letter b's image on its defined
+    states in state order (uniform over all states)."""
     n = config.n
     rng = random.Random(config.seed)
-    q_a = config.q_a if config.q_a is not None else rng.randint(1, n)
-    q_b = config.q_b if config.q_b is not None else rng.randint(1, n)
+    q_a = rng.randint(1, n)
+    q_b = rng.randint(1, n)
 
     a_choices = [q for q in range(1, n + 1) if q != q_a]
     row_a = tuple(a_choices[rng.randrange(n - 1)] for _ in range(n))

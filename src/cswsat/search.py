@@ -38,19 +38,20 @@ x[q,t] true exactly on its image after t letters, and the rest of that
 word merges the whole image, so the clauses remove no real word and no
 length's answer changes. The tables come from one
 `encoder.DistanceTables` per run, shared with the pre-check's bound and
-checked once before anything uses them; a pair that never merges refutes
-the automaton before any probe.
+checked once before anything uses them. Only the gallop starts with no
+known word, and there, once the plain encoding at length 1 fits the
+budget, a pair that never merges refutes the automaton before any probe.
 
 No table may be larger than the probe: a probe starts with the groups of
 k = 3, 4, ... states while k <= n - 2 and C(n, 3) + ... + C(n, k) is at
 most its plain clause count, which on these automata means a long word,
-and while it stays within MAX_CLAUSES. On the built-in engine it
-escalates when it proves hard: at each ESCALATE_AFTER conflicts since its
-start or last escalation, its solve pauses, the group of k = top + 1
-states (top the largest size it carries) joins at level 0 at its length
-if k <= n - 2, C(n, k) alone is at most the plain clause count and the
-engine stays within MAX_CLAUSES, and the solve goes on with what it
-learned.
+and while it stays within the encoder's MAX_CLAUSES. On the built-in
+engine it escalates when it proves hard: at each ESCALATE_AFTER
+conflicts since its start or last escalation, its solve pauses, the
+group of k = top + 1 states (top the largest size it carries) joins at
+level 0 at its length if k <= n - 2, C(n, k) alone is at most the plain
+clause count and the engine stays within MAX_CLAUSES, and the solve goes
+on with what it learned.
 The n - 2 bound keeps every group away from the whole state set, whose
 group alone refutes min - 1. It does not keep the refutation with the
 search: on pn(4..13), level-0 propagation refutes min - 1 with no
@@ -78,10 +79,11 @@ from .automaton import (
     full_state_set,
     is_carefully_synchronizing,
 )
+from . import encoder
 from .encoder import (
-    MAX_CLAUSES,
     DistanceTables,
     VarLayout,
+    check_budget,
     clause_count,
     decode_word,
     encode,
@@ -126,10 +128,6 @@ class Probe:
     escalations: tuple = ()
 
 
-class _Unmergeable(Exception):
-    """Some state pair never merges, so no length has a word."""
-
-
 def min_csw(
     pfa: Pfa,
     max_length: int = DEFAULT_MAX_LENGTH,
@@ -168,9 +166,9 @@ def min_csw(
     starts with its set size, or escalates to it, unless that bound has
     built the pair table. So the set tables a probe starts with are no
     larger in all than the probe, one that joins it no larger alone, and
-    none larger than MAX_CLAUSES. When the run's first probe fits the
-    budget and a state pair never merges, the answer is NOT_SYNCHRONIZING,
-    with no probe made.
+    none larger than MAX_CLAUSES. When the probes would gallop, the plain
+    encoding at length 1 fits the budget and a state pair never merges,
+    the answer is NOT_SYNCHRONIZING, with no probe made and no CNF built.
 
     Raises ModelVerificationError when a table fails its check. Raises
     BudgetExceeded (with a `probes` attribute holding the partial
@@ -198,11 +196,17 @@ def min_csw(
                 return SearchOutcome(status=NOT_SYNCHRONIZING, visited=exact.visited)
             upper, source = exact.min_length, POWER_BFS
 
+    # only the gallop starts with no known word; its first probe, at 1,
+    # carries the pair list, farthest first, once its plain encoding fits
+    if upper is None and clause_count(pfa.n, pfa.m, 1) <= encoder.MAX_CLAUSES:
+        if distances.far(2)[0][0] == math.inf:
+            return SearchOutcome(status=NOT_SYNCHRONIZING)
+
     backend = backend or Backend()
     probes = []
     words = {}
     # the built-in engine of the last probe: its Session, the groups it
-    # holds, the length its clauses now stand for and their count
+    # holds and the length its clauses now stand for
     kept = None
 
     def probe(length: int) -> str:
@@ -210,16 +214,14 @@ def min_csw(
         kept = None
         groups = _probe_groups(pfa, distances, length)
         instance = encode(pfa, length, groups)
-        if groups[0][0][0] == math.inf:  # the pair list comes farthest first
-            raise _Unmergeable
         start = time.perf_counter()
         session = backend.start(instance) if hasattr(backend, "start") else None
         if session:
-            result, size, escalations = escalate(session, groups, length, instance.clause_count)
-            kept = (session, groups, length, size)
+            result, escalations = escalate(session, groups, length)
+            kept = (session, groups, length)
         else:
-            result, size, escalations = backend.run(instance), instance.clause_count, ()
-        record(length, start, result, size, escalations)
+            result, escalations = backend.run(instance), ()
+        record(length, start, result, (session or instance).clause_count, escalations)
         if result.status == SAT:
             words[length] = decode_word(result.model, instance.layout)
         return result.status
@@ -231,28 +233,24 @@ def min_csw(
         nonlocal kept
         if kept is None:
             return words[length] if probe(length) == SAT else None
-        session, groups, ell, size = kept
+        session, groups, ell = kept
         layout = VarLayout(n=pfa.n, m=pfa.m, ell=length)
         delta = [c for sets in groups for c in set_clauses(sets, layout, longer=ell)]
-        size += len(delta)
-        if size > MAX_CLAUSES:
-            raise BudgetExceeded(
-                f"length {length} needs {size} clauses, over the {MAX_CLAUSES} budget"
-            )
+        check_budget(length, session.clause_count + len(delta))
         start = time.perf_counter()
         session.extend(delta)
-        result, size, escalations = escalate(session, groups, length, size)
-        record(length, start, result, size, escalations)
-        kept = (session, groups, length, size)
+        result, escalations = escalate(session, groups, length)
+        record(length, start, result, session.clause_count, escalations)
+        kept = (session, groups, length)
         if result.status == UNSAT:
             return None
         return decode_word(result.model, layout)
 
-    def escalate(session, groups: list, length: int, size: int) -> tuple:
-        """Solve on `session`, which holds `groups` at `length` in `size`
-        clauses. Each ESCALATE_AFTER conflicts, the next set size's group
-        joins it at level 0, while `_admits` passes the size and the engine
-        stays within MAX_CLAUSES. Returns (result, clauses held, escalations)."""
+    def escalate(session, groups: list, length: int) -> tuple:
+        """Solve on `session`, which holds `groups` at `length`. Each
+        ESCALATE_AFTER conflicts, the next set size's group joins it at
+        level 0, while `_admits` passes the size and the engine stays
+        within MAX_CLAUSES. Returns (result, escalations)."""
         plain = clause_count(pfa.n, pfa.m, length)
 
         def pause(conflicts: int) -> Optional[int]:
@@ -266,14 +264,13 @@ def min_csw(
             sets = distances.far(len(groups) + 2)
             added = set_clause_count(sets, length)
             following = None
-            if size + added <= MAX_CLAUSES:
+            if session.clause_count + added <= encoder.MAX_CLAUSES:
                 session.extend(set_clauses(sets, VarLayout(n=pfa.n, m=pfa.m, ell=length)))
                 groups.append(sets)
-                size += added
                 escalations.append((conflicts, len(groups) + 1))
                 following = pause(conflicts)
             result = session.solve(pause=following, resume=True)
-        return result, size, tuple(escalations)
+        return result, tuple(escalations)
 
     def record(length: int, start: float, result, clauses: int, escalations: tuple) -> None:
         probes.append(
@@ -295,8 +292,6 @@ def min_csw(
     except BudgetExceeded as exc:
         exc.probes = tuple(probes)
         raise
-    except _Unmergeable:
-        return SearchOutcome(status=NOT_SYNCHRONIZING)
     if hi is None:
         return SearchOutcome(
             status=UNKNOWN_UP_TO_BOUND,
@@ -337,7 +332,7 @@ def _probe_groups(pfa: Pfa, distances: DistanceTables, length: int) -> list:
     less the tables before it, and the group keeps the probe within
     MAX_CLAUSES."""
     plain = clause_count(pfa.n, pfa.m, length)
-    if plain > MAX_CLAUSES:
+    if plain > encoder.MAX_CLAUSES:
         return []
     groups = [distances.far(2)]
     size = plain + set_clause_count(groups[0], length)
@@ -346,7 +341,7 @@ def _probe_groups(pfa: Pfa, distances: DistanceTables, length: int) -> list:
     while _admits(pfa.n, k, spare):
         sets = distances.far(k)
         size += set_clause_count(sets, length)
-        if size > MAX_CLAUSES:
+        if size > encoder.MAX_CLAUSES:
             break
         groups.append(sets)
         spare -= math.comb(pfa.n, k)

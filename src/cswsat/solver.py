@@ -145,7 +145,8 @@ class Session:
     """The built-in engine. It outlives its solve, so that clauses added at
     level 0 are decided with the learned clauses, activities and saved
     phases of the solves before. Each solve's stats and limits count that
-    solve alone. A model must satisfy the instance and every added batch."""
+    solve alone. A model must satisfy the instance and every added batch,
+    and `clause_count` counts the clauses of them all."""
 
     def __init__(
         self,
@@ -222,6 +223,10 @@ class Session:
             elif not lits or not self._enqueue(lits[0], None):
                 self.ok = False
                 return
+
+    @property
+    def clause_count(self) -> int:
+        return sum(part.clause_count for part in self._parts)
 
     def extend(self, clauses) -> None:
         """Add `clauses`, over the instance's variables, before the next

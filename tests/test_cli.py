@@ -140,10 +140,11 @@ class TestRunExperiment:
         assert row.discards == 0
         assert row.mean_length >= 1
 
-    def test_never_synchronizing_family_fails_loudly(self):
+    def test_never_synchronizing_family_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr("cswsat.cli.MAX_ATTEMPTS", 5)
         family = lambda n, seed: Pfa(n=2, m=2, delta=((1, 2), (1, 2)))
-        with pytest.raises(RuntimeError, match="no synchronizing instance"):
-            run_experiment([2], samples=1, seed=0, family=family, max_attempts=5)
+        with pytest.raises(RuntimeError, match="no synchronizing instance for n=2 in 5 draws"):
+            run_experiment([2], samples=1, seed=0, family=family)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -250,6 +251,21 @@ class TestCommandSurface:
         out = capsys.readouterr().out
         assert "s SATISFIABLE" in out
         assert "v 1 2 0" in out
+
+    @pytest.mark.parametrize(
+        "letters, word",
+        [("3 0\n-4 0\n", "c word a"), ("3 0\n4 0\n", None), ("-3 0\n-4 0\n", None)],
+    )
+    def test_solve_dimacs_words_only_exactly_one_models(
+        self, tmp_path, capsys, letters, word
+    ):
+        # layout n=2 m=2 l=1: the letters at position 1 are variables 3 and 4
+        cnf = tmp_path / "one.cnf"
+        cnf.write_text(f"c layout n=2 m=2 l=1\np cnf 6 2\n{letters}")
+        assert main(["solve", str(cnf)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "s SATISFIABLE"
+        assert [line for line in out if line.startswith("c ")] == ([word] if word else [])
 
     def test_solve_lying_external_backend(self, tmp_path, capsys):
         cnf = tmp_path / "hard.cnf"
@@ -564,6 +580,25 @@ class TestCommandSurface:
         )
         assert math.isclose(float(out["c0"]), 2.0, abs_tol=1e-9)
         assert math.isclose(float(out["c1"]), 0.5, abs_tol=1e-9)
+
+    def test_fit_reads_what_bench_curve_writes(self, tmp_path, capsys):
+        # the TSV table picks its columns by name; the gnuplot data file
+        # starts with a '#' header and holds n and mean_length first
+        table, prefix = tmp_path / "curve.tsv", tmp_path / "curve"
+        args = ["--format", "tsv", "bench", "curve", "--n-list", "4-7", "--samples", "3"]
+        code = main([*args, "--engine", "oracle", "-o", str(table), "--gnuplot", str(prefix)])
+        assert code == 0
+        capsys.readouterr()
+        rows = run_experiment([4, 5, 6, 7], samples=3, engine="oracle")
+        expected = fit_cubic((r.n, r.mean_length) for r in rows).coefficients
+        assert "\t" in table.read_text() and "," not in table.read_text()
+        assert prefix.with_suffix(".dat").read_text().startswith("# n mean_length")
+        for path in (table, prefix.with_suffix(".dat")):
+            assert main(["fit", str(path)]) == 0
+            out = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+            got = [float(out[name]) for name in ("c0", "c1", "c2", "c3")]
+            # the tables round each mean to six decimals
+            assert all(math.isclose(g, e, abs_tol=1e-3) for g, e in zip(got, expected))
 
     def test_fit_reference(self, capsys):
         assert main(["fit", "--reference"]) == 0

@@ -780,6 +780,23 @@ class TestDimacs:
         back = parse_dimacs(to_dimacs(inst, comment=layout_comment(inst.layout)))
         assert back.layout == inst.layout
 
+    @pytest.mark.parametrize(
+        "comment, layout",
+        [
+            ("c layout n=2 m=2 l=1", VarLayout(n=2, m=2, ell=1)),
+            ("c layout n=2 m 2 l=1", None),
+            ("c layout n=2 m=two l=1", None),
+            ("c layout n=2 m=2", None),
+        ],
+    )
+    def test_malformed_layout_comment_ignored(self, comment, layout):
+        # (2 + 2) * 1 + 2 = 6 variables, as the well-formed comment needs
+        assert parse_dimacs(f"{comment}\np cnf 6 1\n1 0\n").layout == layout
+
+    def test_blank_lines_skipped(self):
+        inst = parse_dimacs("\np cnf 2 2\n\n   \n1 -2 0\n\n2 0\n\n")
+        assert (inst.var_count, inst.clauses) == (2, ((1, -2), (2,)))
+
     def test_mismatched_layout_comment_dropped(self):
         text = "c layout n=5 m=5 l=5\np cnf 2 1\n1 -2 0\n"
         assert parse_dimacs(text).layout is None

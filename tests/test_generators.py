@@ -32,12 +32,18 @@ class TestChainFamily:
             assert min_csw(pn(n)).min_length == power_bfs(pn(n)).min_length
 
 
+def drawn_anchors(n: int, seed: int) -> tuple:
+    """(q_a, q_b) as the generator draws them, first of all its draws."""
+    rng = random.Random(seed)
+    return rng.randint(1, n), rng.randint(1, n)
+
+
 class TestRandomPfa:
     def test_first_letter_total_and_avoids_anchor(self):
-        cfg = GenConfig(n=7, undefined_count=1, seed=11, q_a=3)
-        pfa = random_pfa(cfg)
+        q_a, _ = drawn_anchors(7, 11)
+        pfa = random_pfa(GenConfig(n=7, undefined_count=1, seed=11))
         assert pfa.letter_total(1)
-        assert all(target != 3 for target in pfa.delta[0])
+        assert q_a not in pfa.delta[0]
 
     def test_second_letter_undefined_exactly_k_times(self):
         for k in (1, 2, 4):
@@ -47,9 +53,9 @@ class TestRandomPfa:
 
     def test_hole_anchor_always_undefined(self):
         for seed in range(20):
-            cfg = GenConfig(n=6, undefined_count=2, seed=seed, q_b=4)
-            pfa = random_pfa(cfg)
-            assert pfa.delta[1][3] is None
+            _, q_b = drawn_anchors(6, seed)
+            pfa = random_pfa(GenConfig(n=6, undefined_count=2, seed=seed))
+            assert pfa.delta[1][q_b - 1] is None
 
     def test_fully_undefined_second_letter(self):
         pfa = random_pfa(GenConfig(n=5, undefined_count=5, seed=1))
@@ -87,10 +93,6 @@ class TestConfigValidation:
             dict(n=1),
             dict(n=5, undefined_count=0),
             dict(n=5, undefined_count=6),
-            dict(n=5, q_a=0),
-            dict(n=5, q_a=6),
-            dict(n=5, q_b=-1),
-            dict(n=5, q_b=6),
         ],
     )
     def test_rejected(self, kwargs):

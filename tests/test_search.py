@@ -260,7 +260,7 @@ class TestBudgets:
     def test_clause_budget_counts_the_added_clauses(self, monkeypatch):
         # pn(7) holds 1,041 clauses at 39, its 5-set group's 30 included,
         # and 1,122 once taken down to 38
-        monkeypatch.setattr("cswsat.search.MAX_CLAUSES", 1050)
+        monkeypatch.setattr("cswsat.encoder.MAX_CLAUSES", 1050)
         with pytest.raises(BudgetExceeded, match="length 38 needs 1122 clauses") as exc:
             min_csw(pn(7))
         assert [(p.length, p.status, p.clauses) for p in exc.value.probes] == [(39, SAT, 1041)]
@@ -269,7 +269,7 @@ class TestBudgets:
         # the 5-set group would take pn(7)'s probe at 39 from 1,011 to
         # 1,041 clauses: it stays out of the probe's start, and when the
         # probe pauses for it, the probe goes on as if it had never paused
-        monkeypatch.setattr("cswsat.search.MAX_CLAUSES", 1030)
+        monkeypatch.setattr("cswsat.encoder.MAX_CLAUSES", 1030)
         with pytest.raises(BudgetExceeded, match="length 38 needs 1081 clauses") as exc:
             min_csw(pn(7))
         (sat,) = exc.value.probes
@@ -282,7 +282,6 @@ class TestBudgets:
         # 990 it starts with the pairs and triples alone, and the probe
         # below, at 1,000 clauses, is refused
         monkeypatch.setattr("cswsat.encoder.MAX_CLAUSES", 990)
-        monkeypatch.setattr("cswsat.search.MAX_CLAUSES", 990)
         pfa = pn(7)
         with pytest.raises(BudgetExceeded, match="length 38 needs 1000 clauses") as exc:
             min_csw(pfa)
@@ -309,12 +308,24 @@ class TestBudgets:
             min_csw(identity, precheck=False)
 
     def test_pair_group_is_checked_before_building(self):
-        # the plain encoding at length 1 fits; one clause per never-merging
-        # pair does not
-        identity = Pfa(n=1446, m=1, delta=(tuple(range(1, 1447)),))
-        with pytest.raises(BudgetExceeded, match="length 1 needs") as exc:
-            min_csw(identity, precheck=False)
+        # the plain encoding at length 1 fits; one clause per pair that no
+        # one letter merges, all but (1445, 1446) here, does not
+        shift = Pfa(n=1446, m=1, delta=(tuple(min(q + 1, 1446) for q in range(1, 1447)),))
+        with pytest.raises(BudgetExceeded, match="length 1 needs 2092362 clauses") as exc:
+            min_csw(shift, precheck=False)
         assert exc.value.probes == ()
+
+    def test_never_merging_pair_is_settled_before_the_gallop(self, monkeypatch):
+        # the plain encoding at length 1 fits, so the checked pair table
+        # refutes the automaton before any CNF is built, its pair group
+        # over the budget or not
+        def refuse(*args, **kwargs):
+            raise AssertionError("a CNF built for a refuted automaton")
+
+        monkeypatch.setattr("cswsat.search.encode", refuse)
+        identity = Pfa(n=1446, m=1, delta=(tuple(range(1, 1447)),))
+        out = min_csw(identity, precheck=False)
+        assert (out.status, out.probes) == (NOT_SYNCHRONIZING, ())
 
 
 def _word_model(pfa, word, layout):
@@ -624,14 +635,9 @@ class TestEscalation:
         # descending from a word two letters too long with a limit of 100,
         # the 9-set group joins the first probe, at 143, and the 10-set
         # group the probe at 142 on the same engine
-        def overrun(pfa, *args, **kwargs):
-            exc = BudgetExceeded("subset budget exceeded")
-            exc.word = power_bfs(pfa).witness + (1, 1)
-            raise exc
-
         pfa = pn(12)
         monkeypatch.setattr("cswsat.search.ESCALATE_AFTER", 100)
-        monkeypatch.setattr("cswsat.search.power_bfs", overrun)
+        monkeypatch.setattr("cswsat.search.power_bfs", _overrun_two_letters_long)
         out = min_csw(pfa)
         assert (out.status, out.min_length) == (FOUND, 141)
         assert [(p.length, p.status, p.escalations) for p in out.probes] == [
@@ -647,6 +653,28 @@ class TestEscalation:
         assert out.probes[1].clauses == out.probes[0].clauses + len(lo - hi) + set_clause_count(
             distances.far(10), 142
         )
+
+    def test_warm_group_over_the_clause_budget_stays_out(self, monkeypatch):
+        # the engine holds 12,848 clauses from its build, 13,018 with the
+        # 9-set group and 16,004 once taken down to 142; the 10-set group's
+        # 49 would take it to 16,053, one over the budget, so it stays out,
+        # and the probe at 141 is refused
+        monkeypatch.setattr("cswsat.search.ESCALATE_AFTER", 100)
+        monkeypatch.setattr("cswsat.search.power_bfs", _overrun_two_letters_long)
+        monkeypatch.setattr("cswsat.encoder.MAX_CLAUSES", 16052)
+        with pytest.raises(BudgetExceeded, match="length 141 needs 18990 clauses") as exc:
+            min_csw(pn(12))
+        assert [(p.length, p.status, p.clauses, p.escalations) for p in exc.value.probes] == [
+            (143, SAT, 13018, ((100, 9),)),
+            (142, SAT, 16004, ()),
+        ]
+
+
+def _overrun_two_letters_long(pfa, *args, **kwargs):
+    """A `power_bfs` that overruns with its word two letters too long."""
+    exc = BudgetExceeded("subset budget exceeded")
+    exc.word = power_bfs(pfa).witness + (1, 1)
+    raise exc
 
 
 class TestBeyondSixtyFourStates:
