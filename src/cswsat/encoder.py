@@ -464,8 +464,10 @@ def set_clauses(sets: list, layout: VarLayout, longer: Optional[int] = None) -> 
     The entries with D > ell - t are a prefix of `sets`, those with
     D > longer - t a prefix of that. Their clauses are built column by
     column; a step takes them all where no entry of the list has
-    inner > ell - t, as at every step of the pair list, and the ones with
-    inner <= ell - t otherwise."""
+    inner > ell - t, as at every step of the pair list. Otherwise it reads
+    which entries have inner <= ell - t from the inner column first and
+    builds rows for those alone. The steps stop once ell - t falls below
+    the smallest inner, as no entry fits that step or any later one."""
     ell = layout.ell
     if longer is not None and longer <= ell:
         raise ValueError(f"longer must be above {ell}, got {longer}")
@@ -477,7 +479,8 @@ def set_clauses(sets: list, layout: VarLayout, longer: Optional[int] = None) -> 
     rising = reach[::-1]
     widest = max(inners)
     top = math.inf if longer is None else longer
-    for t in range(ell if longer is None else ell + 1):
+    # no entry fits a step with ell - t below the smallest inner
+    for t in range(min(ell if longer is None else ell + 1, ell + 1 - min(inners))):
         left = ell - t
         # entries first to last: D > top - t, then the ones wanted, then D <= left
         first = len(rising) - bisect_right(rising, top - t)
@@ -485,11 +488,12 @@ def set_clauses(sets: list, layout: VarLayout, longer: Optional[int] = None) -> 
         if first == last:
             continue
         base = -t * width
-        rows = zip(*[map(sub, repeat(base), column[first:last]) for column in columns])
         if widest <= left:
-            clauses.extend(rows)
+            clauses.extend(zip(*[map(sub, repeat(base), column[first:last]) for column in columns]))
         else:
-            clauses.extend(compress(rows, map(le, inners[first:last], repeat(left))))
+            fits = list(map(le, inners[first:last], repeat(left)))
+            cells = [compress(column[first:last], fits) for column in columns]
+            clauses.extend(zip(*[map(sub, repeat(base), cell) for cell in cells]))
     return clauses
 
 

@@ -20,6 +20,11 @@ and so does the reason of each variable it implies (None for a decision
 or a level-0 unit). The watch loop tests the third code of a 3-literal
 clause directly and scans only clauses of 4 or more; a binary clause has
 no other literal and goes straight to the unit or conflict test.
+Variable v's literals have codes 2v and 2v + 1, and each clause is taken
+in with its codes ascending, so a variable that occurs twice shows as two
+neighbouring codes. A clause of 2 or 3 literals is unpacked into its codes
+and sorted by one compare-swap or at most three, with each neighbouring
+pair tested inline; a longer one is sorted whole.
 
 Decisions come from a lazy binary heap of (-activity, variable) entries.
 Bumping a variable makes its old entry stale instead of removing it, and a
@@ -193,26 +198,33 @@ class Session:
     def _ingest(self, new_clauses):
         """Watch each clause on its two smallest codes and enqueue each unit
         at the current level, 0; clear `ok` at an empty clause or a unit
-        that contradicts the trail."""
+        that contradicts the trail. A clause of 2 or 3 literals is unpacked
+        into its codes and sorted by one compare-swap or at most three; a
+        longer one is sorted whole."""
         code = self.code_of
         watches = self.watches
         for clause in new_clauses:
             # codes 2v and 2v + 1 sort side by side, so a variable that
             # occurs twice shows as two neighbouring codes of one variable
-            if len(clause) == 2:
-                first, second = map(code, clause)
-                lits = [first, second] if first < second else [second, first]
-                shared = first >> 1 == second >> 1
+            width = len(clause)
+            if width == 3:
+                a, b, c = map(code, clause)
+                if a > b:
+                    a, b = b, a
+                if b > c:
+                    b, c = c, b
+                    if a > b:
+                        a, b = b, a
+                lits = [a, b, c]
+                shared = a >> 1 == b >> 1 or b >> 1 == c >> 1
+            elif width == 2:
+                a, b = map(code, clause)
+                lits = [a, b] if a < b else [b, a]
+                shared = a >> 1 == b >> 1
             else:
                 # sorted over a tuple allocates the list at its exact size
                 lits = sorted(tuple(map(code, clause)))
-                shared = False
-                prev = 0
-                for c in lits:
-                    if c >> 1 == prev:
-                        shared = True
-                        break
-                    prev = c >> 1
+                shared = len({c >> 1 for c in lits}) < width
             if shared:
                 lits = sorted(set(lits))
                 if len(lits) > len({c >> 1 for c in lits}):

@@ -28,7 +28,7 @@ from cswsat.encoder import (
     variable_count,
 )
 from cswsat.generators import GenConfig, pn, random_pfa
-from cswsat.search import _probe_groups
+from cswsat.search import _probe_groups, min_csw
 from cswsat.solver import BudgetExceeded, ModelVerificationError, Session, solve
 
 from helpers import (
@@ -623,6 +623,58 @@ class TestShorterClauses:
                 set_clauses(sets, layout, longer=longer)
             with pytest.raises(ValueError, match="longer"):
                 set_clauses([], layout, longer=longer)
+
+
+def _step_major(sets, layout, longer=None):
+    """set_clauses by its definition, step by step and, within a step, in
+    list order: entries with inner <= ell - t < D, and with `longer` also
+    D <= longer - t, over steps t < ell, or t <= ell with `longer`."""
+    ell = layout.ell
+    return [
+        tuple(-layout.state_var(q, t) for q in states)
+        for t in range(ell if longer is None else ell + 1)
+        for D, inner, *states in sets
+        if inner <= ell - t < D and (longer is None or D <= longer - t)
+    ]
+
+
+class TestSetClauseOrder:
+    """set_clauses gives its clauses in exactly the step-major order, list
+    for list, for every group of 2 to n - 2 states, with and without
+    `longer`, so a change to how it builds them cannot reorder a CNF."""
+
+    def _check(self, pfa, lengths):
+        distances = DistanceTables(pfa)
+        for k in range(2, pfa.n - 1):
+            sets = distances.far(k)
+            for hi in lengths:
+                layout = VarLayout(pfa.n, pfa.m, hi)
+                assert set_clauses(sets, layout) == _step_major(sets, layout)
+                for lo in range(1, hi):
+                    layout = VarLayout(pfa.n, pfa.m, lo)
+                    assert set_clauses(sets, layout, hi) == _step_major(sets, layout, hi)
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_chain(self, n):
+        # up to the minimum, where every group has clauses
+        top = min_csw(pn(n)).min_length
+        self._check(pn(n), [*range(1, 21), top - 1, top])
+        for k in range(2, n - 1):
+            assert set_clauses(DistanceTables(pn(n)).far(k), VarLayout(n, 2, top))
+
+    @given(pfas(max_n=7, max_m=3, min_n=4))
+    @settings(max_examples=40, deadline=None)
+    def test_drawn(self, pfa):
+        self._check(pfa, range(1, 21))
+
+    def test_no_entry_fits_any_step(self):
+        sets = DistanceTables(pn(7)).far(4)
+        lowest = min(inner for _, inner, *_ in sets)
+        assert lowest > 1
+        layout = VarLayout(7, 2, lowest - 1)
+        assert set_clauses(sets, layout) == []
+        assert set_clauses(sets, layout, longer=lowest + 5) == []
+        assert set_clauses(sets, VarLayout(7, 2, lowest))
 
 
 class TestCheckDistances:

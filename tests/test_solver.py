@@ -237,6 +237,39 @@ class TestIngestion:
         value = {c: 1 for c in engine.trail} | {c ^ 1: 0 for c in engine.trail}
         assert engine.lv[2:] == [value.get(c, -1) for c in range(2, len(engine.lv))]
 
+    @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=2, max_size=3))
+    @settings(max_examples=100)
+    # one 3-literal clause in each of its six orders
+    @example([1, -2, 3])
+    @example([1, 3, -2])
+    @example([-2, 1, 3])
+    @example([-2, 3, 1])
+    @example([3, 1, -2])
+    @example([3, -2, 1])
+    # one variable at positions (0, 1), (0, 2) and (1, 2), below and above
+    # the other: a duplicate with the same sign, a tautology with opposite
+    @example([2, 2, 1])
+    @example([2, 1, 2])
+    @example([1, 2, 2])
+    @example([2, 2, 3])
+    @example([2, 3, 2])
+    @example([3, 2, 2])
+    @example([2, -2, 1])
+    @example([2, 1, -2])
+    @example([1, 2, -2])
+    @example([-2, 2, 3])
+    @example([-2, 3, 2])
+    @example([3, -2, 2])
+    # 2-literal clauses: a duplicated unit and a tautology
+    @example([2, 2])
+    @example([2, -2])
+    def test_short_clause_codes_are_sorted_as_the_reference_sorts(self, clause):
+        # after a unit on variable 3, which a duplicate may contradict
+        instance = inst(3, [-3], clause)
+        ok, _, watches, trail = reference_ingest(instance)
+        engine = Session(instance)
+        assert (engine.ok, engine.watches, engine.trail) == (ok, watches, trail)
+
     def test_every_case_is_met(self):
         # 2 and -2 give a tautology, (1, 1) a duplicated unit, (-1,) a
         # contradiction that stops ingestion before the last clause
