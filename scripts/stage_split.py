@@ -4,8 +4,10 @@
     PYTHONPATH=src python scripts/stage_split.py pn-chain --passes 20
 
 A stage called inside another (set_clauses inside encode, satisfies inside
-solve) is charged to the inner one, `other` is the rest, and a garbage-collection
-pause counts for the stage it lands in. Prints seconds per pass, then as JSON.
+solve) is charged to the inner one, and `other` is the rest. `min_csw` runs
+with the cyclic garbage collector paused, so no collection lands in a stage;
+one that triggers between calls counts for `other`.
+Prints seconds per pass, then as JSON.
 """
 
 import argparse

@@ -7,6 +7,8 @@ None in the table and written as 0 in the text format.
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -50,6 +52,27 @@ class ModelVerificationError(RuntimeError):
     """A result failed its independent check: a model against the clauses,
     a word against the automaton, or an encoding against its closed-form
     size."""
+
+
+def _collector_paused(func):
+    """Run `func` with CPython's cyclic garbage collector off, turning it
+    back on afterwards only if it was on when the call began, so a nested
+    call changes nothing. The searches make no reference cycles, so
+    reference counting frees all they drop, and the collector would only
+    traverse their live clause lists, watch lists and tables in vain. The
+    collector is process-wide: other threads run without it meanwhile."""
+
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class PfaFormatError(ValueError):

@@ -34,6 +34,7 @@ from .automaton import (
     ModelVerificationError,
     Pfa,
     SearchOutcome,
+    _collector_paused,
     is_carefully_synchronizing,
 )
 from .encoder import DistanceTables
@@ -187,6 +188,19 @@ def _trace_back(parent: dict, full: int, mask: int, last_letter: int) -> tuple:
     return tuple(word)
 
 
+def _overrun(max_visited: int, depth: int, visited: int, word: Optional[tuple]) -> BudgetExceeded:
+    """`power_bfs`'s overrun. Built here, so that no local of the search's
+    frame holds it: its traceback holds that frame, and a local would close
+    a cycle keeping the dead search alive until a cyclic collection."""
+    exc = BudgetExceeded(
+        f"subset budget {max_visited} words exceeded at depth {depth}"
+        + (f"; a beam word of length {len(word)} bounds it" if word else "")
+    )
+    exc.visited, exc.word = visited, word
+    return exc
+
+
+@_collector_paused
 def power_bfs(
     pfa: Pfa, max_visited: int = DEFAULT_MAX_VISITED, *, distances: Optional[DistanceTables] = None
 ) -> SearchOutcome:
@@ -222,6 +236,9 @@ def power_bfs(
     run so far have found, or None when none has run or found one. Raises
     BudgetExceeded before building anything when the letter tables would
     exceed MAX_TABLE_WORDS, and ValueError when max_visited is below 1.
+
+    The call runs with the cyclic garbage collector paused, other threads'
+    work included, and makes no reference cycles.
     """
     if max_visited < 1:
         raise ValueError(f"max_visited must be >= 1, got {max_visited}")
@@ -289,12 +306,7 @@ def power_bfs(
                     parent[img] = (subset, a)
                     if len(parent) > max_stored:
                         word = bound.word if bound is not None else None
-                        exc = BudgetExceeded(
-                            f"subset budget {max_visited} words exceeded at depth {depth}"
-                            + (f"; a beam word of length {len(word)} bounds it" if word else "")
-                        )
-                        exc.visited, exc.word = len(parent), word
-                        raise exc
+                        raise _overrun(max_visited, depth, len(parent), word)
                     next_frontier.append(img)
         frontier = next_frontier
 

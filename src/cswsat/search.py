@@ -75,6 +75,7 @@ from .automaton import (
     UNKNOWN_UP_TO_BOUND,
     Pfa,
     SearchOutcome,
+    _collector_paused,
     apply_letter,
     full_state_set,
     is_carefully_synchronizing,
@@ -128,6 +129,7 @@ class Probe:
     escalations: tuple = ()
 
 
+@_collector_paused
 def min_csw(
     pfa: Pfa,
     max_length: int = DEFAULT_MAX_LENGTH,
@@ -174,6 +176,9 @@ def min_csw(
     BudgetExceeded (with a `probes` attribute holding the partial
     record) when the backend gives out or a probe would exceed the
     encoder's MAX_CLAUSES.
+
+    The call runs with the cyclic garbage collector paused, other threads'
+    work included, and makes no reference cycles.
     """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1, got {max_length}")

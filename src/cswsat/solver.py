@@ -63,7 +63,7 @@ from heapq import heapify, heappop, heappush
 from pathlib import Path
 from typing import Optional
 
-from .automaton import BudgetExceeded, ModelVerificationError
+from .automaton import BudgetExceeded, ModelVerificationError, _collector_paused
 from .encoder import CnfInstance, to_dimacs
 
 __all__ = [
@@ -569,6 +569,7 @@ class Session:
             self._check_budget()
 
 
+@_collector_paused
 def solve(
     instance: CnfInstance,
     limits: Optional[SolverLimits] = None,
@@ -578,6 +579,8 @@ def solve(
 
     Returns a SolveResult whose model (when SAT) has passed the independent
     evaluator. Raises BudgetExceeded when a limit from `limits` is hit.
+    The call runs with the cyclic garbage collector paused, other threads'
+    work included, and makes no reference cycles.
     """
     return Session(instance, limits, seed).solve()
 

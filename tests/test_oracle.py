@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 from unittest import mock
@@ -96,6 +97,18 @@ class TestBudgetAndCap:
         with pytest.raises(BudgetExceeded) as exc:
             power_bfs(pn(8), max_visited=5)
         assert exc.value.visited > 5
+
+    def test_overrun_frees_its_search_by_reference_counting(self, collector_off):
+        # the exception holds the search's frame through its traceback, and
+        # no local of that frame holds the exception, so dropping it frees
+        # the subsets without the cyclic collector
+        carried = None
+        try:
+            power_bfs(random_pfa(GenConfig(n=30, seed=9)), max_visited=1000)
+        except BudgetExceeded as exc:
+            carried = (exc.visited, exc.word)
+        assert carried == (1001, None)
+        assert gc.collect() == 0
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_below_one_is_refused(self, budget):
