@@ -69,23 +69,27 @@ def missed(path: Path, hits: set) -> list:
 
 def main(args) -> int:
     executed = {str(path): set() for path in sorted(PACKAGE.glob("*.py"))}
-    by_name = {}
+    # one recorder per source file, None for a file outside src/cswsat: a
+    # recorder returns itself, a reference cycle, so none may be made per
+    # call, or the suite's tests of cycle-free runs would find them
+    recorders = {}
 
-    def tracer(frame, event, arg):
-        name = frame.f_code.co_filename
-        try:
-            hits = by_name[name]
-        except KeyError:
-            hits = by_name[name] = executed.get(os.path.realpath(name))
-        if hits is None:
-            return None
-
+    def recorder(hits: set):
         def record(frame, event, arg):
             if event == "line":
                 hits.add(frame.f_lineno)
             return record
 
         return record
+
+    def tracer(frame, event, arg):
+        name = frame.f_code.co_filename
+        try:
+            return recorders[name]
+        except KeyError:
+            hits = executed.get(os.path.realpath(name))
+            record = recorders[name] = None if hits is None else recorder(hits)
+            return record
 
     # trace before pytest imports cswsat, so module-level lines count
     threading.settrace(tracer)

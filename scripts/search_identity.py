@@ -56,7 +56,7 @@ class HashingSession(Session):
         self.held.extend(clauses)
 
     def solve(self, *args, **kwargs):
-        if not kwargs.get("resume"):
+        if self.paused is None:  # a fresh solve, not a paused one resumed
             cnf = CnfInstance(var_count=self.var_count, clauses=tuple(self.held))
             self.digests.append(hashlib.sha256(to_dimacs(cnf).encode()).hexdigest())
         return super().solve(*args, **kwargs)

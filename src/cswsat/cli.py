@@ -15,6 +15,7 @@ disagreeing).
 from __future__ import annotations
 
 import argparse
+import math
 import statistics
 import sys
 import time
@@ -294,9 +295,10 @@ def fit_cubic(points: Iterable) -> FitResult:
     residual = sum(
         (y - sum(c * x**k for k, c in enumerate(coeffs))) ** 2 for x, y in pts
     )
-    return FitResult(
-        coefficients=tuple(float(c) for c in coeffs), residual=float(residual)
-    )
+    try:
+        return FitResult(coefficients=tuple(map(float, coeffs)), residual=float(residual))
+    except OverflowError:
+        raise ValueError("the cubic fit's coefficients or residual overflow a float") from None
 
 
 def _solve_linear(matrix: list, rhs: list) -> list:
@@ -460,7 +462,10 @@ def _parse_points(text: str) -> list:
                 f"line {number} has {len(parts)} column(s); "
                 f"x and y need {max(col_x, col_y) + 1}"
             )
-        points.append((float(parts[col_x]), float(parts[col_y])))
+        point = (float(parts[col_x]), float(parts[col_y]))
+        if not all(map(math.isfinite, point)):
+            raise ValueError(f"line {number} holds a value that is not finite")
+        points.append(point)
     return points
 
 

@@ -45,21 +45,20 @@ budget, a pair that never merges refutes the automaton before any probe.
 No table may be larger than the probe: a probe starts with the groups of
 k = 3, 4, ... states while k <= n - 2 and C(n, 3) + ... + C(n, k) is at
 most its plain clause count, which on these automata means a long word,
-and while it stays within the encoder's MAX_CLAUSES. On the built-in
-engine it escalates when it proves hard: at each ESCALATE_AFTER
-conflicts since its start or last escalation, its solve pauses, the
-group of k = top + 1 states (top the largest size it carries) joins at
-level 0 at its length if k <= n - 2, C(n, k) alone is at most the plain
-clause count and the engine stays within MAX_CLAUSES, and the solve goes
-on with what it learned.
-The n - 2 bound keeps every group away from the whole state set, whose
-group alone refutes min - 1. It does not keep the refutation with the
-search: on pn(4..13), level-0 propagation refutes min - 1 with no
-conflict, and pn(14) and pn(15) take 7 and 2, which is sound, as every
-group is checked.
-A probe below takes every group its engine holds, and may escalate
-further. A probe that never pauses searches as before, and an external
-solver or a backend without `start` never escalates.
+and while it stays within the encoder's MAX_CLAUSES. The n - 2 bound
+keeps every group away from the whole state set, whose group alone
+refutes min - 1. It does not keep the refutation with the search: on
+pn(4..13), level-0 propagation refutes min - 1 with no conflict, and
+pn(14) and pn(15) take 7 and 2, which is sound, as every group is checked.
+
+A probe on the built-in engine escalates when it proves hard. Let k be
+one more than the largest size it carries. While `_admits` passes k
+(k <= n - 2 and C(n, k) alone at most the plain clause count) and every
+group so far has kept the engine within MAX_CLAUSES, its solve pauses
+every ESCALATE_AFTER conflicts; at a pause the k-set group joins at level
+0 at its length if the engine stays within MAX_CLAUSES, and the solve
+goes on with what it learned. A probe below takes every group its engine
+holds and may escalate further; an external solver never escalates.
 """
 
 from __future__ import annotations
@@ -166,9 +165,7 @@ def min_csw(
     one `encoder.DistanceTables` that the `power_bfs` pre-check's bound
     shares. A table is built on the first probe under the size budget that
     starts with its set size, or escalates to it, unless that bound has
-    built the pair table. So the set tables a probe starts with are no
-    larger in all than the probe, one that joins it no larger alone, and
-    none larger than MAX_CLAUSES. When the probes would gallop, the plain
+    built the pair table. When the probes would gallop, the plain
     encoding at length 1 fits the budget and a state pair never merges,
     the answer is NOT_SYNCHRONIZING, with no probe made and no CNF built.
 
@@ -252,30 +249,23 @@ def min_csw(
         return decode_word(result.model, layout)
 
     def escalate(session, groups: list, length: int) -> tuple:
-        """Solve on `session`, which holds `groups` at `length`. Each
-        ESCALATE_AFTER conflicts, the next set size's group joins it at
-        level 0, while `_admits` passes the size and the engine stays
-        within MAX_CLAUSES. Returns (result, escalations)."""
+        """Solve on `session`, which holds `groups` at `length`, joining
+        groups as the module docstring says. Returns (result, escalations)."""
         plain = clause_count(pfa.n, pfa.m, length)
-
-        def pause(conflicts: int) -> Optional[int]:
-            admitted = _admits(pfa.n, len(groups) + 2, plain)
-            return conflicts + ESCALATE_AFTER if admitted else None
-
         escalations = []
-        result = session.solve(pause=pause(0))
-        while result is None:
-            conflicts = session.stats.conflicts
-            sets = distances.far(len(groups) + 2)
-            added = set_clause_count(sets, length)
-            following = None
-            if session.clause_count + added <= encoder.MAX_CLAUSES:
+        fits = True
+        while True:
+            k = len(groups) + 2
+            admitted = fits and _admits(pfa.n, k, plain)
+            result = session.solve(pause=ESCALATE_AFTER if admitted else None)
+            if result is not None:
+                return result, tuple(escalations)
+            sets = distances.far(k)
+            fits = session.clause_count + set_clause_count(sets, length) <= encoder.MAX_CLAUSES
+            if fits:
                 session.extend(set_clauses(sets, VarLayout(n=pfa.n, m=pfa.m, ell=length)))
                 groups.append(sets)
-                escalations.append((conflicts, len(groups) + 1))
-                following = pause(conflicts)
-            result = session.solve(pause=following, resume=True)
-        return result, tuple(escalations)
+                escalations.append((session.stats.conflicts, k))
 
     def record(length: int, start: float, result, clauses: int, escalations: tuple) -> None:
         probes.append(
@@ -330,12 +320,9 @@ def _admits(n: int, k: int, plain: int) -> bool:
 
 
 def _probe_groups(pfa: Pfa, distances: DistanceTables, length: int) -> list:
-    """The distance lists a probe of `length` carries from its start: under
-    the size budget, the pairs and the sets of k = 3, 4, ... states while
-    k <= n - 2 and C(n, 3) + ... + C(n, k) is at most the probe's plain
-    clause count, that is while `_admits` passes k against the plain count
-    less the tables before it, and the group keeps the probe within
-    MAX_CLAUSES."""
+    """The distance lists a probe of `length` starts with, as the module
+    docstring says: `_admits` passes each k > 2 against the plain clause
+    count less the tables before it."""
     plain = clause_count(pfa.n, pfa.m, length)
     if plain > encoder.MAX_CLAUSES:
         return []

@@ -42,10 +42,12 @@ as the build does, and rewinds the propagation queue to the start of the
 trail: the next solve propagates the level-0 assignments again, which
 moves any new watch that sits on a literal they falsify. Learned clauses,
 activities, saved phases and the learned-clause ceiling carry over; stats,
-limits and the restart schedule start afresh with each solve. A solve can
-also pause after a given number of conflicts, returning None where it
-stands; `extend` may add clauses then, and the solve resumes as the same
-solve, its stats, limits and restart schedule going on.
+limits, the deadline and the restart schedule start afresh with each
+solve. `solve(pause=N)` returns None after N more conflicts, where it
+stands, and `extend` may add clauses then. The next solve on the engine
+resumes a paused one as the same solve, its stats, limits, deadline and
+restart schedule going on; after a solve that finished or raised, the
+next one starts afresh.
 
 Every model, from either backend, is re-checked against the original clauses
 (and each batch a Session has added) by the separate `satisfies` evaluator
@@ -181,6 +183,8 @@ class Session:
         self.var_inc = 1.0
         self.max_learned = 2000
         self.deadline = None
+        # the restart schedule of a paused solve, which the next solve resumes
+        self.paused = None
 
         if seed:
             # reproducible jitter so different seeds explore differently
@@ -486,21 +490,24 @@ class Session:
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise BudgetExceeded(f"time limit {lim.max_seconds}s exceeded", st)
 
-    def solve(self, pause: Optional[int] = None, resume: bool = False) -> Optional[SolveResult]:
+    def solve(self, pause: Optional[int] = None) -> Optional[SolveResult]:
         """Decide the instance and the clauses added so far; see `solve`.
-        Stats, limits and the restart schedule start afresh, unless `resume`
-        goes on with the solve that paused last. With `pause`, return None
-        once that solve's conflicts reach `pause`."""
-        if not resume:
+        With `pause`, return None after `pause` more conflicts of this
+        solve, held in `paused`; the next solve resumes it, and any other
+        solve starts stats, limits, deadline and restarts afresh."""
+        schedule, self.paused = self.paused, None
+        fresh = schedule is None
+        if fresh:
             self.stats = SolveStats()
-            self._schedule = (1, 1, 100)
+            schedule = (1, 1, 100)
             if self.limits.max_seconds is not None:
                 self.deadline = time.perf_counter() + self.limits.max_seconds
         stats = self.stats
         unsat = SolveResult(status=UNSAT, model=None, stats=stats)
         # a resumed solve propagates in its loop, where a conflict counts
-        if not self.ok or (not resume and self._propagate() is not None):
+        if not self.ok or (fresh and self._propagate() is not None):
             return unsat
+        stop = None if pause is None else stats.conflicts + pause
 
         limited = self.limits != SolverLimits()
         lv = self.lv
@@ -508,7 +515,7 @@ class Session:
         reason = self.reason
         trail = self.trail
         trail_lim = self.trail_lim
-        restart_u, restart_v, conflicts_left = self._schedule
+        restart_u, restart_v, conflicts_left = schedule
         while True:
             while conflicts_left > 0:
                 confl = self._propagate()
@@ -530,8 +537,8 @@ class Session:
                     self.var_inc /= 0.95
                     if limited:
                         self._check_budget()
-                    if stats.conflicts == pause:
-                        self._schedule = (restart_u, restart_v, conflicts_left)
+                    if stats.conflicts == stop:
+                        self.paused = (restart_u, restart_v, conflicts_left)
                         return None
                     continue
                 if len(self.learned) > self.max_learned:

@@ -620,6 +620,22 @@ class TestCommandSurface:
         assert main(["fit", "-"]) == 1
         assert f"error: line {line} has" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 1\n2 4\n3 9\n4 inf\n", "line 4 holds a value that is not finite"),
+            ("1 1\n2 4\n3 9\nnan 16\n", "line 4 holds a value that is not finite"),
+            ("1 1\n2 4\n3 1e308\n4 1e308\n5 1e308\n", "overflow a float"),
+        ],
+        ids=["inf", "nan", "1e308"],
+    )
+    def test_fit_refuses_what_a_float_cannot_hold(self, monkeypatch, capsys, text, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["fit", "-"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+
     def test_fit_skips_a_title_row(self, monkeypatch, capsys):
         poly = cubic(2.0, 0.5, 0.0, 0.0)
         rows = ["results"] + [f"{n} {poly(n)}" for n in range(4, 10)]

@@ -601,14 +601,66 @@ class TestEscalation:
             (),
         ]
 
+    @pytest.mark.parametrize(
+        "pfa, after, records",
+        [
+            (
+                pn(12),
+                32,
+                [
+                    (141, SAT, 13015, 94, 542, 3794, 0, ((32, 9), (64, 10))),
+                    (140, UNSAT, 16027, 0, 0, 0, 0, ()),
+                ],
+            ),
+            (
+                pn(13),
+                32,
+                [
+                    (
+                        *(168, SAT, 21185, 193, 1095, 9241, 1),
+                        ((32, 7), (64, 8), (96, 9), (128, 10), (160, 11)),
+                    ),
+                    (167, UNSAT, 27232, 0, 0, 0, 0, ()),
+                ],
+            ),
+            (
+                random_pfa(GenConfig(n=8, seed=10)),
+                1,
+                [
+                    (7, SAT, 258, 5, 25, 103, 0, ((1, 5), (2, 6))),
+                    (6, UNSAT, 312, 0, 0, 0, 0, ()),
+                ],
+            ),
+        ],
+        ids=["pn-12", "pn-13", "random-n8-s10-after-1"],
+    )
+    def test_escalating_probes_are_pinned(self, monkeypatch, pfa, after, records):
+        # each probe's counts run over all its paused and resumed solves;
+        # pn(13)'s probe at 168 restarts once across its pauses
+        monkeypatch.setattr("cswsat.search.ESCALATE_AFTER", after)
+        out = min_csw(pfa)
+        assert [
+            (
+                p.length,
+                p.status,
+                p.clauses,
+                p.stats.conflicts,
+                p.stats.decisions,
+                p.stats.propagations,
+                p.stats.restarts,
+                p.escalations,
+            )
+            for p in out.probes
+        ] == records
+
     def test_probes_past_the_table_gate_never_pause(self, monkeypatch):
         # C(30, 3) = 4060 sets against at most 3,055 clauses
         pauses = []
         original = Session.solve
 
-        def logged(self, pause=None, resume=False):
+        def logged(self, pause=None):
             pauses.append(pause)
-            return original(self, pause, resume)
+            return original(self, pause)
 
         monkeypatch.setattr(Session, "solve", logged)
         out = min_csw(random_pfa(GenConfig(n=30, seed=9)))

@@ -526,7 +526,7 @@ class TestSession:
         pauses = 0
         while result is None:
             pauses += 1
-            result = session.solve(pause=session.stats.conflicts + 7, resume=True)
+            result = session.solve(pause=7)
         assert pauses == whole.stats.conflicts // 7 > 3
         assert (result.status, result.model, result.stats) == (
             whole.status,
@@ -542,8 +542,42 @@ class TestSession:
         assert session.solve(pause=30) is None
         session.extend([(-(55 * 10 + 1),)])  # state 1 inactive at the end
         with pytest.raises(BudgetExceeded, match="conflict limit 40") as exc:
-            session.solve(resume=True)
+            session.solve()
         assert exc.value.stats.conflicts == 41
+
+    def test_solve_after_a_finished_one_starts_afresh(self):
+        # pn(8)'s SAT solve at 55 takes 188 conflicts; the refutation at 54
+        # on the same engine starts with fresh stats, so its pause counts
+        # from zero, and resumed it ends as one that never paused
+        pfa = pn(8)
+        groups = [DistanceTables(pfa).far(k) for k in (2, 3, 4)]
+        layout = VarLayout(n=8, m=2, ell=54)
+        lower = [c for sets in groups for c in set_clauses(sets, layout, longer=55)]
+        whole = Session(encode(pfa, 55, groups))
+        session = Session(encode(pfa, 55, groups))
+        for engine in (whole, session):
+            assert engine.solve().stats.conflicts == 188
+            engine.extend(lower)
+        assert session.solve(pause=7) is None
+        assert (session.stats.conflicts, session.paused is None) == (7, False)
+        result = session.solve()
+        assert (result.status, result.stats) == (UNSAT, whole.solve().stats)
+        assert (result.stats.conflicts, session.paused) == (101, None)
+
+    def test_overrun_of_a_resumed_solve_leaves_the_engine_unpaused(self):
+        # the resumed solve raises at 41 conflicts, as in
+        # test_resumed_solve_counts_with_the_paused_one; the next solve
+        # starts afresh, so it pauses at 5 conflicts of its own
+        pfa = pn(8)
+        groups = [DistanceTables(pfa).far(k) for k in (2, 3, 4)]
+        session = Session(encode(pfa, 55, groups), SolverLimits(max_conflicts=40))
+        assert session.solve(pause=30) is None
+        session.extend([(-(55 * 10 + 1),)])
+        with pytest.raises(BudgetExceeded, match="conflict limit 40"):
+            session.solve()
+        assert session.paused is None
+        assert session.solve(pause=5) is None
+        assert session.stats.conflicts == 5
 
     def test_model_is_checked_against_the_added_clauses(self):
         session = Session(inst(2, [1]))
