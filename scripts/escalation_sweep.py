@@ -2,8 +2,8 @@
 """Sweep min_csw's escalation limit over the chain family and random draws.
 
 For each setting of search.ESCALATE_AFTER, the conflicts a probe runs
-before the next set size joins it, and for "off" (a limit no solve
-reaches, so a probe keeps the groups it starts with: the sizes 3, 4, ...
+before the next set size joins it, and for "off" (no pause, so a probe
+keeps the groups it starts with: the sizes 3, 4, ...
 up to n - 2 whose tables together fit its plain clauses), runs `min_csw`
 on `pn(5..11)` and on the first FOUND draw of each curve trial
 0..TRIALS-1 at n = 6, 8, 10 and 12 (the draws `cswsat bench curve` makes
@@ -21,7 +21,6 @@ setting must give the lengths of "off", or the script exits 1.
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -73,7 +72,7 @@ def main() -> int:
     best = {}
     for _ in range(args.repeats):
         for setting in args.settings.split(","):
-            search.ESCALATE_AFTER = math.inf if setting == "off" else int(setting)
+            search.ESCALATE_AFTER = None if setting == "off" else int(setting)
             rows = {name: [run(pfa) for pfa in draws] for name, draws in families.items()}
             kept = best.setdefault(setting, rows)
             for name, runs in rows.items():

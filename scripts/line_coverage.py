@@ -14,7 +14,7 @@ the standard library and pytest.
 
 Code that runs only in a child process, such as a shim solver started by
 an external backend, is not traced, so it shows as not executed. Tracing
-makes the suite about three times slower.
+makes the suite about four times slower.
 """
 
 import ast

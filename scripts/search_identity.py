@@ -31,6 +31,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from cswsat import BudgetExceeded, CnfInstance, GenConfig, min_csw, pn, power_bfs, random_pfa
@@ -46,18 +47,12 @@ class HashingSession(Session):
 
     def __init__(self, instance, digests, **kwargs):
         super().__init__(instance, **kwargs)
-        self.var_count = instance.var_count
-        self.held = list(instance.clauses)
         self.digests = digests
-
-    def extend(self, clauses) -> None:
-        clauses = tuple(clauses)
-        super().extend(clauses)
-        self.held.extend(clauses)
 
     def solve(self, *args, **kwargs):
         if self.paused is None:  # a fresh solve, not a paused one resumed
-            cnf = CnfInstance(var_count=self.var_count, clauses=tuple(self.held))
+            held = tuple(chain.from_iterable(part.clauses for part in self._parts))
+            cnf = CnfInstance(var_count=self.nvars, clauses=held)
             self.digests.append(hashlib.sha256(to_dimacs(cnf).encode()).hexdigest())
         return super().solve(*args, **kwargs)
 
@@ -69,7 +64,7 @@ class HashingBackend(Backend):
     digests: list = field(default_factory=list)
 
     def start(self, instance):
-        return HashingSession(instance, self.digests, limits=self.limits, seed=self.seed)
+        return HashingSession(instance, self.digests, limits=self.limits)
 
 
 def oracle_record(pfa, **budget) -> list:

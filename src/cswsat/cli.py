@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import statistics
 import sys
 import time
@@ -409,7 +410,7 @@ def _backend(args) -> Backend:
         max_decisions=args.max_decisions,
         max_seconds=args.max_seconds,
     )
-    return backend_from_spec(args.backend, seed=args.seed, limits=limits)
+    return backend_from_spec(args.backend, limits=limits)
 
 
 def _parse_ns(text: str) -> list:
@@ -556,35 +557,28 @@ def _cmd_oracle(args) -> int:
 def _cmd_gen(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    if args.family == "pn":
-        if args.count != 1:
-            raise ValueError("the chain family is deterministic; --count must be 1")
-        items = [(f"family=pn n={args.n}", f"pn_n{args.n}.txt", pn(args.n))]
-    else:
-        items = []
-        for t in range(args.count):
+    if args.family == "pn" and args.count != 1:
+        raise ValueError("the chain family is deterministic; --count must be 1")
+    if args.count > 1 and args.output is None:
+        raise ValueError("writing multiple automata needs --output DIR")
+    to_dir = args.output is not None and (args.count > 1 or Path(args.output).is_dir())
+    # each automaton is written as it is drawn, so memory holds one at a time
+    for t in range(args.count):
+        if args.family == "pn":
+            comment, name, pfa = f"family=pn n={args.n}", f"pn_n{args.n}.txt", pn(args.n)
+        else:
             seed = trial_seed(args.seed, t)
-            cfg = GenConfig(n=args.n, undefined_count=args.k, seed=seed)
-            items.append(
-                (
-                    f"family=random n={args.n} k={args.k} seed={seed}",
-                    f"random_n{args.n}_k{args.k}_{t:04d}.txt",
-                    random_pfa(cfg),
-                )
-            )
-    texts = [serialize_pfa(pfa, comment=comment) for comment, _, pfa in items]
-    if args.output is None:
-        if len(texts) > 1:
-            raise ValueError("writing multiple automata needs --output DIR")
-        sys.stdout.write(texts[0])
-        return EXIT_OK
-    out = Path(args.output)
-    if len(texts) == 1 and not out.is_dir():
-        out.write_text(texts[0])
-        return EXIT_OK
-    out.mkdir(parents=True, exist_ok=True)
-    for (_, name, _), text in zip(items, texts):
-        (out / name).write_text(text)
+            comment = f"family=random n={args.n} k={args.k} seed={seed}"
+            name = f"random_n{args.n}_k{args.k}_{t:04d}.txt"
+            pfa = random_pfa(GenConfig(n=args.n, undefined_count=args.k, seed=seed))
+        text = serialize_pfa(pfa, comment=comment)
+        if not to_dir:
+            _write_text(args.output, text)
+            continue
+        if t == 0:  # made once the first draw has passed the argument checks
+            Path(args.output).mkdir(parents=True, exist_ok=True)
+        with open(os.path.join(args.output, name), "w") as out:
+            out.write(text)
     return EXIT_OK
 
 
@@ -634,7 +628,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cswsat",
         description="Minimal careful-synchronization words via a SAT pipeline.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    parser.add_argument(
+        "--seed", type=int, default=0, help="seeds the random draws of gen and bench"
+    )
     parser.add_argument(
         "--backend",
         default="builtin",

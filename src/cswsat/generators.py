@@ -13,7 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .automaton import Pfa
+from .automaton import BudgetExceeded, Pfa
+from .encoder import MAX_CLAUSES
 
 __all__ = ["GenConfig", "random_pfa", "pn", "trial_seed"]
 
@@ -30,6 +31,8 @@ class GenConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"need at least 2 states, got {self.n}")
+        if self.n > MAX_CLAUSES:
+            raise BudgetExceeded(f"{self.n} states, over the {MAX_CLAUSES} budget")
         if not 1 <= self.undefined_count <= self.n:
             raise ValueError(
                 f"undefined_count must be in 1..{self.n}, got {self.undefined_count}"
@@ -75,6 +78,8 @@ def pn(n: int) -> Pfa:
     grow roughly quadratically, which makes them good stress inputs."""
     if n < 3:
         raise ValueError(f"the family needs n >= 3, got {n}")
+    if n > MAX_CLAUSES:
+        raise BudgetExceeded(f"{n} states, over the {MAX_CLAUSES} budget")
     row_a = tuple(q + 1 if q in (1, 2) else q for q in range(1, n + 1))
     row_b = tuple(
         None if q == 1 else (q + 1 if q < n else 1) for q in range(1, n + 1)

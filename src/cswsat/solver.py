@@ -7,12 +7,12 @@ with local clause minimization, exponentially decayed variable activities
 breaking ties toward the lowest variable index, saved phases (default
 false, which suits the mostly-false models of the synchronization
 encoding), reluctant-doubling restarts, and periodic forgetting of
-high-glue learned clauses. Runs are deterministic for a fixed seed. The
-assignment is stored per literal, as in MiniSat: each literal's value has
-its own slot, written for both polarities when a variable is assigned, so
-the watch loop tests a literal with one lookup. Backtracking clears both
-slots and leaves the variable's reason stale, since a reason is read only
-while its variable is assigned.
+high-glue learned clauses. Runs are deterministic. The assignment is
+stored per literal, as in MiniSat: each literal's value has its own slot,
+written for both polarities when a variable is assigned, so the watch
+loop tests a literal with one lookup. Backtracking clears both slots and
+leaves the variable's reason stale, since a reason is read only while
+its variable is assigned.
 
 A clause is a list of literal codes, and the engine refers to it by that
 list alone: the watch lists of its first two codes hold the list itself,
@@ -155,12 +155,7 @@ class Session:
     solve alone. A model must satisfy the instance and every added batch,
     and `clause_count` counts the clauses of them all."""
 
-    def __init__(
-        self,
-        instance: CnfInstance,
-        limits: Optional[SolverLimits] = None,
-        seed: int = 0,
-    ):
+    def __init__(self, instance: CnfInstance, limits: Optional[SolverLimits] = None):
         self.nvars = instance.var_count
         self.limits = limits or SolverLimits()
         self.stats = SolveStats()
@@ -185,13 +180,6 @@ class Session:
         self.deadline = None
         # the restart schedule of a paused solve, which the next solve resumes
         self.paused = None
-
-        if seed:
-            # reproducible jitter so different seeds explore differently
-            import random
-
-            rng = random.Random(seed)
-            self.activity = [0.0] + [rng.random() * 1e-6 for _ in range(nv)]
 
         self._rebuild_heap()
 
@@ -494,7 +482,11 @@ class Session:
         """Decide the instance and the clauses added so far; see `solve`.
         With `pause`, return None after `pause` more conflicts of this
         solve, held in `paused`; the next solve resumes it, and any other
-        solve starts stats, limits, deadline and restarts afresh."""
+        solve starts stats, limits, deadline and restarts afresh. A `pause`
+        other than an int of at least 1 raises ValueError and leaves the
+        engine as it was."""
+        if pause is not None and not (isinstance(pause, int) and pause >= 1):
+            raise ValueError(f"pause must be an int of at least 1, got {pause!r}")
         schedule, self.paused = self.paused, None
         fresh = schedule is None
         if fresh:
@@ -577,11 +569,7 @@ class Session:
 
 
 @_collector_paused
-def solve(
-    instance: CnfInstance,
-    limits: Optional[SolverLimits] = None,
-    seed: int = 0,
-) -> SolveResult:
+def solve(instance: CnfInstance, limits: Optional[SolverLimits] = None) -> SolveResult:
     """Decide the instance with the built-in engine.
 
     Returns a SolveResult whose model (when SAT) has passed the independent
@@ -589,7 +577,7 @@ def solve(
     The call runs with the cyclic garbage collector paused, other threads'
     work included, and makes no reference cycles.
     """
-    return Session(instance, limits, seed).solve()
+    return Session(instance, limits).solve()
 
 
 def _parse_result_lines(lines):
@@ -701,7 +689,6 @@ class Backend:
     external solver takes `max_seconds` alone, as its timeout."""
 
     command: Optional[str] = None
-    seed: int = 0
     limits: SolverLimits = field(default_factory=SolverLimits)
 
     def __post_init__(self):
@@ -715,22 +702,22 @@ class Backend:
 
     def run(self, instance: CnfInstance) -> SolveResult:
         if self.command is None:
-            return solve(instance, limits=self.limits, seed=self.seed)
+            return solve(instance, limits=self.limits)
         return solve_external(instance, self.command, timeout=self.limits.max_seconds)
 
     def start(self, instance: CnfInstance) -> Optional[Session]:
         """An engine for `instance` to solve and then extend, or None for an
         external solver, which keeps nothing between runs."""
         if self.command is None:
-            return Session(instance, limits=self.limits, seed=self.seed)
+            return Session(instance, limits=self.limits)
         return None
 
 
-def backend_from_spec(spec: str, seed: int = 0, limits: Optional[SolverLimits] = None) -> Backend:
+def backend_from_spec(spec: str, limits: Optional[SolverLimits] = None) -> Backend:
     """Parse a backend flag value: 'builtin' or 'external:<command>'."""
     limits = limits or SolverLimits()
     if spec == "builtin":
-        return Backend(seed=seed, limits=limits)
+        return Backend(limits=limits)
     if spec.startswith("external:"):
         command = spec[len("external:") :].strip()
         if not command:

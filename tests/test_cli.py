@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from cswsat.cli import (
     write_gnuplot,
 )
 from cswsat.encoder import (
+    MAX_CLAUSES,
     DistanceTables,
     clause_count,
     encode,
@@ -482,6 +484,43 @@ class TestCommandSurface:
         assert main(["gen", "--family", "pn", "--n", "4"]) == 0
         assert parse_pfa(capsys.readouterr().out).delta == pn(4).delta
         assert main(["gen", "--family", "pn", "--n", "4", "--count", "2"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--n", str(MAX_CLAUSES + 1)],
+            ["gen", "--family", "pn", "--n", str(MAX_CLAUSES + 1)],
+            ["bench", "curve", "--n-list", str(MAX_CLAUSES + 1), "--samples", "1"],
+        ],
+    )
+    def test_more_states_than_the_clause_budget_are_refused(self, capsys, argv):
+        # refused before a draw allocates rows of that size
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {MAX_CLAUSES + 1} states, over the {MAX_CLAUSES} budget\n"
+
+    def test_gen_memory_does_not_grow_with_the_count(self, tmp_path):
+        # each automaton is written as it is drawn, so the peak holds one
+        def peak(count):
+            tracemalloc.start()
+            try:
+                out = str(tmp_path / str(count))
+                assert main(["gen", "--n", "100", "--count", str(count), "-o", out]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(400) < 1.5 * peak(20)
+        assert len(list((tmp_path / "400").iterdir())) == 400
+
+    def test_seed_leaves_the_search_alone(self, tmp_path, capsys):
+        # the seed draws automata; the solver takes none
+        path = self._pfa_file(tmp_path, serialize_pfa(pn(6)))
+        words = []
+        for argv in (["min", path], ["--seed", "5", "min", path]):
+            assert main(argv) == 0
+            words += [s for s in capsys.readouterr().out.splitlines() if s.startswith("word:")]
+        assert words == ["word: aababababaabbababaabbbabaa"] * 2
 
     @pytest.mark.parametrize("family", ["random", "pn"])
     @pytest.mark.parametrize("count", ["0", "-2"])

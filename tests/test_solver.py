@@ -1,3 +1,4 @@
+import math
 import shlex
 import sys
 from pathlib import Path
@@ -105,13 +106,6 @@ class TestBuiltinSolve:
             b.stats.propagations,
             b.stats.conflicts,
         )
-
-    def test_seed_changes_search_not_answer(self):
-        instance = encode(A1, 3)
-        for seed in (0, 1, 7):
-            res = solve(instance, seed=seed)
-            assert res.status == SAT
-            assert satisfies(instance, res.model)
 
     @given(cnf_instances(), st.booleans())
     @settings(max_examples=200)
@@ -579,6 +573,24 @@ class TestSession:
         assert session.solve(pause=5) is None
         assert session.stats.conflicts == 5
 
+    @pytest.mark.parametrize("pause", [0, -3, 2.5, math.nan])
+    def test_pause_other_than_a_positive_int_is_refused(self, pause):
+        # refused before the engine changes: paused at 7 conflicts, it stays
+        # paused and resumes to pn(8)'s SAT solve at 188 conflicts
+        pfa = pn(8)
+        groups = [DistanceTables(pfa).far(k) for k in (2, 3, 4)]
+        session = Session(encode(pfa, 55, groups))
+        with pytest.raises(ValueError, match="pause must be an int"):
+            session.solve(pause=pause)
+        assert session.solve(pause=7) is None
+        with pytest.raises(ValueError, match="pause must be an int"):
+            session.solve(pause=pause)
+        assert (session.stats.conflicts, session.paused is None) == (7, False)
+        result = session.solve()
+        whole = Session(encode(pfa, 55, groups)).solve()
+        assert (result.status, result.model, result.stats) == (SAT, whole.model, whole.stats)
+        assert result.stats.conflicts == 188
+
     def test_model_is_checked_against_the_added_clauses(self):
         session = Session(inst(2, [1]))
         assert session.solve().status == SAT
@@ -751,7 +763,7 @@ class TestExternalSolve:
 
 class TestBackendSpec:
     def test_builtin(self):
-        backend = backend_from_spec("builtin", seed=3)
+        backend = backend_from_spec("builtin")
         assert backend.command is None
         assert backend.run(inst(1, [1])).status == SAT
 
