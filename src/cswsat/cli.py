@@ -43,7 +43,7 @@ from .encoder import (
     to_dimacs,
 )
 from .generators import GenConfig, pn, random_pfa, trial_seed
-from .oracle import DEFAULT_MAX_VISITED, power_bfs
+from .oracle import DEFAULT_MAX_VISITED, check_table_budget, power_bfs
 from .search import DEFAULT_MAX_LENGTH, FOUND, UNKNOWN_UP_TO_BOUND, SearchOutcome, min_csw
 from .solver import (
     SAT,
@@ -146,16 +146,24 @@ def _found_draws(
     family: Callable[[int, int], Pfa],
     answer: Callable[[Pfa], SearchOutcome],
     tally: Counter,
+    letters: Optional[int] = None,
 ) -> Iterator[tuple]:
     """Per trial, the first draw whose answer is FOUND, as (pfa, outcome,
     seconds spent in `answer`).
 
     Draws answered otherwise add to tally["discards"] and budget overruns
     to tally["budget_hits"]; both are redrawn with the next attempt seed.
+    With `letters`, `answer` runs power_bfs on draws of that many letters,
+    and its letter-table budget, which no redraw changes, is checked once
+    before any draw. A trial whose every draw overran raises
+    BudgetExceeded.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if letters is not None:
+        check_table_budget(n, letters)
     for trial in range(samples):
+        hits = tally["budget_hits"]
         for attempt in range(MAX_ATTEMPTS):
             pfa = family(n, trial_seed(seed, trial, attempt))
             start = time.perf_counter()
@@ -170,6 +178,8 @@ def _found_draws(
                 break
             tally["discards"] += 1
         else:
+            if tally["budget_hits"] - hits == MAX_ATTEMPTS:
+                raise BudgetExceeded(f"all {MAX_ATTEMPTS} draws for n={n} overran the budget")
             raise RuntimeError(
                 f"no synchronizing instance for n={n} in {MAX_ATTEMPTS} draws"
             )
@@ -192,9 +202,10 @@ def run_experiment(
     Each trial draws an automaton from `family` (default: the random scheme
     with `undefined_count` holes) and minimizes it. Draws whose answer is
     not FOUND are discarded and redrawn with a fresh attempt seed, and the
-    discard count lands in the row; so do budget overruns, which are never
-    fatal here. Identical arguments give identical rows apart from the
-    timing column.
+    discard count lands in the row; so do budget overruns. They are fatal
+    (BudgetExceeded) only where no draw can fit: the oracle's letter
+    tables for n exceed their budget, or a trial's every draw overran.
+    Identical arguments give identical rows apart from the timing column.
 
     The default engine drives the full solver pipeline. engine="oracle"
     computes the same lengths by exact subset reachability, which is the
@@ -204,6 +215,8 @@ def run_experiment(
     """
     if engine not in ("sat", "oracle"):
         raise ValueError(f"unknown engine {engine!r}, expected 'sat' or 'oracle'")
+    # random_pfa draws two letters
+    letters = 2 if engine == "oracle" and family is None else None
     family = family or _random_family(undefined_count)
     if engine == "sat":
         answer = lambda pfa: min_csw(pfa, max_length=max_length, backend=backend)
@@ -213,7 +226,7 @@ def run_experiment(
     rows = []
     for n in ns:
         tally = Counter()
-        draws = list(_found_draws(n, samples, seed, family, answer, tally))
+        draws = list(_found_draws(n, samples, seed, family, answer, tally, letters))
         lengths = [outcome.min_length for _, outcome, _ in draws]
         mean = statistics.fmean(lengths)
         sd = statistics.stdev(lengths) if len(lengths) > 1 else 0.0
@@ -244,7 +257,8 @@ def compare_backends(
     """Time both exact paths on identical instances and check they agree.
 
     Subset search runs first. Instances it refutes or runs out of budget on
-    are redrawn, since only synchronizing inputs yield a length to compare.
+    are redrawn, since only synchronizing inputs yield a length to compare;
+    a state count its letter tables cannot fit raises BudgetExceeded.
     The solver pipeline then runs with its reachability pre-check off so
     its timing is a pure solver measurement.
     Any length disagreement is counted in the row's mismatch column; callers
@@ -259,7 +273,9 @@ def compare_backends(
         sat_times = []
         oracle_times = []
         mismatches = 0
-        for pfa, exact, oracle_elapsed in _found_draws(n, samples, seed, family, answer, tally):
+        # random_pfa draws two letters
+        draws = _found_draws(n, samples, seed, family, answer, tally, letters=2)
+        for pfa, exact, oracle_elapsed in draws:
             start = time.perf_counter()
             outcome = min_csw(pfa, max_length=max_length, backend=backend, precheck=False)
             sat_times.append(time.perf_counter() - start)

@@ -27,7 +27,11 @@ distance 0, so every far pair is in the k = 2 group, and the sync block is
 its ell - t = 0 case. The lists come from one `DistanceTables` per
 automaton, which checks each distance table once by the equation that
 defines it and builds each list from its checked table; which probe
-carries which group is `search`'s choice.
+carries which group is `search`'s choice. The pair table comes from a
+backward breadth-first search over state pairs; each larger size from a
+breadth-first search over that size's sets alone, started at the sets
+that a letter maps onto smaller ones, whose distances are settled
+already.
 The rule rests on one fact: the rest of a real word merges the word's
 whole image after t letters in ell - t letters, so a real word's
 assignment satisfies every clause of these groups.
@@ -271,36 +275,44 @@ class DistanceTables:
     merges each subset, so the other sets add nothing to the smaller
     sets' clauses.
 
-    D(S) = 1 + min over letters a defined on S of D(S.a). A backward
-    breadth-first search settles it level by level, one set size at a
-    time, in one table keyed by the product of each set's states' primes:
-    the sets of fewer states settled so far keep their levels, and each
-    level's sets send every set of k states that some letter maps onto
-    them to the next level. A letter's preimage of a set takes a nonempty
-    part of the letter's preimage of each of its states, so each
-    (set, letter) is met once, as a preimage of its own image: O(C(n, k) m)
-    time per size. One walk over the sets of k states then checks each
-    one's D by the equation and lists it against its subsets, in
-    O(C(n, k) k m).
+    D(S) = 1 + min over letters a defined on S of D(S.a). One table keyed
+    by the product of each set's states' primes holds D of every merging
+    set settled so far, and each size k is settled in it by one
+    breadth-first search over the sets of k states alone, with staggered
+    start distances (Dial, CACM 1969). A set that a letter maps onto fewer
+    states holds two states the letter merges, and its image is settled
+    already: one walk over each letter's merged pairs, each with every
+    k - 2 other states the letter is defined on, starts such a set at
+    1 + the least D of such an image, in O(k C(n - 2, k - 2)) time per
+    merged pair (a set is met once per pair of its states that a letter
+    merges). A breadth-first pass in order of distance then settles
+    the rest: a letter keeps all k states of a set only by taking one
+    state from the preimage of each state of its image, so each
+    (set, letter) with an image of k states is met once, as a preimage of
+    its own image, in O(C(n, k) k m) time. One walk over the sets of
+    k states then checks each one's D by the equation and lists it
+    against its subsets, in O(C(n, k) k m).
 
-    The search's table and levels stay for the whole object, so each size
-    resumes them and none is searched twice. They hold one entry and one
-    tuple for every merging set of at most k states, far more than the
-    lists. `search.min_csw` asks for the sizes a probe starts with only
-    while their sets together, C(n, 3) + ... + C(n, k), are at most its
-    plain clause count, itself at most MAX_CLAUSES, and for a size that
-    joins a hard probe when C(n, k) alone is. So the sizes a probe starts
-    with share one count, each size that joins it takes up to one more,
-    and with the sizes 3 to n - 2 all joined the held sets number up to
-    n - 4 such counts.
+    The table is the only search state the object holds, with the lists:
+    each size adds its sets, and none is searched twice. It holds one
+    entry for every merging set of at most k states, far more than the
+    lists: under tracemalloc the object holds 21.1 MB after far(3) on
+    random n = 100 seed 0 (127,366 triples listed) and 4.8 MB after
+    far(13) on pn(15). `search.min_csw` asks for the sizes a probe
+    starts with only while their sets together, C(n, 3) + ... + C(n, k),
+    are at most its plain clause count, itself at most MAX_CLAUSES, and
+    for a size that joins a hard probe when C(n, k) alone is. So the sizes
+    a probe starts with share one count, each size that joins it takes up
+    to one more, and with the sizes 3 to n - 2 all joined the held sets
+    number up to n - 4 such counts.
     """
 
     def __init__(self, pfa: Pfa):
         self.pfa = pfa
         # far(2), far(3), ... as built so far
         self._far = []
-        # the search's state, which the next size resumes
-        self._settled = self._levels = None
+        # D of every merging set of the sizes searched so far, by key
+        self._settled = None
 
     def far(self, k: int) -> list:
         """The farthest-first list for sets of k >= 2 states, with those of
@@ -319,55 +331,57 @@ class DistanceTables:
         return self._far[k - 2]
 
     def _search(self, k: int) -> None:
-        """Settle D of the sets of k states, k > 2, in `_settled`,
-        resuming the backward search of the smaller sizes."""
+        """Settle D of the sets of k states, k > 2, in `_settled`, which
+        holds the smaller sizes' already."""
         # A set's key is the product of its states' primes, one small int
         # per set. (Bit masks of sets over 61 states collide in a dict, as
         # CPython hashes an int modulo 2**61 - 1.)
         primes = _primes(self.pfa.n)
         if k == 3:
-            # D of each set settled so far, by key, and those sets, each as
-            # its states' primes, by D: single states, then finite pairs
+            # D of each merging set settled so far, by key: single states,
+            # then finite pairs
             self._settled = dict.fromkeys(primes, 0)
-            self._levels = {0: [(r,) for r in primes]}
             for D, _, p, q in self._far[0]:
                 if D != math.inf:
                     self._settled[primes[p - 1] * primes[q - 1]] = D
-                    self._levels.setdefault(D, []).append((primes[p - 1], primes[q - 1]))
-        settled, levels = self._settled, self._levels
+        settled = self._settled
+        get = settled.get
+        # the sets of k states that a letter maps onto a smaller merging
+        # set, as their states' primes, by 1 + D of that image: each holds
+        # two states the letter merges, and is listed once per such pair,
+        # to settle at the least of its starts
+        starts = {}
         # per letter a + 1, by the prime of each state r: pre[r], the primes
-        # of the states the letter sends to r, size[r], their number, and
-        # parts[r], their nonempty subsets of at most k
+        # of the states the letter sends to r, and size[r], their number
         letters = []
         for groups in _preimages(self.pfa):
             pre = {primes[r]: tuple(primes[p] for p in group) for r, group in enumerate(groups)}
-            parts = {
-                r: [combo for i in range(1, k + 1) for combo in combinations(group, i)]
-                for r, group in pre.items()
-            }
             size = {r: len(group) for r, group in pre.items()}.__getitem__
-            letters.append((pre.__getitem__, size, parts))
+            letters.append((pre.__getitem__, size))
+            # the prime of each state's image, where the letter is defined
+            image = {p: r for r, group in pre.items() for p in group}
+            for r, group in pre.items():
+                for pair in combinations(group, 2):
+                    others = [p for p in image if p not in pair]
+                    for rest in combinations(others, k - 2):
+                        D = get(math.prod({r, *map(image.__getitem__, rest)}))
+                        if D is not None:
+                            starts.setdefault(D + 1, []).append(pair + rest)
 
-        top = max(levels)
-        # the sets of k states at level d, as their states' primes
-        reached = []
-        d = 0
-        while reached or d <= top:
-            smaller = levels.get(d, ())
-            images = []
-            for pre, size, parts in letters:
-                # a preimage of a set s of k states takes one state per part,
-                # one of k states from a smaller s takes k among its parts
-                images += [product(*map(pre, s)) for s in reached if all(map(size, s))]
-                images += [_joined_parts(parts, s, k) for s in smaller if sum(map(size, s)) >= k]
-            if reached:
-                levels.setdefault(d, []).extend(reached)
-            reached = []
-            for states in chain.from_iterable(images):
+        # the sets of k states settled at distance d - 1; a letter keeps all
+        # k states of a set only by taking one state from each of its
+        # states' preimages
+        level = []
+        d = 1
+        while level or starts:
+            reached = [product(*map(pre, s)) for pre, size in letters for s in level if all(map(size, s))]
+            reached.append(starts.pop(d, ()))
+            level = []
+            for states in chain.from_iterable(reached):
                 key = math.prod(states)
                 if key not in settled:
-                    settled[key] = d + 1
-                    reached.append(states)
+                    settled[key] = d
+                    level.append(states)
             d += 1
 
     def _check(self, k: int) -> list:
@@ -401,22 +415,6 @@ class DistanceTables:
                 far.append((D, inner, *map(state, factors)))
         far.sort(key=itemgetter(0), reverse=True)
         return far
-
-
-def _joined_parts(parts: dict, image: tuple, k: int) -> list:
-    """The sets of k states that one letter sends onto `image`: one part
-    from parts[r] for each state prime r of the image, joined."""
-    joined = [()]
-    left = len(image)
-    for r in image:
-        left -= 1
-        joined = [
-            states + part
-            for states in joined
-            for part in parts[r]
-            if len(states) + len(part) + left <= k
-        ]
-    return [states for states in joined if len(states) == k]
 
 
 def _primes(count: int) -> list:

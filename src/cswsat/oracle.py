@@ -43,6 +43,7 @@ __all__ = [
     "BOUND_STAGES",
     "DEFAULT_MAX_VISITED",
     "MAX_TABLE_WORDS",
+    "check_table_budget",
     "power_bfs",
 ]
 
@@ -92,6 +93,17 @@ def _chunk_tables(targets: list) -> list:
     return tables
 
 
+def check_table_budget(n: int, m: int) -> None:
+    """Raise BudgetExceeded when the letter tables of an automaton with n
+    states and m letters would exceed MAX_TABLE_WORDS; they depend on n and
+    m alone."""
+    table_words = m * -(-n // 8) * 256 * (-(-n // 64) + _ENTRY_OVERHEAD_WORDS)
+    if table_words > MAX_TABLE_WORDS:
+        raise BudgetExceeded(
+            f"{n} states need {table_words} table words, over the {MAX_TABLE_WORDS} budget"
+        )
+
+
 def _letter_actions(pfa: Pfa) -> list:
     """Every letter's action on subsets, as (letters, tables) groups of up
     to LETTER_GROUP letters in letter order. With `every` the union of the
@@ -100,12 +112,7 @@ def _letter_actions(pfa: Pfa) -> list:
     full set where the subset meets an undefined transition. BudgetExceeded
     before building anything when the tables would exceed MAX_TABLE_WORDS."""
     n = pfa.n
-    words = -(-n // 64)
-    table_words = pfa.m * -(-n // 8) * 256 * (words + _ENTRY_OVERHEAD_WORDS)
-    if table_words > MAX_TABLE_WORDS:
-        raise BudgetExceeded(
-            f"{n} states need {table_words} table words, over the {MAX_TABLE_WORDS} budget"
-        )
+    check_table_budget(n, pfa.m)
     full = (1 << n) - 1
     actions = []
     for first in range(0, pfa.m, LETTER_GROUP):

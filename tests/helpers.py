@@ -64,6 +64,20 @@ def eval_clauses(clauses, assignment) -> bool:
     )
 
 
+def settled_sets(distances, k: int) -> list:
+    """The sets of k states whose key a DistanceTables' search table
+    `_settled` holds, each as its states' primes (state q has the q-th
+    prime, and a set's key is the product of its states' primes)."""
+    primes = []
+    candidate = 2
+    while len(primes) < distances.pfa.n:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    settled = distances._settled
+    return [s for s in itertools.combinations(primes, k) if math.prod(s) in settled]
+
+
 def set_image(delta, states, letter):
     """Image of a state set under one letter, from the raw table; None when
     the letter is undefined somewhere on the set."""

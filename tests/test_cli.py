@@ -208,6 +208,18 @@ class TestTableOutput:
         assert dat.name in gp.read_text()
 
 
+def _logged_draws(monkeypatch) -> list:
+    """The seeds of the random draws `cli` makes from here on."""
+    draws = []
+
+    def logged(config):
+        draws.append(config.seed)
+        return random_pfa(config)
+
+    monkeypatch.setattr("cswsat.cli.random_pfa", logged)
+    return draws
+
+
 class TestCommandSurface:
     def _pfa_file(self, tmp_path, text, name="input.txt"):
         path = tmp_path / name
@@ -591,6 +603,26 @@ class TestCommandSurface:
         read = lambda path: list(csv.DictReader(io.StringIO(path.read_text())))
         assert [r["budget_hits"] for r in read(curve)] == ["0", "2"]
         assert [r["oracle_budget_hits"] for r in read(compare)] == ["0", "2"]
+
+    @pytest.mark.parametrize("mode", [["curve", "--engine", "oracle"], ["compare"]])
+    def test_bench_refuses_a_state_count_the_letter_tables_overrun(self, monkeypatch, capsys, mode):
+        # power_bfs's letter tables for 40 states overrun this budget on
+        # every draw alike: refused with exit 2 before any draw
+        draws = _logged_draws(monkeypatch)
+        monkeypatch.setattr("cswsat.oracle.MAX_TABLE_WORDS", 1000)
+        assert main(["bench", *mode, "--n-list", "40", "--samples", "1"]) == 2
+        assert draws == []
+        err = capsys.readouterr().err
+        assert err == "error: 40 states need 12800 table words, over the 1000 budget\n"
+
+    @pytest.mark.parametrize("mode", [["curve", "--engine", "oracle"], ["compare"]])
+    def test_bench_trial_whose_every_draw_overran_exits_2(self, monkeypatch, capsys, mode):
+        draws = _logged_draws(monkeypatch)
+        monkeypatch.setattr("cswsat.cli.MAX_ATTEMPTS", 5)
+        argv = ["bench", *mode, "--n-list", "10", "--samples", "1", "--max-visited", "1"]
+        assert main(argv) == 2
+        assert len(draws) == 5
+        assert capsys.readouterr().err == "error: all 5 draws for n=10 overran the budget\n"
 
     def test_bench_compare_flags_disagreement(self, monkeypatch, capsys):
         bogus = ComparisonRow(

@@ -27,7 +27,7 @@ from cswsat.encoder import (
     to_dimacs,
     variable_count,
 )
-from cswsat.generators import GenConfig, pn, random_pfa
+from cswsat.generators import GenConfig, pn, random_pfa, trial_seed
 from cswsat.search import _probe_groups, min_csw
 from cswsat.solver import BudgetExceeded, ModelVerificationError, Session, solve
 
@@ -37,6 +37,7 @@ from helpers import (
     merge_distance,
     pfas,
     pfas_with_holes,
+    settled_sets,
     shortest_sync_word,
 )
 
@@ -514,17 +515,18 @@ class TestSixSetDistances(_LargeSetDistanceChecks):
 
 class TestDistanceTablesState:
     def test_search_state_goes_with_the_largest_size(self):
-        # one table and one set of levels serve every size, each holding
+        # one table serves every size, the only search state held, with
         # sets of at most the largest size built; asking for a smaller size
-        # again leaves them be, and every list agrees with a fresh object's
+        # again leaves it be, and every list agrees with a fresh object's
         for pfa in (pn(8), TRIPLEWISE, random_pfa(GenConfig(n=12, seed=2))):
             distances = DistanceTables(pfa)
             before = [list(distances.far(k)) for k in (2, 3)]
-            settled, levels = distances._settled, distances._levels
+            settled = distances._settled
             for k in (4, 5, 6):
                 distances.far(k)
-                assert distances._settled is settled and distances._levels is levels
-                assert max(len(s) for level in levels.values() for s in level) <= k
+                assert distances._settled is settled
+                assert set(vars(distances)) == {"pfa", "_far", "_settled"}
+                assert not settled_sets(distances, k + 1)
             held = len(settled)
             for k in (4, 5, 6):
                 assert DistanceTables(pfa).far(k) == distances.far(k)
@@ -710,7 +712,7 @@ class TestCheckDistances:
                 distances.far(k - 1)
                 distances._search(k)
                 settled = distances._settled
-                sets = [s for level in distances._levels.values() for s in level if len(s) == k]
+                sets = settled_sets(distances, k)
                 assert sets
                 for key in map(math.prod, sets):
                     D = settled[key]
@@ -777,6 +779,40 @@ class TestPinnedLists:
                     "0abef7fa93a5eb60f5b2b292c6474fc872eedce9894cffca08c662e11cdd2b85",
                 ],
                 id="random-n16-s1",
+            ),
+            pytest.param(
+                # far(3..10): the first probe takes sizes 9 and 10 by escalation
+                pn(12),
+                [
+                    "7616b357196a8436c18d73854e841895392709e7fcaa0f77289e0d1544ff48ce",
+                    "f34b10bc4fdf2cf0157ec9a04aa9c592176500937da9494b141fb565f9f5ddd2",
+                    "4723bae0a629fadef8ed21187ccd58713f31ffb19220f750444a9f75335105cb",
+                    "9d5cbae836363ec131131a44df1486450e94ac4894e92a0b916d5c169fb686ab",
+                    "eef648764e0aa39d4c4b8c58d0a94b66de67eebf12f739d704ddf73dce769bd5",
+                    "f9183158a01afb8cb84e5175ce8d354a50a17b770b1708445052695ccff9ff0f",
+                    "d3657a8652bff802dfe4a225a3624c264fedbd81425c3d0b5d3436c86ed13f19",
+                    "5bf79b9a70a6ceff0d5c88735777ec91fa7071021801d635f468382a58086bc0",
+                    "51f86c02fb295354727d717021bb08dd59fb43d05344d6921367eed39c066723",
+                ],
+                id="pn12",
+            ),
+            pytest.param(
+                # curve draws: the sizes their probes start with
+                random_pfa(GenConfig(n=10, seed=trial_seed(0, 10, 1))),
+                [
+                    "366b4ce7a58055f823e8ac5be1428c5cef955473775864a6a8c3d4cb66b37971",
+                    "d71bd934c39f92055bc92fdbe5ed6f7b1e4b6404caea7146661000e69cc7e21c",
+                    "5c6c82afc47991e94e3d3057c6a3f2a97c97e61e73ad9402d9da90c76e86eb8b",
+                ],
+                id="curve-n10-t10-a1",
+            ),
+            pytest.param(
+                random_pfa(GenConfig(n=12, seed=trial_seed(0, 0))),
+                [
+                    "15ad0987e1144874e5a523482fb5a1c52e3158698dbb700817143e8d2ca332cd",
+                    "28db17f7836530b0aa386270f103e51baba6051139c56b209a231baf556a5171",
+                ],
+                id="curve-n12-t0-a0",
             ),
         ],
     )

@@ -46,7 +46,7 @@ from cswsat.solver import (
     solve,
 )
 
-from helpers import pfas, pfas_with_holes, sync_lengths
+from helpers import pfas, pfas_with_holes, settled_sets, sync_lengths
 from test_solver import SHIM_STDIN, shim_command
 
 A1 = Pfa(n=2, m=2, delta=((1, 1), (2, None)))
@@ -924,7 +924,7 @@ class TestDistanceTableCheck:
             search_sets(self, k)
             if k == size:
                 # one settled set of `size` states, as its states' primes
-                states = next(s for level in self._levels.values() for s in level if len(s) == k)
+                states = settled_sets(self, k)[0]
                 self._settled[math.prod(states)] += 1
 
         search_sets = DistanceTables._search
